@@ -22,11 +22,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -261,6 +259,8 @@ AXIS_OBSERVABLES = {
 # ------------------------------------------------------- config plumbing
 
 def _load_config(path: str, schema: dict) -> dict:
+    import jsonschema
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -402,16 +402,16 @@ def _task_rho_a(field, t0, task, config):
     f = _require_lattice_field(field, "rho_a")
     axes = f.lattice.coordinate_axes()
     coords = np.meshgrid(*axes, indexing="ij")
+    cols = tuple(f"x{j + 1}" for j in range(f.lattice.dim)) + ("rho_a",)
     artifacts = []
+    integrals = []
     for i, t in enumerate(task["times"]):
         dens = rho_a(f, t)
-        cols = tuple(f"x{j + 1}" for j in range(f.lattice.dim)) + ("rho_a",)
         rows = list(zip(*(c.ravel() for c in coords), dens.ravel()))
         artifacts.append((f"rho_a_t{i}.csv", cols, rows,
                           (f"time {t!r}",)))
-    summary = {"times": list(task["times"]),
-               "integrals": [float(f.lattice.integrate(rho_a(f, t)))
-                             for t in task["times"]]}
+        integrals.append(float(f.lattice.integrate(dens)))
+    summary = {"times": list(task["times"]), "integrals": integrals}
     return artifacts, summary
 
 
@@ -641,6 +641,8 @@ def _cmd_sweep(args) -> int:
     if workers == 1:
         values = [_sweep_point(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_sweep_point, payloads))
 

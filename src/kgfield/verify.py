@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,6 +105,19 @@ def run_checks(suite: str | None = None, ctx: VerifyContext | None = None) -> li
     return results
 
 
+def _worst(values) -> float:
+    """Largest of the values, or nan if any of them is not finite.
+
+    Python's max drops a NaN that is not the first value (max(0.0, nan)
+    is 0.0), so a broken evaluation could pass its bound.  A nan
+    measurement fails run_checks whichever way the bound points.
+    """
+    vals = np.array(list(values), dtype=float)
+    if not np.isfinite(vals).all():
+        return float("nan")
+    return float(vals.max())
+
+
 def _std_lattice(dim: int = 1, n: int = 64) -> MomentumLattice:
     return MomentumLattice([12.0] * dim, [n] * dim)
 
@@ -118,8 +132,8 @@ def _std_field(ctx: VerifyContext, a: float = 0.3, dim: int = 1, n: int = 64, of
 @_check("core", "wave-equation-residual")
 def _chk_wave_residual(ctx):
     f = _std_field(ctx)
-    res = max(kg_residual(f, t, _omega_scale=ctx.dispersion_scale)
-              for t in (0.0, 0.6, 1.7))
+    res = _worst(kg_residual(f, t, _omega_scale=ctx.dispersion_scale)
+                 for t in (0.0, 0.6, 1.7))
     scale = float(np.abs(f.psi_grid(0.0)).max())
     return res / scale, 1e-10
 
@@ -128,8 +142,8 @@ def _chk_wave_residual(ctx):
 def _chk_reversible(ctx):
     f = _std_field(ctx, off=1)
     g = evolve(evolve(f, 0.83), -0.83)
-    dev = max(np.abs(g.phi_plus - f.phi_plus).max(),
-              np.abs(g.phi_minus - f.phi_minus).max())
+    dev = _worst((np.abs(g.phi_plus - f.phi_plus).max(),
+                  np.abs(g.phi_minus - f.phi_minus).max()))
     return dev / np.abs(f.phi_plus).max(), 1e-12
 
 
@@ -153,8 +167,9 @@ def _chk_boost_metric(ctx):
 
 @_check("inner", "positivity", at_least=True)
 def _chk_positivity(ctx):
-    worst = min(norm_a(_std_field(ctx, a=a, off=4)) ** 2
-                for a in (-0.99, -0.5, 0.0, 0.5, 0.99))
+    # smallest squared norm; nan if any is not finite
+    worst = -_worst(-norm_a(_std_field(ctx, a=a, off=4)) ** 2
+                    for a in (-0.99, -0.5, 0.0, 0.5, 0.99))
     return worst, 1e-12
 
 
@@ -170,7 +185,7 @@ def _chk_time_indep(ctx):
     f1 = _std_field(ctx, off=6)
     f2 = _std_field(ctx, off=7)
     vals = [inner_a(f1, f2, t) for t in np.linspace(0.0, 5.0, 8)]
-    return max(abs(v - vals[0]) for v in vals) / abs(vals[0]), 1e-12
+    return _worst(abs(v - vals[0]) for v in vals) / abs(vals[0]), 1e-12
 
 
 @_check("inner", "split-route-agreement")
@@ -213,7 +228,7 @@ def _chk_frame_invariance(ctx):
 @_check("currents", "continuity-residual")
 def _chk_continuity(ctx):
     f = _std_field(ctx, a=0.2, dim=2, n=48, off=11)
-    return max(continuity_residual(f, t) for t in (0.0, 0.9)), 1e-10
+    return _worst(continuity_residual(f, t) for t in (0.0, 0.9)), 1e-10
 
 
 @_check("currents", "four-vector-covariance")
@@ -242,10 +257,10 @@ def _chk_oracle(ctx):
     rng = np.random.default_rng(ctx.seed + 13)
     events = np.column_stack([rng.uniform(-2, 2, 50), rng.uniform(-4, 4, 50)])
     direct = planewave_current_Ja(o.as_planewave(), events)
-    dev = max(np.abs(direct[i] - two_mode_oracle(o, events[i])["J"]).max()
-              for i in range(len(events)))
+    dev = _worst(np.abs(direct[i] - two_mode_oracle(o, events[i])["J"]).max()
+                 for i in range(len(events)))
     rec = two_mode_oracle(o, np.zeros(2))
-    dev = max(dev / np.abs(direct).max(), abs(rec["Ksq"] + 6.5))
+    dev = _worst((dev / np.abs(direct).max(), abs(rec["Ksq"] + 6.5)))
     return dev, 1e-12
 
 
@@ -274,11 +289,8 @@ def _chk_orthonormal(ctx):
     states = [localized_state(e, (4 * dx[0], 5 * dx[1]), lat, params)
               for e in (1, -1)]
     states.append(localized_state(1, (5 * dx[0], 5 * dx[1]), lat, params))
-    dev = 0.0
-    for i, s1 in enumerate(states):
-        for j, s2 in enumerate(states):
-            want = 1.0 if i == j else 0.0
-            dev = max(dev, abs(inner_0(s1.field, s2.field) - want))
+    dev = _worst(abs(inner_0(s1.field, s2.field) - (1.0 if i == j else 0.0))
+                 for i, s1 in enumerate(states) for j, s2 in enumerate(states))
     return dev, 1e-12
 
 
@@ -352,16 +364,23 @@ def _std_sweep() -> LimitSweep:
                       masses=tuple(1.5 * 2 ** j for j in range(5)))
 
 
+@lru_cache(maxsize=1)
+def _std_limit_record() -> dict:
+    """The standard sweep's J_a limit record, shared by both slope checks.
+
+    The sweep has no seed, so one evaluation per process serves every run.
+    """
+    return limit_deviation(_std_sweep(), "J_a", t=0.7)
+
+
 @_check("limits", "density-limit-slope")
 def _chk_density_slope(ctx):
-    rec = limit_deviation(_std_sweep(), "J_a", t=0.7)
-    return abs(rec["slope_rho"] + 2.0), 0.4
+    return abs(_std_limit_record()["slope_rho"] + 2.0), 0.4
 
 
 @_check("limits", "current-limit-slope")
 def _chk_current_slope(ctx):
-    rec = limit_deviation(_std_sweep(), "J_a", t=0.7)
-    return abs(rec["slope_j"] + 2.0), 0.4
+    return abs(_std_limit_record()["slope_j"] + 2.0), 0.4
 
 
 @_check("limits", "operator-expansion-slope")
@@ -379,7 +398,7 @@ def _chk_kappa(ctx):
     sweep = _std_sweep()
     s2 = LimitSweep(sweep.lattice, sweep.sigma, sweep.kcarrier, a=0.25,
                     masses=sweep.masses)
-    dev = max(abs(sweep.kappa - 1.0), abs(s2.kappa - 1.0 / 1.25))
+    dev = _worst((abs(sweep.kappa - 1.0), abs(s2.kappa - 1.0 / 1.25)))
     return dev, 1e-15
 
 
@@ -419,7 +438,7 @@ def _chk_em_inner(ctx):
     psidot0 = rng.standard_normal(lat.nodes) + 1j * rng.standard_normal(lat.nodes)
     vals = [em_inner_and_evolve(psi0, psidot0, op, t)[1]
             for t in np.linspace(0.0, 4.0, 6)]
-    return max(abs(v - vals[0]) for v in vals) / abs(vals[0]), 1e-10
+    return _worst(abs(v - vals[0]) for v in vals) / abs(vals[0]), 1e-10
 
 
 @_check("em", "gauge-residual")

@@ -218,19 +218,35 @@ def test_state_inspect_roundtrip(tmp_path, capsys):
     assert main(["state", "inspect", str(tmp_path / "missing.kgs")]) == 2
 
 
-def test_console_module_runs_as_subprocess(tmp_path):
-    # one true `python -m kgfield.cli` process: covers the module's __main__
-    # guard and its exit code, not the [project.scripts] console script.
-    # The child gets the absolute directory of the kgfield this suite
-    # imported (a relative PYTHONPATH does not resolve from tmp_path), and
-    # no KGFIELD_* variables that could redirect its report or corrupt it.
+def _child_env() -> dict:
+    # the absolute directory of the kgfield this suite imported (a relative
+    # PYTHONPATH does not resolve from tmp_path), and no KGFIELD_* variables
+    # that could redirect a child's report or corrupt it
     src = str(Path(kgfield.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
            if k not in ("KGFIELD_OUT", "KGFIELD_CORRUPT_DISPERSION")}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_console_module_runs_as_subprocess(tmp_path):
+    # one true `python -m kgfield.cli` process: covers the module's __main__
+    # guard and its exit code, not the [project.scripts] console script
     proc = subprocess.run(
         [sys.executable, "-m", "kgfield.cli", "verify", "--suite", "gauge"],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
+
+
+def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
+    # --version, state inspect and quadrature-free configs pay only the
+    # numpy floor; the heavy modules load inside the functions that use them
+    heavy = ("scipy.integrate", "jsonschema", "sympy", "mpmath")
+    code = ("import sys, kgfield.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

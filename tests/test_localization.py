@@ -1,5 +1,7 @@
 """Two-component picture, position operator, localized states, profiles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,28 @@ def test_profile_dual_quadrature_agreement():
         a = besselK_profile(r, params)
         b = besselK_profile_momentum_route(r, params)
         assert abs(a - b) < 1e-8 * abs(a)
+
+
+def test_profile_momentum_route_matches_scipy_kv():
+    # a third witness, independent of both quadratures: scipy's K_nu
+    from scipy.special import gamma, kv
+    for M in (0.5, 1.0, 2.0):
+        params = ModelParams(mass=M, kappa=0.7)
+        for r in (0.1, 0.5, 1.0, 2.0, 3.0):
+            want = (np.sqrt(M / params.kappa)
+                    / (2.0 ** 0.75 * np.pi ** 1.5 * gamma(0.25))
+                    * (M / r) ** 1.25 * kv(1.25, M * r))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = besselK_profile_momentum_route(r, params)
+            assert abs(got - want) < 1e-10 * want
+
+
+def test_profile_momentum_route_rejects_bad_radius():
+    params = ModelParams(mass=1.0)
+    for r in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            besselK_profile_momentum_route(r, params)
 
 
 def test_profile_scaling_and_decay():

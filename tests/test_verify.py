@@ -1,0 +1,55 @@
+"""Verify registry: NaN-proof reductions, shared records, negative controls."""
+
+import math
+
+from kgfield import verify
+from kgfield.verify import _worst, run_checks
+
+
+def _by_name(results):
+    return {r.name: r for r in results}
+
+
+def test_worst_is_nan_when_any_value_is_not_finite():
+    assert _worst([0.1, 0.3, 0.2]) == 0.3
+    # Python's max would return 0.0 here and drop the NaN
+    assert math.isnan(_worst([0.0, float("nan"), 0.0]))
+    assert math.isnan(_worst(v for v in (1.0, float("inf"))))
+
+
+def test_nan_after_first_value_fails_check(monkeypatch):
+    values = iter([0.0, float("nan"), 0.0])
+    monkeypatch.setattr(verify, "kg_residual", lambda *a, **k: next(values))
+    res = _by_name(run_checks("core"))["wave-equation-residual"]
+    assert math.isnan(res.measured)
+    assert not res.passed
+
+
+def test_bessel_dual_quadrature_negative_control(monkeypatch):
+    clean = _by_name(run_checks("localization"))["bessel-dual-quadrature"]
+    assert clean.passed and clean.measured <= 1e-10
+    original = verify.besselK_profile
+    monkeypatch.setattr(verify, "besselK_profile",
+                        lambda r, params: original(r, params) * (1.0 + 1e-7))
+    bad = _by_name(run_checks("localization"))["bessel-dual-quadrature"]
+    assert not bad.passed
+    assert bad.tolerance == 1e-8
+
+
+def test_limit_slopes_share_one_limit_evaluation(monkeypatch):
+    calls = []
+    original = verify.limit_deviation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "limit_deviation", counting)
+    verify._std_limit_record.cache_clear()
+    try:
+        res = _by_name(run_checks("limits"))
+    finally:
+        verify._std_limit_record.cache_clear()
+    assert len(calls) == 1
+    assert res["density-limit-slope"].passed
+    assert res["current-limit-slope"].passed
