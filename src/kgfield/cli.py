@@ -46,7 +46,7 @@ from .currents import (
 )
 from .gauge import gauge_transform
 from .inner import inner_a, inner_a_split, norm_a
-from .limits import fit_slope, schrodinger_reference
+from .limits import fit_slope, schrodinger_deviation
 from .localization import besselK_profile, localized_state
 from .reporting import write_csv, write_json
 from .stateio import inspect_state, load_state
@@ -392,7 +392,7 @@ def _task_total_probability(field, t0, task, config):
     vals = [v for _, v in rows]
     summary = {
         "values": vals,
-        "max_drift": max(abs(v - vals[0]) for v in vals),
+        "max_drift": float(np.max(np.abs(np.subtract(vals, vals[0])))),
         "norm_sq": norm_a(f) ** 2,
     }
     return [("total_probability.csv", ("t", "total_probability"), rows, ())], summary
@@ -431,7 +431,8 @@ def _task_continuity(field, t0, task, config):
     f = _require_lattice_field(field, "continuity")
     which = task.get("which", "J_a")
     rows = [(t, continuity_residual(f, t, which)) for t in task["times"]]
-    summary = {"which": which, "max_residual": max(v for _, v in rows)}
+    summary = {"which": which,
+               "max_residual": float(np.max([v for _, v in rows]))}
     return [("continuity.csv", ("t", "residual"), rows, ())], summary
 
 
@@ -445,7 +446,7 @@ def _task_bessel_profile(field, t0, task, config):
     node = config["field"]["node"]
     psi = np.abs(f.psi_grid(t0)) / np.sqrt(lat.cell_volume)
     rows = []
-    worst = 0.0
+    in_window = []
     for ray in task["rays"]:
         ray = np.array(ray, dtype=int)
         if not ray.any():
@@ -461,8 +462,9 @@ def _task_bessel_profile(field, t0, task, config):
             rows.append(("/".join(str(v) for v in ray.tolist()), j, r,
                          float(psi[idx]), oracle, rel))
             if 0.5 <= f.params.mass * r <= 3.0:
-                worst = max(worst, rel)
-    summary = {"max_rel_err_in_window": worst, "samples": len(rows)}
+                in_window.append(rel)
+    summary = {"max_rel_err_in_window": float(np.max(in_window, initial=0.0)),
+               "samples": len(rows)}
     return [("bessel_profile.csv",
              ("ray", "step", "r", "lattice", "oracle", "rel_err"),
              rows, ())], summary
@@ -512,7 +514,7 @@ def _task_gauge_orbit(field, t0, task, config):
     for theta in task["thetas"]:
         g = gauge_transform(f, theta)
         rows.append((theta, abs(norm_a(g) ** 2 - base) / base))
-    summary = {"max_norm_drift": max(v for _, v in rows)}
+    summary = {"max_norm_drift": float(np.max([v for _, v in rows]))}
     return [("gauge_orbit.csv", ("theta", "norm_rel_drift"), rows, ())], summary
 
 
@@ -580,17 +582,8 @@ def _sweep_point(payload: dict) -> float:
             raise TaskError("axis M: needs a gaussian-packet field")
         field = _field_from_block(dict(block, sector="schrodinger"),
                                   lattice, params, t0)
-        from .currents import current_Ja
-        t = t0 + 0.7
-        cur = current_Ja(field, t)
-        rho_ref, j_ref = schrodinger_reference(field, t)
-
-        def l2(arr):
-            return float(np.linalg.norm(np.asarray(arr).ravel()))
-
-        if observable == "nonrel-density-deviation":
-            return l2(cur.components[0] - rho_ref) / l2(rho_ref)
-        return l2(cur.components[1:] - j_ref) / max(l2(j_ref), 1e-300)
+        dev_rho, dev_j = schrodinger_deviation(field, "J_a", t0 + 0.7)
+        return dev_rho if observable == "nonrel-density-deviation" else dev_j
 
     if axis == "theta":
         field = _field_from_block(config["field"], lattice, params, t0)

@@ -30,8 +30,8 @@ import numpy as np
 class ModelParams:
     """Physical constants of the model.
 
-    mass : M > 0, the mass parameter (inverse length in hbar = c = 1 units).
-    kappa : global positive normalization of the inner-product family.
+    mass : finite M > 0, the mass parameter (inverse length, hbar = c = 1).
+    kappa : finite positive normalization of the inner-product family.
     a : inner-product family parameter, must satisfy -1 < a < 1.
     """
 
@@ -40,10 +40,11 @@ class ModelParams:
     a: float = 0.0
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        for name in ("mass", "kappa"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         if not -1.0 < self.a < 1.0:
             raise ValueError(f"parameter a must lie in (-1, 1), got {self.a}")
 
@@ -64,8 +65,9 @@ class MomentumLattice:
         if not 1 <= len(nodes) <= 3:
             raise ValueError("dimension must be 1, 2 or 3")
         for L in box_lengths:
-            if not L > 0:
-                raise ValueError("box lengths must be positive")
+            if not 0.0 < L < np.inf:
+                raise ValueError(f"box lengths must be positive and finite, "
+                                 f"got {L!r}")
         for n in nodes:
             if n < 4 or n % 2:
                 raise ValueError("node counts must be even and >= 4")
@@ -77,23 +79,19 @@ class MomentumLattice:
         self.volume = float(np.prod(box_lengths))
         self.total_nodes = int(np.prod(nodes))
 
-        self._k_axes = tuple(
-            2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
-            for L, n in zip(box_lengths, nodes)
-        )
-        kmesh = np.meshgrid(*self._k_axes, indexing="ij")
-        self.k_grids = tuple(kmesh)
-        self.ksq = sum(k * k for k in kmesh)
-        # phase of e^{i k x0} with x0 = -L/2 on every axis; exact +-1 values
-        phase = np.ones(nodes)
-        for ax, kax in enumerate(self._k_axes):
-            shape = [1] * self.dim
-            shape[ax] = nodes[ax]
-            n_int = np.rint(kax * box_lengths[ax] / (2.0 * np.pi)).astype(int)
-            phase = phase * np.where(n_int % 2 == 0, 1.0, -1.0).reshape(shape)
-        self._phase0 = phase
+        # open meshes: axis i of k_grids[i] and _phase0[i] is the only
+        # non-unit one, and products broadcast to the full grid
+        k_axes = [2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
+                  for L, n in zip(box_lengths, nodes)]
+        self.k_grids = tuple(np.meshgrid(*k_axes, indexing="ij", sparse=True))
+        self.ksq = sum(k * k for k in self.k_grids)
+        # e^{i k x0} with x0 = -L/2 on every axis: exact +-1 per axis
+        self._phase0 = tuple(
+            np.where(np.rint(k * L / (2.0 * np.pi)) % 2 == 0, 1.0, -1.0)
+            for k, L in zip(self.k_grids, box_lengths))
         self._omega_cache: dict[float, np.ndarray] = {}
         self._fine_cache: dict[int, "MomentumLattice"] = {}
+        self._pad_cache: dict[int, tuple] = {}
 
     def __eq__(self, other):
         return (
@@ -137,31 +135,37 @@ class MomentumLattice:
             self._fine_cache[factor] = lat
         return lat
 
-    def embed_modes(self, modes: np.ndarray, factor: int) -> np.ndarray:
-        """Zero-pad mode coefficients onto the factor-refined lattice."""
-        if factor == 1:
-            return modes
-        fine = self.refined(factor)
-        out = np.zeros(fine.nodes, dtype=complex)
-        slabs = []
-        for n in self.nodes:
-            idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)  # signed indices
-            slabs.append(idx)
-        mesh = np.meshgrid(*slabs, indexing="ij")
-        dest = tuple(m % fn for m, fn in zip(mesh, fine.nodes))
-        out[dest] = modes
-        return out
+    def _pad_index(self, factor: int) -> tuple:
+        """Open-mesh index of each mode on the factor-refined lattice."""
+        dest = self._pad_cache.get(factor)
+        if dest is None:
+            signed = [(np.arange(n) + n // 2) % n - n // 2 for n in self.nodes]
+            dest = np.ix_(*(j % (factor * n)
+                            for j, n in zip(signed, self.nodes)))
+            self._pad_cache[factor] = dest
+        return dest
 
     def modes_to_grid(self, modes: np.ndarray, pad: int = 1) -> np.ndarray:
-        """Evaluate sum_k modes(k) e^{i k.x} on the (optionally refined) grid."""
+        """Evaluate sum_k modes(k) e^{i k.x} on the grid, or with pad > 1
+        on the pad-refined grid of the same box (modes zero-padded)."""
+        lat = self
         if pad != 1:
-            fine = self.refined(pad)
-            return fine.modes_to_grid(self.embed_modes(modes, pad))
-        return np.fft.ifftn(modes * self._phase0) * self.total_nodes
+            lat = self.refined(pad)
+            padded = np.zeros(lat.nodes, dtype=complex)
+            padded[self._pad_index(pad)] = modes
+            modes = padded
+        return np.fft.ifftn(modes * lat._phase_table()) * lat.total_nodes
 
     def grid_to_modes(self, grid: np.ndarray) -> np.ndarray:
         """Inverse of modes_to_grid on the native grid."""
-        return np.fft.fftn(grid) * (self._phase0 / self.total_nodes)
+        return np.fft.fftn(grid) * self._phase_table(1.0 / self.total_nodes)
+
+    def _phase_table(self, scale: float = 1.0) -> np.ndarray:
+        """scale times the centering phase, broadcast from its open factors."""
+        table = scale
+        for phase in self._phase0:
+            table = table * phase
+        return table
 
     def integrate(self, grid: np.ndarray):
         """Box integral of a sampled function (exact for band-limited data)."""

@@ -45,15 +45,47 @@ class FourVectorGrid:
             raise ValueError("component count must be d + 1")
 
 
-def _padded(field: LatticeField, modes: np.ndarray, pad: int = PAD):
-    return field.lattice.modes_to_grid(modes, pad)
-
-
 def _tilde_modes(field: LatticeField, t: float):
     """Mode pair of the a-twisted combination (charge-graded + a * field)."""
     p, m = field.mode_pair(t)
     a = field.params.a
     return (1.0 + a) * p, -(1.0 - a) * m
+
+
+def _ja_and_rate(field: LatticeField, t: float, pad: int):
+    """current_Ja and d_t of its time slot, from one set of padded grids.
+
+    d_t J^0 = (i kappa / 2M) [psi* psi_tilde'' - (psi'')* psi_tilde]:
+    the first-derivative terms cancel, and psi'' = -omega^2 psi.
+    """
+    lat = field.lattice
+    params = field.params
+    pm_p, pm_m = field.mode_pair(t)
+    psi_modes = pm_p + pm_m
+    tp, tm = _tilde_modes(field, t)
+    til_modes = tp + tm
+    w = field.omega
+
+    psi = lat.modes_to_grid(psi_modes, pad)
+    til = lat.modes_to_grid(til_modes, pad)
+    psidot = lat.modes_to_grid(-1j * w * (pm_p - pm_m), pad)
+    tildot = lat.modes_to_grid(-1j * w * (tp - tm), pad)
+
+    pref = -0.5j * params.kappa / params.mass
+    comps = np.empty((lat.dim + 1,) + psi.shape, dtype=complex)
+    # d^0 = -d_0: both derivative hits flip sign
+    comps[0] = pref * (-np.conj(psi) * tildot + np.conj(psidot) * til)
+    for i, k in enumerate(lat.k_grids):
+        dpsi = lat.modes_to_grid(1j * k * psi_modes, pad)
+        dtil = lat.modes_to_grid(1j * k * til_modes, pad)
+        comps[1 + i] = pref * (np.conj(psi) * dtil - np.conj(dpsi) * til)
+    w2 = w ** 2
+    psidd = lat.modes_to_grid(-w2 * psi_modes, pad)
+    tildd = lat.modes_to_grid(-w2 * til_modes, pad)
+    dj0dt = (0.5j * params.kappa / params.mass
+             * (np.conj(psi) * tildd - np.conj(psidd) * til))
+    cur = FourVectorGrid(comps, lat.refined(pad), float(t), "twisted_chiral")
+    return cur, dj0dt
 
 
 def current_Ja(field: LatticeField, t: float, pad: int = PAD) -> FourVectorGrid:
@@ -62,33 +94,7 @@ def current_Ja(field: LatticeField, t: float, pad: int = PAD) -> FourVectorGrid:
     J^mu = -(i kappa / 2M) [psi* d^mu psi_tilde - (d^mu psi*) psi_tilde],
     with the tilde field carrying sector weights (1+a), -(1-a).
     """
-    lat = field.lattice
-    params = field.params
-    d = len(lat.nodes)
-    pm_p, pm_m = field.mode_pair(t)
-    psi_modes = pm_p + pm_m
-    tp, tm = _tilde_modes(field, t)
-    til_modes = tp + tm
-    w = field.omega
-    psidot_modes = -1j * w * (pm_p - pm_m)
-    tildot_modes = -1j * w * (tp - tm)
-
-    psi = _padded(field, psi_modes, pad)
-    til = _padded(field, til_modes, pad)
-    psidot = _padded(field, psidot_modes, pad)
-    tildot = _padded(field, tildot_modes, pad)
-
-    pref = -0.5j * params.kappa / params.mass
-    comps = np.empty((d + 1,) + psi.shape, dtype=complex)
-    # d^0 = -d_0: both derivative hits flip sign
-    comps[0] = pref * (-np.conj(psi) * tildot + np.conj(psidot) * til)
-    for i in range(d):
-        k = lat.k_grids[i]
-        dpsi = _padded(field, 1j * k * psi_modes, pad)
-        dtil = _padded(field, 1j * k * til_modes, pad)
-        comps[1 + i] = pref * (np.conj(psi) * dtil - np.conj(dpsi) * til)
-    ev_lat = lat if pad == 1 else lat.refined(pad)
-    return FourVectorGrid(comps, ev_lat, float(t), "twisted_chiral")
+    return _ja_and_rate(field, t, pad)[0]
 
 
 def density_Ja_direct(field: LatticeField, t: float, pad: int = PAD) -> np.ndarray:
@@ -98,46 +104,62 @@ def density_Ja_direct(field: LatticeField, t: float, pad: int = PAD) -> np.ndarr
                + i a [psi* psidot - psidot* psi]};
     used as an independent cross-check of current_Ja's component 0.
     """
+    lat = field.lattice
     params = field.params
     w = field.omega
     psi_m = field.mode_psi(t)
     psidot_m = field.mode_psidot(t)
-    psi = _padded(field, psi_m, pad)
-    psidot = _padded(field, psidot_m, pad)
-    dhalf = _padded(field, w * psi_m, pad)
-    dminus = _padded(field, psidot_m / w, pad)
+    psi = lat.modes_to_grid(psi_m, pad)
+    psidot = lat.modes_to_grid(psidot_m, pad)
+    dhalf = lat.modes_to_grid(w * psi_m, pad)
+    dminus = lat.modes_to_grid(psidot_m / w, pad)
     quad = (np.conj(psi) * dhalf + np.conj(psidot) * dminus
             + 1j * params.a * (np.conj(psi) * psidot - np.conj(psidot) * psi))
     return 0.5 * params.kappa / params.mass * quad
 
 
-def _quarter_bundles(field: LatticeField, t: float, pad: int):
-    """Grids of D^{1/4}/D^{-1/4} images of the field and its graded partner.
+def _calja_and_rate(field: LatticeField, t: float, pad: int):
+    """current_calJa and d_t of its time slot, from one set of padded grids.
 
-    Returns dict with value grids, their spatial gradients, and their
-    time derivatives, all on the padded lattice.
+    The time slot is rho_a on the padded grid, so
+    d_t calJ^0 = (kappa/M) Re{P* P' + Pc* Pc' + a [P'* Pc + P* Pc']}.
+    Each component is assembled as soon as its two derivative grids exist.
     """
     lat = field.lattice
+    params = field.params
     w = field.omega
     p, m = field.mode_pair(t)
     psi_m = p + m
     psic_m = p - m
     psidot_m = -1j * w * (p - m)
     psicdot_m = -1j * w * (p + m)   # d_t psi_c = i D^{-1/2} psiddot = -i D^{1/2} psi
+    up, down = w ** 0.5, w ** -0.5  # D^{+-1/4} as omega^{+-1/2}
+    Q_m, Qc_m = down * psi_m, down * psic_m
 
-    out = {}
-    for name, modes, power in (
-        ("P", psi_m, 0.25), ("Pc", psic_m, 0.25),
-        ("Q", psi_m, -0.25), ("Qc", psic_m, -0.25),
-    ):
-        wm = w ** (2 * power)       # (k^2 + M^2)^{power} as omega^{2 power}
-        scaled = wm * modes
-        dot = wm * (psidot_m if name in ("P", "Q") else psicdot_m)
-        out[name] = lat.modes_to_grid(scaled, pad)
-        out[name + "_dot"] = lat.modes_to_grid(dot, pad)
-        out[name + "_grad"] = [lat.modes_to_grid(1j * k * scaled, pad)
-                               for k in lat.k_grids]
-    return out
+    P = lat.modes_to_grid(up * psi_m, pad)
+    Pc = lat.modes_to_grid(up * psic_m, pad)
+    pref = 0.5 * params.kappa / params.mass
+    comps = np.empty((lat.dim + 1,) + P.shape, dtype=float)
+    for mu in range(lat.dim + 1):
+        if mu == 0:     # d^0 = -d_0
+            dQ = -lat.modes_to_grid(down * psidot_m, pad)
+            dQc = -lat.modes_to_grid(down * psicdot_m, pad)
+        else:
+            k = lat.k_grids[mu - 1]
+            dQ = lat.modes_to_grid(1j * k * Q_m, pad)
+            dQc = lat.modes_to_grid(1j * k * Qc_m, pad)
+        s = (np.conj(P) * dQc - Pc * np.conj(dQ)
+             + params.a * (np.conj(P) * dQ - Pc * np.conj(dQc)))
+        comps[mu] = pref * np.imag(s)
+
+    P_dot = lat.modes_to_grid(up * psidot_m, pad)
+    Pc_dot = lat.modes_to_grid(up * psicdot_m, pad)
+    s = (np.conj(P_dot) * Pc + np.conj(P) * Pc_dot)
+    dj0dt = pref * (2.0 * np.real(np.conj(P) * P_dot)
+                    + 2.0 * np.real(np.conj(Pc) * Pc_dot)
+                    + 2.0 * params.a * np.real(s))
+    cur = FourVectorGrid(comps, lat.refined(pad), float(t), "probability")
+    return cur, dj0dt
 
 
 def current_calJa(field: LatticeField, t: float, pad: int = PAD) -> FourVectorGrid:
@@ -148,27 +170,7 @@ def current_calJa(field: LatticeField, t: float, pad: int = PAD) -> FourVectorGr
     with P = D^{1/4} psi, Pc = D^{1/4} psi_c, Q = D^{-1/4} psi,
     Qc = D^{-1/4} psi_c.
     """
-    lat = field.lattice
-    params = field.params
-    d = len(lat.nodes)
-    b = _quarter_bundles(field, t, pad)
-    pref = 0.5 * params.kappa / params.mass
-
-    def term(mu):
-        if mu == 0:
-            dQ, dQc = -b["Q_dot"], -b["Qc_dot"]     # d^0 = -d_0
-        else:
-            dQ, dQc = b["Q_grad"][mu - 1], b["Qc_grad"][mu - 1]
-        s = (np.conj(b["P"]) * dQc - b["Pc"] * np.conj(dQ)
-             + params.a * (np.conj(b["P"]) * dQ - b["Pc"] * np.conj(dQc)))
-        return pref * np.imag(s)
-
-    shape = b["P"].shape
-    comps = np.empty((d + 1,) + shape, dtype=float)
-    for mu in range(d + 1):
-        comps[mu] = term(mu)
-    ev_lat = lat if pad == 1 else lat.refined(pad)
-    return FourVectorGrid(comps, ev_lat, float(t), "probability")
+    return _calja_and_rate(field, t, pad)[0]
 
 
 def rho_a(field: LatticeField, t: float, pad: int = 1) -> np.ndarray:
@@ -260,18 +262,23 @@ def split_re_im(field: LatticeField, t: float, pad: int = PAD):
                                 - (1 - a) * np.conj(minus) * dminus[mu])
                         + a * np.imag(W))
         im[mu] = fac * np.real(W)
-    ev_lat = lat if pad == 1 else lat.refined(pad)
+    ev_lat = lat.refined(pad)
     return (FourVectorGrid(re, ev_lat, float(t), "twisted_chiral"),
             FourVectorGrid(im, ev_lat, float(t), "twisted_chiral"))
 
 
-def _spectral_divergence(lattice, comps_spatial):
-    """Divergence of spatial component grids, taken on their own lattice."""
-    out = 0.0
-    for i, comp in enumerate(comps_spatial):
+_CURRENT_AND_RATE = {"J_a": _ja_and_rate, "calJ_a": _calja_and_rate}
+
+
+def _divergence(field: LatticeField, t: float, which: str, pad: int):
+    """The current and its pointwise d_mu (current)^mu grid."""
+    cur, dj0dt = _CURRENT_AND_RATE[which](field, t, pad)
+    lattice = cur.lattice
+    div = 0.0
+    for k, comp in zip(lattice.k_grids, cur.components[1:]):
         modes = lattice.grid_to_modes(np.asarray(comp, dtype=complex))
-        out = out + lattice.modes_to_grid(1j * lattice.k_grids[i] * modes)
-    return out
+        div = div + lattice.modes_to_grid(1j * k * modes)
+    return cur, dj0dt + div
 
 
 def continuity_residual(field: LatticeField, t: float,
@@ -282,53 +289,19 @@ def continuity_residual(field: LatticeField, t: float,
     spectral on the padded grid where the quadratic product is fully
     resolved.
     """
-    lat = field.lattice
-    params = field.params
-    if which == "J_a":
-        cur = current_Ja(field, t, pad)
-        pm_p, pm_m = field.mode_pair(t)
-        psi_m = pm_p + pm_m
-        tp, tm = _tilde_modes(field, t)
-        til_m = tp + tm
-        w2 = field.omega ** 2
-        psi = _padded(field, psi_m, pad)
-        til = _padded(field, til_m, pad)
-        psidd = _padded(field, -w2 * psi_m, pad)
-        tildd = _padded(field, -w2 * til_m, pad)
-        pref = 0.5j * params.kappa / params.mass
-        dj0dt = pref * (np.conj(psi) * tildd - np.conj(psidd) * til)
-    elif which == "calJ_a":
-        cur = current_calJa(field, t, pad)
-        b = _quarter_bundles(field, t, pad)
-        pref = 0.5 * params.kappa / params.mass
-        s = (np.conj(b["P_dot"]) * b["Pc"] + np.conj(b["P"]) * b["Pc_dot"])
-        dj0dt = pref * (2.0 * np.real(np.conj(b["P"]) * b["P_dot"])
-                        + 2.0 * np.real(np.conj(b["Pc"]) * b["Pc_dot"])
-                        + 2.0 * params.a * np.real(s))
-    else:
+    if which not in _CURRENT_AND_RATE:
         raise ValueError("which must be 'J_a' or 'calJ_a'")
-    div = _spectral_divergence(cur.lattice, list(cur.components[1:]))
-    resid = np.asarray(dj0dt + div)
+    cur, div = _divergence(field, t, which, pad)
     scale = max(np.abs(cur.components).max(), 1e-300)
-    return float(np.abs(resid).max() / scale)
+    return float(np.abs(div).max() / scale)
 
 
 def divergence_grid(field: LatticeField, t: float,
                     which: str = "calJ_a", pad: int = PAD) -> np.ndarray:
     """The pointwise d_mu (current)^mu grid (not normalized)."""
-    params = field.params
-    if which == "calJ_a":
-        cur = current_calJa(field, t, pad)
-        b = _quarter_bundles(field, t, pad)
-        pref = 0.5 * params.kappa / params.mass
-        s = (np.conj(b["P_dot"]) * b["Pc"] + np.conj(b["P"]) * b["Pc_dot"])
-        dj0dt = pref * (2.0 * np.real(np.conj(b["P"]) * b["P_dot"])
-                        + 2.0 * np.real(np.conj(b["Pc"]) * b["Pc_dot"])
-                        + 2.0 * params.a * np.real(s))
-    else:
+    if which != "calJ_a":
         raise ValueError("divergence_grid supports the probability current")
-    div = _spectral_divergence(cur.lattice, list(cur.components[1:]))
-    return np.real(dj0dt + div)
+    return np.real(_divergence(field, t, which, pad)[1])
 
 
 # ------------------------------------------------------------ plane waves

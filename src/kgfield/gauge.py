@@ -80,12 +80,12 @@ def generator_check(field: LatticeField, a: float, dtheta: float) -> float:
         raise ValueError("step must be positive and at most 1e-4")
     moved = gauge_transform(field, dtheta, a)
     cpsi = apply_C(field)
-    dev = 0.0
+    devs = []
     for sector in ("phi_plus", "phi_minus"):
         diff = (getattr(moved, sector) - getattr(field, sector)) / dtheta
         gen = -1j * (getattr(cpsi, sector) + a * getattr(field, sector))
-        dev = max(dev, float(np.abs(diff - gen).max()))
-    return dev
+        devs.append(np.abs(diff - gen).max())
+    return float(np.max(devs))    # a NaN in either sector propagates
 
 
 def charge_phase_space(field: LatticeField, t: float) -> float:

@@ -19,7 +19,7 @@ DEFAULT_MASSES = tuple(0.75 * 2.0 ** j for j in range(6))
 
 
 def _l2(grid: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(grid) ** 2)))
+    return float(np.linalg.norm(np.ravel(grid)))
 
 
 def fit_slope(masses, deviations) -> float:
@@ -88,16 +88,11 @@ def schrodinger_reference(field: LatticeField, t: float,
     lat = field.lattice
     mass = field.params.mass
     psi_m = field.mode_psi(t)
-    fine = lat.refined(pad) if pad > 1 else lat
-    emb = lat.embed_modes(psi_m, pad) if pad > 1 else psi_m
-    psi = fine.modes_to_grid(emb)
+    psi = lat.modes_to_grid(psi_m, pad)
     rho = np.abs(psi) ** 2
     jvec = np.empty((lat.dim,) + psi.shape, dtype=float)
-    for i in range(lat.dim):
-        grad_m = 1j * lat.k_grids[i] * psi_m
-        grad = fine.modes_to_grid(lat.embed_modes(grad_m, pad)
-                                  if pad > 1 else grad_m)
-        cross = np.conj(psi) * grad
+    for i, k in enumerate(lat.k_grids):
+        cross = np.conj(psi) * lat.modes_to_grid(1j * k * psi_m, pad)
         jvec[i] = (-1j / (2.0 * mass) * (cross - np.conj(cross))).real
     return rho, jvec
 
@@ -151,25 +146,30 @@ def schrodinger_residual(field: LatticeField, t: float | None = None) -> float:
 _CURRENTS = {"J_a": current_Ja, "calJ_a": current_calJa}
 
 
-def limit_deviation(sweep: LimitSweep, which: str, t: float = 0.0) -> dict:
-    """Deviation of the chosen current from its Schrodinger limit.
+def schrodinger_deviation(field: LatticeField, which: str,
+                          t: float) -> tuple[float, float]:
+    """Relative L2 distances of a current from its Schrodinger pair at t.
 
-    For each ladder mass, builds the packet, evaluates the current and
-    the reference pair (rho, j), and records relative L2 deviations of
-    the time component and the spatial part.  Returns the table along
-    with fitted log-log slopes; both should sit near -2.
+    Returns (time slot vs rho, spatial part vs j) for one field, with
+    the current family named by which.
     """
     if which not in _CURRENTS:
         raise ValueError(f"unknown current family {which!r}")
-    make = _CURRENTS[which]
-    dev_rho = []
-    dev_j = []
-    for mass in sweep.masses:
-        f = sweep.packet(mass)
-        cur = make(f, t)
-        rho, jvec = schrodinger_reference(f, t)
-        dev_rho.append(_l2(cur.components[0] - rho) / _l2(rho))
-        dev_j.append(_l2(cur.components[1:] - jvec) / _l2(jvec))
+    cur = _CURRENTS[which](field, t)
+    rho, jvec = schrodinger_reference(field, t)
+    return (_l2(cur.components[0] - rho) / _l2(rho),
+            _l2(cur.components[1:] - jvec) / max(_l2(jvec), 1e-300))
+
+
+def limit_deviation(sweep: LimitSweep, which: str, t: float = 0.0) -> dict:
+    """Deviation of the chosen current from its Schrodinger limit.
+
+    For each ladder mass, builds the packet and records the relative L2
+    deviations of schrodinger_deviation.  Returns the table along with
+    fitted log-log slopes; both should sit near -2.
+    """
+    dev_rho, dev_j = zip(*(schrodinger_deviation(sweep.packet(mass), which, t)
+                           for mass in sweep.masses))
     masses = np.asarray(sweep.masses, dtype=float)
     return {
         "which": which,

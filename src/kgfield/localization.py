@@ -384,8 +384,8 @@ def besselK_profile(r: float, params: ModelParams) -> float:
     """
     from scipy.integrate import quad
 
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r!r}")
     M = params.mass
     z = M * r
     # beyond cosh t = 746/z the integrand underflows double precision

@@ -57,6 +57,15 @@ from kgfield.localization import (
 A_GRID = (-0.99, -0.5, 0.0, 0.5, 0.99)
 
 
+def _worst(values) -> float:
+    """Largest of the values, NaN if any is NaN.
+
+    Python's max(0.0, nan) is 0.0, so a NaN after the first value would
+    slip past a <= bound; numpy's max propagates it and the bound fails.
+    """
+    return float(np.max(list(values)))
+
+
 def _report(num, label, elapsed, budget, **stats):
     bits = ", ".join(f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
                      for k, v in stats.items())
@@ -78,9 +87,10 @@ def test_criterion_01_positivity_and_conservation():
             base = vals[0].real
             assert base > 0.0
             smallest = min(smallest, base)
-            worst_im = max(worst_im, max(abs(v.imag) for v in vals) / base)
-            worst_drift = max(worst_drift,
-                              max(abs(v - vals[0]) for v in vals) / base)
+            worst_im = _worst((worst_im,
+                               _worst(abs(v.imag) for v in vals) / base))
+            worst_drift = _worst((worst_drift,
+                                  _worst(abs(v - vals[0]) for v in vals) / base))
     elapsed = time.time() - start
     assert worst_im <= 1e-12
     assert worst_drift <= 1e-12
@@ -99,7 +109,7 @@ def test_criterion_02_split_decomposition_identity():
         f1 = random_field(lat, params, seed=seed)
         f2 = random_field(lat, params, seed=1000 + seed)
         v = inner_a(f1, f2)
-        worst = max(worst, abs(v - inner_a_split(f1, f2)) / abs(v))
+        worst = _worst((worst, abs(v - inner_a_split(f1, f2)) / abs(v)))
     elapsed = time.time() - start
     assert worst <= 1e-12
     assert elapsed < 5.0
@@ -114,7 +124,7 @@ def test_criterion_03_continuity_residual():
     for seed in range(100):
         a = A_GRID[seed % len(A_GRID)]
         f = random_field(lat, ModelParams(mass=1.0, kappa=0.8, a=a), seed=seed)
-        worst = max(worst, continuity_residual(f, rng.uniform(-1.0, 1.0)))
+        worst = _worst((worst, continuity_residual(f, rng.uniform(-1.0, 1.0))))
     elapsed = time.time() - start
     assert worst <= 1e-10
     assert elapsed < 30.0
@@ -137,8 +147,8 @@ def test_criterion_04_two_mode_oracles():
     worst = 0.0
     for i, x in enumerate(events):
         rec = two_mode_oracle(o, x)
-        worst = max(worst, np.abs(direct_J[i] - rec["J"]).max() / scale,
-                    np.abs(direct_cal[i] - rec["calJ"]).max() / scale)
+        worst = _worst((worst, np.abs(direct_J[i] - rec["J"]).max() / scale,
+                        np.abs(direct_cal[i] - rec["calJ"]).max() / scale))
         assert rec["div_J"] == 0.0
         assert abs(rec["K"] @ np.diag([-1.0, 1.0]) @ rec["K"] - rec["Ksq"]) < 1e-12
     assert worst <= 1e-12
@@ -189,7 +199,8 @@ def test_criterion_05_covariance_dichotomy():
                                   rng.uniform(-4, 4, 200)])
         J = planewave_current_Ja(pw, events)
         Jb = planewave_current_Ja(bw, b.transform_events(events))
-        worst = max(worst, np.abs(Jb - J @ b.matrix.T).max() / np.abs(J).max())
+        worst = _worst((worst,
+                        np.abs(Jb - J @ b.matrix.T).max() / np.abs(J).max()))
     assert worst <= 1e-10
 
     o = TwoModeOracle(np.array([0.0]), np.array([np.sqrt(3.0)]),
@@ -219,9 +230,9 @@ def test_criterion_06_localization():
     for eps, idx in [(1, (3, 4)), (1, (9, 2)), (-1, (3, 4)), (-1, (7, 7))]:
         y = (axes2[0][idx[0]], axes2[1][idx[1]])
         states.append(localized_state(eps, y, lat2, params))
-    ortho_dev = max(abs(inner_0(si.field, sj.field) - (1.0 if i == j else 0.0))
-                    for i, si in enumerate(states)
-                    for j, sj in enumerate(states))
+    ortho_dev = _worst(abs(inner_0(si.field, sj.field) - (1.0 if i == j else 0.0))
+                       for i, si in enumerate(states)
+                       for j, sj in enumerate(states))
     assert ortho_dev <= 1e-12
 
     # position eigenvalue equation at 20 nodes (both sectors)
@@ -237,10 +248,10 @@ def test_criterion_06_localization():
             out = position_apply(s.field, cross_check=False)[0]
             scale = max(np.abs(s.field.phi_plus).max(),
                         np.abs(s.field.phi_minus).max()) * max(1.0, abs(s.y[0]))
-            eig_dev = max(
+            eig_dev = _worst((
                 eig_dev,
                 np.abs(out.phi_plus - s.y[0] * s.field.phi_plus).max() / scale,
-                np.abs(out.phi_minus - s.y[0] * s.field.phi_minus).max() / scale)
+                np.abs(out.phi_minus - s.y[0] * s.field.phi_minus).max() / scale))
     assert eig_dev <= 1e-12
 
     # Parseval identity for the localized-basis coefficients
@@ -253,7 +264,7 @@ def test_criterion_06_localization():
     assert parseval_dev <= 1e-12
 
     # dual-quadrature agreement of the continuum radial profile
-    bessel_quad_dev = max(
+    bessel_quad_dev = _worst(
         abs(besselK_profile(r, p1) - besselK_profile_momentum_route(r, p1))
         / besselK_profile(r, p1)
         for r in (0.5, 1.0, 2.0, 3.0))
@@ -277,7 +288,8 @@ def test_criterion_06_localization():
             if 0.5 <= p1.mass * r <= 3.0:
                 idx = tuple((i0[d] + steps[d]) % lat.nodes[d] for d in range(3))
                 oracle = besselK_profile(r, p1)
-                profile_dev = max(profile_dev, abs(psi[idx] - oracle) / oracle)
+                profile_dev = _worst((profile_dev,
+                                      abs(psi[idx] - oracle) / oracle))
             j += 1
     assert profile_dev <= 1e-3
     elapsed = time.time() - start
@@ -299,11 +311,11 @@ def test_criterion_07_total_probability():
         dens = rho_a(f, t)
         peaks.append(int(np.argmax(dens)))
         J = current_Ja(f, t)
-        worst = max(worst,
-                    abs(float(lat.integrate(dens)) - want) / want,
-                    abs(total_probability(f, t) - want) / want,
-                    abs(float(J.lattice.integrate(J.components[0].real))
-                        - want) / want)
+        worst = _worst((worst,
+                        abs(float(lat.integrate(dens)) - want) / want,
+                        abs(total_probability(f, t) - want) / want,
+                        abs(float(J.lattice.integrate(J.components[0].real))
+                            - want) / want))
     moved = abs(peaks[-1] - peaks[0])
     assert worst <= 1e-12
     assert moved > 10
@@ -321,15 +333,15 @@ def test_criterion_08_gauge_symmetry():
         for t1 in thetas:
             for t2 in thetas:
                 g1, g2 = GaugeElement(t1, a), GaugeElement(t2, a)
-                group_dev = max(group_dev, float(np.abs(
-                    g1.compose(g2).matrix - g1.matrix @ g2.matrix).max()))
+                group_dev = _worst((group_dev, float(np.abs(
+                    g1.compose(g2).matrix - g1.matrix @ g2.matrix).max())))
     assert group_dev <= 1e-12
 
     lat = MomentumLattice([12.0], [64])
     f = random_field(lat, ModelParams(mass=1.2, kappa=0.9, a=0.45), seed=23)
     base = norm_a(f) ** 2
-    norm_dev = max(abs(norm_a(gauge_transform(f, th)) ** 2 - base) / base
-                   for th in thetas)
+    norm_dev = _worst(abs(norm_a(gauge_transform(f, th)) ** 2 - base) / base
+                      for th in thetas)
     assert norm_dev <= 1e-12
 
     gen_dev = generator_check(f, 0.45, 1e-5)
@@ -417,7 +429,7 @@ def test_criterion_10_em_coupling():
     psidot0 = rng.standard_normal(lat.nodes) + 1j * rng.standard_normal(lat.nodes)
     vals = [em_inner_and_evolve(psi0, psidot0, opb, t)[1]
             for t in np.linspace(0.0, 5.0, 10)]
-    drift = max(abs(v - vals[0]) for v in vals) / abs(vals[0])
+    drift = _worst(abs(v - vals[0]) for v in vals) / abs(vals[0])
     assert drift <= 1e-10
 
     # manufactured-solution residual of the scalar-potential phase map
@@ -459,7 +471,7 @@ def test_criterion_11_real_field_uniqueness():
         v = inner_a(f1, f2)
         if base is None:
             base = v.real
-        a_dev = max(a_dev, abs(v.real - base) / abs(base))
+        a_dev = _worst((a_dev, abs(v.real - base) / abs(base)))
     assert a_dev <= 1e-12
 
     # the symplectic route on positive projections at g = 1/M is the
@@ -470,8 +482,8 @@ def test_criterion_11_real_field_uniqueness():
     p1, _ = energy_split(f1)
     p2, _ = energy_split(f2)
     v0 = inner_a(f1, f2).real
-    wald_dev = max(abs(wald_inner(f1, f2) - v0) / abs(v0),
-                   abs(kg_inner(p1, p2, 1.0 / params.mass).real - v0) / abs(v0))
+    wald_dev = _worst((abs(wald_inner(f1, f2) - v0) / abs(v0),
+                       abs(kg_inner(p1, p2, 1.0 / params.mass).real - v0) / abs(v0)))
     assert wald_dev <= 1e-12
 
     # conjugation symmetry of the two-component wavefunction

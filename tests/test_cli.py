@@ -11,6 +11,7 @@ import pytest
 
 import kgfield
 from kgfield.cli import main
+from kgfield.core import ModelParams, MomentumLattice
 from kgfield.reporting import body_lines, footer_lines
 
 
@@ -170,6 +171,42 @@ def test_sweep_mass_slope_footer(tmp_path, monkeypatch):
     assert abs(slope + 2.0) < 0.4
     payload = json.loads((out / "sweep_M.json").read_text())
     assert abs(payload["fitted_slope"] - slope) < 1e-12
+
+
+def test_sweep_mass_point_is_the_library_deviation():
+    from kgfield import cli
+    from kgfield.core import schrodinger_packet
+    from kgfield.limits import schrodinger_deviation
+
+    model = {"d": 1, "L": 16.0, "N": 64, "M": 1.0, "a": 0.2, "t0": 0.1}
+    config = {"axis": "M", "model": model,
+              "field": {"construction": "gaussian-packet", "sigma": 1.5,
+                        "kcarrier": [0.4]}}
+    # the sweep point sets kappa = 1/(1+a) and evaluates at t0 + 0.7
+    field = schrodinger_packet(MomentumLattice([16.0], [64]),
+                               ModelParams(mass=3.0, kappa=1.0 / 1.2, a=0.2),
+                               1.5, kcarrier=[0.4], t0=0.1)
+    want = schrodinger_deviation(field, "J_a", 0.1 + 0.7)
+    for observable, value in zip(("nonrel-density-deviation",
+                                  "nonrel-current-deviation"), want):
+        got = cli._sweep_point({"config": dict(config, observable=observable),
+                                "value": 3.0})
+        assert got == value
+
+
+def test_nan_residual_reaches_summary_as_nan(tmp_path, monkeypatch):
+    from kgfield import cli
+
+    residuals = iter([1e-15, float("nan")])
+    monkeypatch.setattr(cli, "continuity_residual",
+                        lambda *args: next(residuals))
+    out = tmp_path / "run"
+    doc = packet_scenario(out)
+    doc["tasks"] = [{"task": "continuity", "times": [0.0, 1.0]}]
+    assert main(["scenario", write_config(tmp_path, "scn.json", doc)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # Python's max(1e-15, nan) is 1e-15; the summary must not hide the NaN
+    assert np.isnan(summary["tasks"]["continuity"]["max_residual"])
 
 
 def test_sweep_workers_match_serial(tmp_path, monkeypatch):

@@ -47,6 +47,65 @@ def test_lattice_validation():
         MomentumLattice([8.0, 8.0, 8.0, 8.0], [8, 8, 8, 8])
 
 
+def test_params_reject_non_finite_mass():
+    for mass in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ModelParams(mass=mass)
+
+
+def test_params_reject_non_finite_kappa():
+    for kappa in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ModelParams(mass=1.0, kappa=kappa)
+
+
+def test_lattice_rejects_non_finite_box_length():
+    with pytest.raises(ValueError):
+        MomentumLattice([np.inf], [8])
+    with pytest.raises(ValueError):
+        MomentumLattice([8.0, np.nan], [8, 8])
+
+
+def test_lattice_k_meshes_and_phase_are_open():
+    L, N = (6.0, 5.0, 4.0), (8, 6, 4)
+    lat = MomentumLattice(L, N)
+    axes = [2.0 * np.pi * np.fft.fftfreq(n, d=l / n) for l, n in zip(L, N)]
+    for i, (k, phase) in enumerate(zip(lat.k_grids, lat._phase0)):
+        shape = [1, 1, 1]
+        shape[i] = N[i]
+        assert k.shape == phase.shape == tuple(shape)
+        assert np.array_equal(k.ravel(), axes[i])
+    full = np.meshgrid(*axes, indexing="ij")
+    want = full[0] * full[0] + full[1] * full[1] + full[2] * full[2]
+    assert lat.ksq.shape == N
+    assert lat.ksq.tobytes() == want.tobytes()
+    # e^{i k x0} at x0 = -L/2 is (-1)^(n1 + n2 + n3) over signed mode indices
+    signed = np.meshgrid(*(np.rint(a * l / (2.0 * np.pi)).astype(int)
+                           for a, l in zip(axes, L)), indexing="ij")
+    table = np.where(sum(signed) % 2 == 0, 1.0, -1.0)
+    product = lat._phase0[0] * lat._phase0[1] * lat._phase0[2]
+    assert np.array_equal(np.broadcast_to(product, N), table)
+
+
+@pytest.mark.parametrize("pad", [2, 3])
+def test_padded_grid_refines_native_grid(pad):
+    lat = MomentumLattice([7.0, 5.0], [8, 6])
+    f = random_field(lat, ModelParams(mass=1.0), seed=4, band_fraction=0.9)
+    modes = f.mode_psi(0.3)
+    fine = lat.modes_to_grid(modes, pad)
+    assert fine.shape == (8 * pad, 6 * pad)
+    # the fine grid holds the coarse nodes at every pad-th sample
+    native = lat.modes_to_grid(modes)
+    assert np.abs(fine[::pad, ::pad] - native).max() < 1e-12 * np.abs(native).max()
+    # and its modes are the coarse ones, zero-padded
+    back = lat.refined(pad).grid_to_modes(fine)
+    kept = np.zeros(back.shape, dtype=bool)
+    kept[lat._pad_index(pad)] = True
+    assert np.abs(back[kept] - modes.ravel()).max() < 1e-12 * np.abs(modes).max()
+    assert np.abs(back[~kept]).max() < 1e-12 * np.abs(modes).max()
+    assert lat._pad_index(pad) is lat._pad_index(pad)
+
+
 @pytest.mark.parametrize("d,N", [(1, 32), (2, 16), (3, 8)])
 def test_mode_grid_roundtrip(d, N):
     lat = make_lattice(d, 7.3, N)

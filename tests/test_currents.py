@@ -299,3 +299,41 @@ def test_noncovariance_demo_equal_frequencies_rejected():
                       1.0, 1.0, params)
     with pytest.raises(ValueError):
         noncovariance_demo(o, Boost((0.3, 0.0)))
+
+
+def test_transform_counts_at_64_squared(monkeypatch):
+    calls = [0]
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _original=getattr(np.fft, name), **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    lat = MomentumLattice([16.0, 16.0], [64, 64])
+    f = random_field(lat, ModelParams(mass=1.2, kappa=0.9, a=0.3), seed=3)
+
+    def count(fn, *args):
+        calls[0] = 0
+        fn(f, 0.3, *args)
+        return calls[0]
+
+    # each family's padded grids are built once: value and gradient
+    # grids, d_t of the time slot, and two transforms per divergence axis
+    assert count(current_Ja) <= 10
+    assert count(current_calJa) <= 10
+    assert count(continuity_residual, "J_a") <= 14
+    assert count(continuity_residual, "calJ_a") <= 14
+    assert count(divergence_grid) <= 14
+
+
+def test_divergence_grid_matches_continuity_residual():
+    f = random_field(MomentumLattice([9.0, 7.0], [16, 12]),
+                     ModelParams(mass=1.1, kappa=0.7, a=-0.4), seed=12)
+    cur = current_calJa(f, 0.6)
+    div = divergence_grid(f, 0.6)
+    assert div.shape == cur.components[0].shape
+    want = np.abs(div).max() / np.abs(cur.components).max()
+    assert continuity_residual(f, 0.6, "calJ_a") == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError):
+        divergence_grid(f, 0.6, "J_a")
+    with pytest.raises(ValueError):
+        continuity_residual(f, 0.6, "K_a")

@@ -102,6 +102,15 @@ def test_generator_first_order():
         generator_check(f, 0.35, 1e-3)
 
 
+def test_generator_check_propagates_nan_in_second_sector():
+    f = small_field(a=0.35)
+    phi_minus = f.phi_minus.copy()
+    phi_minus[5] = np.nan
+    # Python's max(dev_plus, nan) would return dev_plus and pass
+    assert np.isnan(generator_check(f.copy_with(phi_minus=phi_minus),
+                                    0.35, 1e-5))
+
+
 def test_generator_on_grading_eigenstate():
     f = small_field(a=0.0)
     plus, _ = energy_split(f)

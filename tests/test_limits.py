@@ -18,6 +18,7 @@ from kgfield.limits import (
     fit_slope,
     limit_deviation,
     operator_expansion_deviation,
+    schrodinger_deviation,
     schrodinger_reference,
     schrodinger_residual,
     tilde_deviation,
@@ -127,6 +128,15 @@ def test_current_limits(which):
     assert -2.4 <= out["slope_j"] <= -1.6
     assert out["dev_rho"][-1] < 1e-3
     assert out["dev_j"][-1] < 1e-3
+
+
+def test_limit_rows_are_per_mass_schrodinger_deviations():
+    sweep = make_sweep(a=0.3)
+    out = limit_deviation(sweep, "calJ_a", t=0.7)
+    for mass, dr, dj in zip(sweep.masses, out["dev_rho"], out["dev_j"]):
+        assert (dr, dj) == schrodinger_deviation(sweep.packet(mass), "calJ_a", 0.7)
+    with pytest.raises(ValueError):
+        schrodinger_deviation(sweep.packet(1.5), "K_a", 0.7)
 
 
 def test_limit_deviation_rejects_unknown_family():

@@ -355,6 +355,13 @@ def test_profile_momentum_route_matches_scipy_kv():
             assert abs(got - want) < 1e-10 * want
 
 
+def test_profile_rejects_bad_radius():
+    params = ModelParams(mass=1.0)
+    for r in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            besselK_profile(r, params)
+
+
 def test_profile_momentum_route_rejects_bad_radius():
     params = ModelParams(mass=1.0)
     for r in (0.0, -1.0, float("nan"), float("inf")):

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 from kgfield import verify
 from kgfield.verify import _worst, run_checks
 
@@ -53,3 +55,18 @@ def test_limit_slopes_share_one_limit_evaluation(monkeypatch):
     assert len(calls) == 1
     assert res["density-limit-slope"].passed
     assert res["current-limit-slope"].passed
+
+
+def test_nan_sector_deviation_fails_generator_check(monkeypatch):
+    original = verify._std_field
+
+    def nan_in_minus_sector(*args, **kwargs):
+        f = original(*args, **kwargs)
+        phi_minus = f.phi_minus.copy()
+        phi_minus[5] = np.nan
+        return f.copy_with(phi_minus=phi_minus)
+
+    monkeypatch.setattr(verify, "_std_field", nan_in_minus_sector)
+    res = _by_name(run_checks("gauge"))["generator-first-order"]
+    assert math.isnan(res.measured)
+    assert not res.passed
