@@ -193,6 +193,11 @@ class LatticeField:
             raise ValueError("coefficient grids must match the lattice shape")
         self.phi_plus = np.ascontiguousarray(self.phi_plus, dtype=complex)
         self.phi_minus = np.ascontiguousarray(self.phi_minus, dtype=complex)
+        if not np.isfinite(self.t0):
+            raise ValueError(f"start time t0 must be finite, got {self.t0!r}")
+        for name in ("phi_plus", "phi_minus"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} holds a non-finite coefficient")
 
     @property
     def omega(self) -> np.ndarray:
@@ -445,7 +450,11 @@ class PlaneWaveField:
             kvec = np.atleast_1d(np.asarray(kvec, dtype=float))
             if kvec.size != self.dim:
                 raise ValueError("mode wave vector has wrong dimension")
-            cleaned.append((int(eps), kvec, complex(coeff)))
+            coeff = complex(coeff)
+            if not (np.isfinite(kvec).all() and np.isfinite(coeff)):
+                raise ValueError("mode wave vector and coefficient must be "
+                                 "finite")
+            cleaned.append((int(eps), kvec, coeff))
         self.modes = cleaned
 
     def mode_omega(self, kvec: np.ndarray) -> float:

@@ -179,7 +179,7 @@ def rho_a(field: LatticeField, t: float, pad: int = 1) -> np.ndarray:
 
     Nonnegative by the arithmetic-geometric inequality with |a| < 1;
     rounding negatives below 1e-14 of the max are clipped, anything
-    larger raises.
+    larger raises, and so does a non-finite value.
     """
     lat = field.lattice
     params = field.params
@@ -190,6 +190,8 @@ def rho_a(field: LatticeField, t: float, pad: int = 1) -> np.ndarray:
     dens = (np.abs(P) ** 2 + np.abs(Pc) ** 2
             + 2.0 * params.a * np.real(np.conj(P) * Pc))
     dens *= 0.5 * params.kappa / params.mass
+    if not np.isfinite(dens).all():
+        raise FloatingPointError("density is not finite")
     top = dens.max() if dens.size else 0.0
     floor = -1e-14 * max(top, 1e-300)
     if dens.min() < floor:

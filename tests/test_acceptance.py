@@ -433,12 +433,9 @@ def test_criterion_10_em_coupling():
     assert drift <= 1e-10
 
     # manufactured-solution residual of the scalar-potential phase map
-    x0, x1, x2 = sympy.symbols("x0 x1 x2", real=True)
-    phi = sympy.Rational(1, 2) * sympy.sin(x1) + sympy.Rational(1, 5)
-    aprof = (sympy.Rational(3, 10) * sympy.sin(x2), sympy.Integer(0))
-    psi = sympy.exp(sympy.I * (sympy.Rational(4, 5) * x1
-                               + sympy.Rational(1, 2) * x2
-                               - sympy.Rational(7, 5) * x0))
+    phi = lambda x0, x1, x2: 0.5 * np.sin(x1) + 0.2
+    aprof = (lambda x0, x1, x2: 0.3 * np.sin(x2), 0)
+    psi = lambda x0, x1, x2: np.exp(1j * (0.8 * x1 + 0.5 * x2 - 1.4 * x0))
     events = np.column_stack([rng.uniform(0.1, 2.0, 100),
                               rng.uniform(-3.0, 3.0, 100),
                               rng.uniform(-3.0, 3.0, 100)])

@@ -255,6 +255,46 @@ def test_state_inspect_roundtrip(tmp_path, capsys):
     assert main(["state", "inspect", str(tmp_path / "missing.kgs")]) == 2
 
 
+_HEADER = "kgfield-state-v1\nkind {kind}\ndim 1\n{geometry}M 1.0\nkappa 1.0\na 0.0\n"
+
+
+def _lattice_state(t0="0.0", bad_entry=None) -> bytes:
+    # written by hand, since no finite-only LatticeField can be saved with NaN
+    payload = np.ones(16, dtype="<c16")
+    if bad_entry is not None:
+        payload[bad_entry] = complex(np.nan, 0.0)
+    head = _HEADER.format(kind="lattice", geometry="L 8.0\nN 8\n")
+    return (head + f"t0 {t0}\ndata\n").encode() + payload.tobytes()
+
+
+def _planewave_state() -> bytes:
+    head = _HEADER.format(kind="planewave", geometry="")
+    return (head + "modes 2\ndata\n+1 0.5 1.0 0.0\n-1 0.25 nan 0.0\n").encode()
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_lattice_state(bad_entry=11), "phi_minus holds a non-finite coefficient"),
+    (_lattice_state(t0="nan"), "t0 must be finite"),
+    (_planewave_state(), "coefficient must be finite"),
+], ids=["lattice-nan-payload", "lattice-nan-t0", "planewave-nan-coeff"])
+def test_non_finite_state_file_fails_at_the_boundary(tmp_path, capsys,
+                                                     blob, message):
+    path = tmp_path / "bad.kgs"
+    path.write_bytes(blob)
+    assert main(["state", "inspect", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    doc = {
+        "model": {"d": 1, "L": 8.0, "N": 8, "M": 1.0, "kappa": 1.0,
+                  "a": 0.0, "t0": 0.0},
+        "field": {"construction": "from-file", "path": str(path)},
+        "tasks": [{"task": "total_probability", "times": [0.0]}],
+        "output": {"directory": str(tmp_path / "run"), "formats": ["csv"]},
+    }
+    assert main(["scenario", write_config(tmp_path, "scn.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert "task failed: from-file:" in err and message in err
+
+
 def _child_env() -> dict:
     # the absolute directory of the kgfield this suite imported (a relative
     # PYTHONPATH does not resolve from tmp_path), and no KGFIELD_* variables
@@ -287,3 +327,14 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_process_never_imports_sympy(tmp_path):
+    # em:gauge-residual runs on numpy jets; sympy is only the test witness
+    code = ("import sys; from kgfield.cli import main; "
+            f"rc = main(['verify', '--out', {str(tmp_path)!r}]); "
+            "print(rc, 'sympy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

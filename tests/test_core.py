@@ -66,6 +66,45 @@ def test_lattice_rejects_non_finite_box_length():
         MomentumLattice([8.0, np.nan], [8, 8])
 
 
+def test_lattice_field_rejects_non_finite_plus_sector():
+    f = random_field(make_lattice(), ModelParams(mass=1.0), seed=4)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        phi_plus = f.phi_plus.copy()
+        phi_plus[3] = bad
+        with pytest.raises(ValueError, match="phi_plus"):
+            f.copy_with(phi_plus=phi_plus)
+
+
+def test_lattice_field_rejects_non_finite_minus_sector():
+    f = random_field(make_lattice(d=2, N=8), ModelParams(mass=1.0), seed=4)
+    phi_minus = f.phi_minus.copy()
+    phi_minus[2, 5] = complex(np.nan, 0.0)
+    with pytest.raises(ValueError, match="phi_minus"):
+        LatticeField(f.lattice, f.params, f.phi_plus, phi_minus)
+
+
+def test_lattice_field_rejects_non_finite_start_time():
+    f = random_field(make_lattice(), ModelParams(mass=1.0), seed=4)
+    for t0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t0"):
+            f.copy_with(t0=t0)
+
+
+def test_planewave_field_rejects_non_finite_wave_vector():
+    params = ModelParams(mass=1.0)
+    for k in ([0.3, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            PlaneWaveField(params, [(1, np.array(k), 1.0)], dim=2)
+
+
+def test_planewave_field_rejects_non_finite_coefficient():
+    params = ModelParams(mass=1.0)
+    for c in (complex(np.nan, 0.0), complex(1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PlaneWaveField(params, [(1, np.array([0.3]), 0.5),
+                                    (-1, np.array([0.1]), c)], dim=1)
+
+
 def test_lattice_k_meshes_and_phase_are_open():
     L, N = (6.0, 5.0, 4.0), (8, 6, 4)
     lat = MomentumLattice(L, N)

@@ -108,6 +108,17 @@ def test_probability_time_slot_and_density_routes():
     assert np.abs(cur.components.imag).max() == 0.0  # real dtype by construction
 
 
+def test_rho_a_rejects_non_finite_density():
+    # fields reject NaN at construction, so the NaN goes into a finite
+    # field in place; dens.min() < floor is False for NaN and np.clip
+    # keeps it, so only an explicit check stops it
+    lat = MomentumLattice([9.0], [64])
+    f = random_field(lat, ModelParams(mass=1.2, kappa=0.9, a=0.55), seed=17)
+    f.phi_minus[7] = np.nan
+    with pytest.raises(FloatingPointError, match="not finite"):
+        rho_a(f, 0.4)
+
+
 def test_total_probability_routes_and_conservation():
     lat = MomentumLattice([10.0], [64])
     params = ModelParams(mass=1.0, kappa=1.3, a=-0.4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
+from kgfield import em
 from kgfield.core import ModelParams, MomentumLattice, from_initial_data, random_field
 from kgfield.em import (
     EMBackground,
@@ -14,6 +15,7 @@ from kgfield.em import (
     em_inner_and_evolve,
 )
 from kgfield.inner import inner_a
+from kgfield.oracles import em_gauge_residual_symbolic
 
 
 def lat16():
@@ -164,46 +166,156 @@ def test_gauge_covariance_of_spectrum():
         > 1e-3 * op1.eigenvalues.max()
 
 
-def test_gauge_residual_zero_potential():
+def _jet_seed(x):
+    return em._Jet(x, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("f, df, ddf", [
+    (lambda x: np.exp(0.7 * x),
+     lambda x: 0.7 * np.exp(0.7 * x), lambda x: 0.49 * np.exp(0.7 * x)),
+    (lambda x: np.sin(2.0 * x),
+     lambda x: 2.0 * np.cos(2.0 * x), lambda x: -4.0 * np.sin(2.0 * x)),
+    (lambda x: np.cos(x - 0.3),
+     lambda x: -np.sin(x - 0.3), lambda x: -np.cos(x - 0.3)),
+    (lambda x: x * np.sin(x),
+     lambda x: np.sin(x) + x * np.cos(x),
+     lambda x: 2.0 * np.cos(x) - x * np.sin(x)),
+    (lambda x: np.sin(x) / (2.0 + np.cos(x)),
+     lambda x: (2.0 * np.cos(x) + 1.0) / (2.0 + np.cos(x)) ** 2,
+     lambda x: 2.0 * np.sin(x) * (np.cos(x) - 1.0) / (2.0 + np.cos(x)) ** 3),
+    (lambda x: -x - 1.0 / x,
+     lambda x: -1.0 + 1.0 / x ** 2, lambda x: -2.0 / x ** 3),
+    (lambda x: np.exp(1j * x) * np.exp(-1j * x),
+     lambda x: 0.0 * x, lambda x: 0.0 * x),
+])
+def test_jet_derivatives_match_closed_forms(f, df, ddf):
+    x = np.linspace(-1.7, 2.3, 9)
+    jet = f(_jet_seed(x))
+    assert np.abs(jet.c0 - f(x)).max() < 1e-14
+    assert np.abs(jet.c1 - df(x)).max() < 1e-13
+    assert np.abs(2.0 * jet.c2 - ddf(x)).max() < 1e-13
+
+
+def test_jet_rejects_unsupported_ufuncs():
+    jet = _jet_seed(np.linspace(0.5, 1.5, 4))
+    with pytest.raises(TypeError, match="sqrt"):
+        np.sqrt(jet)
+    with pytest.raises(TypeError, match="power"):
+        jet ** 2
+    with pytest.raises(TypeError, match="reduce"):
+        np.add.reduce(jet)
+    with pytest.raises(TypeError):
+        em_gauge_residual(0.2, lambda x0, x1, x2: np.sqrt(x1 + 5.0),
+                          [(0.3, 1.1, -0.6)], q=0.8, mass=1.0)
+
+
+# Manufactured solutions as (numpy profiles, sympy profiles, events, q, M);
+# the sympy forms feed the symbolic witness in kgfield.oracles.
+def _case_verify():
     x0, x1, x2 = sympy.symbols("x0 x1 x2", real=True)
-    psi = sympy.exp(sympy.I * (0.7 * x1 - 1.3 * x0)) * sympy.cos(0.4 * x2)
-    events = [(0.3, 1.1, -0.6), (2.0, 0.0, 0.5)]
-    res = em_gauge_residual(0, psi, events, q=0.8, mass=1.0)
-    assert res < 1e-12
+    kvec, mass, q = 0.8, 1.2, 0.6
+    omega = q * 0.2 + np.sqrt(kvec ** 2 + mass ** 2)
+    rng = np.random.default_rng(19)
+    events = np.column_stack([rng.uniform(0.2, 2.0, 30),
+                              rng.uniform(-3.0, 3.0, 30),
+                              rng.uniform(-3.0, 3.0, 30)])
+    return ((lambda x0, x1, x2: 0.5 * np.sin(x1) + 0.2,
+             lambda x0, x1, x2: np.exp(1j * (kvec * x1 - omega * x0)), None),
+            (sympy.Rational(1, 2) * sympy.sin(x1) + sympy.Rational(1, 5),
+             sympy.exp(sympy.I * (kvec * x1 - omega * x0)), None),
+            events, q, mass)
 
 
-def test_gauge_residual_constant_potential_plane_wave():
+def _case_zero_potential():
+    x0, x1, x2 = sympy.symbols("x0 x1 x2", real=True)
+    return ((0, lambda x0, x1, x2: np.exp(1j * (0.7 * x1 - 1.3 * x0))
+             * np.cos(0.4 * x2), None),
+            (0, sympy.exp(sympy.I * (0.7 * x1 - 1.3 * x0))
+             * sympy.cos(0.4 * x2), None),
+            [(0.3, 1.1, -0.6), (2.0, 0.0, 0.5)], 0.8, 1.0)
+
+
+def _case_constant_potential():
     # with constant potential, a plane wave whose frequency is shifted by
     # q phi0 solves the coupled equation exactly
     x0, x1, x2 = sympy.symbols("x0 x1 x2", real=True)
     q, phi0, mass = 0.6, 0.9, 1.2
     k1, k2 = 0.8, -0.5
-    omega = q * phi0 + sympy.sqrt(k1 ** 2 + k2 ** 2 + mass ** 2)
-    psi = sympy.exp(sympy.I * (k1 * x1 + k2 * x2 - omega * x0))
+    omega = q * phi0 + np.sqrt(k1 ** 2 + k2 ** 2 + mass ** 2)
     rng = np.random.default_rng(7)
     events = rng.uniform(-2.0, 2.0, size=(20, 3))
-    res = em_gauge_residual(phi0, psi, events, q=q, mass=mass)
-    assert res < 1e-10
+    return ((phi0, lambda x0, x1, x2: np.exp(1j * (k1 * x1 + k2 * x2
+                                                   - omega * x0)), None),
+            (phi0, sympy.exp(sympy.I * (k1 * x1 + k2 * x2 - omega * x0)), None),
+            events, q, mass)
+
+
+def _case_varying_potential():
+    x0, x1, x2 = sympy.symbols("x0 x1 x2", real=True)
+    rng = np.random.default_rng(11)
+    events = rng.uniform(-3.0, 3.0, size=(100, 3))
+    return ((lambda x0, x1, x2: 0.3 * np.sin(x1) * np.cos(2.0 * x0)
+             + 0.2 * np.cos(x2),
+             lambda x0, x1, x2: np.exp(1j * (0.9 * x1 - 1.4 * x0))
+             * (1.0 + 0.5 * np.sin(x2)),
+             (lambda x0, x1, x2: 0.4 * np.sin(x2), 0)),
+            (sympy.Rational(3, 10) * sympy.sin(x1) * sympy.cos(2 * x0)
+             + sympy.Rational(1, 5) * sympy.cos(x2),
+             sympy.exp(sympy.I * (0.9 * x1 - 1.4 * x0))
+             * (1 + sympy.Rational(1, 2) * sympy.sin(x2)),
+             (sympy.Rational(2, 5) * sympy.sin(x2), sympy.Integer(0))),
+            events, 0.7, 1.0)
+
+
+def _case_criterion_10():
+    x0, x1, x2 = sympy.symbols("x0 x1 x2", real=True)
+    rng = np.random.default_rng(5)
+    events = np.column_stack([rng.uniform(0.1, 2.0, 100),
+                              rng.uniform(-3.0, 3.0, 100),
+                              rng.uniform(-3.0, 3.0, 100)])
+    return ((lambda x0, x1, x2: 0.5 * np.sin(x1) + 0.2,
+             lambda x0, x1, x2: np.exp(1j * (0.8 * x1 + 0.5 * x2 - 1.4 * x0)),
+             (lambda x0, x1, x2: 0.3 * np.sin(x2), 0)),
+            (sympy.Rational(1, 2) * sympy.sin(x1) + sympy.Rational(1, 5),
+             sympy.exp(sympy.I * (sympy.Rational(4, 5) * x1
+                                  + sympy.Rational(1, 2) * x2
+                                  - sympy.Rational(7, 5) * x0)),
+             (sympy.Rational(3, 10) * sympy.sin(x2), sympy.Integer(0))),
+            events, 0.7, 1.1)
+
+
+def _jet_residual(case):
+    (phi, psi, avec), _, events, q, mass = case
+    return em_gauge_residual(phi, psi, events, avec_profile=avec, q=q, mass=mass)
+
+
+def test_gauge_residual_zero_potential():
+    assert _jet_residual(_case_zero_potential()) < 1e-12
+
+
+def test_gauge_residual_constant_potential_plane_wave():
+    assert _jet_residual(_case_constant_potential()) < 1e-10
 
 
 def test_gauge_residual_varying_potential():
-    x0, x1, x2 = sympy.symbols("x0 x1 x2", real=True)
-    phi = sympy.Rational(3, 10) * sympy.sin(x1) * sympy.cos(2 * x0) \
-        + sympy.Rational(1, 5) * sympy.cos(x2)
-    psi = sympy.exp(sympy.I * (0.9 * x1 - 1.4 * x0)) \
-        * (1 + sympy.Rational(1, 2) * sympy.sin(x2))
-    avec = (sympy.Rational(2, 5) * sympy.sin(x2), sympy.Integer(0))
-    rng = np.random.default_rng(11)
-    events = rng.uniform(-3.0, 3.0, size=(100, 3))
-    res = em_gauge_residual(phi, psi, events,
-                            avec_profile=avec, q=0.7, mass=1.0)
-    assert res < 1e-8
+    assert _jet_residual(_case_varying_potential()) < 1e-8
+
+
+@pytest.mark.parametrize("make_case", [
+    _case_verify, _case_zero_potential, _case_constant_potential,
+    _case_varying_potential, _case_criterion_10])
+def test_gauge_residual_matches_symbolic_witness(make_case):
+    case = make_case()
+    _, (phi, psi, avec), events, q, mass = case
+    jet = _jet_residual(case)
+    sym = em_gauge_residual_symbolic(phi, psi, events, avec_profile=avec,
+                                     q=q, mass=mass)
+    assert abs(jet - sym) < 1e-12
 
 
 def test_gauge_residual_rejects_nonfinite():
-    x0, x1, x2 = sympy.symbols("x0 x1 x2", real=True)
-    # nonzero potential keeps the residual tree from collapsing to the
-    # literal zero, so the pole actually gets evaluated
-    psi = sympy.exp(sympy.I * x0) / x1
-    with pytest.raises(FloatingPointError):
-        em_gauge_residual(x1, psi, [(0.5, 0.0, 0.3)], q=0.5, mass=1.0)
+    # nonzero potential, so the pole enters every term of the residual
+    with pytest.raises(FloatingPointError, match=r"\(0\.5, 0\.0, 0\.3\)"):
+        em_gauge_residual(lambda x0, x1, x2: x1,
+                          lambda x0, x1, x2: np.exp(1j * x0) / x1,
+                          [(0.9, 1.0, 0.3), (0.5, 0.0, 0.3)], q=0.5, mass=1.0)

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from kgfield import verify
+from kgfield import em, gauge, verify
+from kgfield.core import apply_C
 from kgfield.verify import _worst, run_checks
 
 
@@ -58,15 +59,25 @@ def test_limit_slopes_share_one_limit_evaluation(monkeypatch):
 
 
 def test_nan_sector_deviation_fails_generator_check(monkeypatch):
-    original = verify._std_field
+    # fields reject NaN at construction, so the NaN goes in place into the
+    # finite field that apply_C builds inside generator_check
+    def nan_in_minus_sector(field):
+        out = apply_C(field)
+        out.phi_minus[5] = np.nan
+        return out
 
-    def nan_in_minus_sector(*args, **kwargs):
-        f = original(*args, **kwargs)
-        phi_minus = f.phi_minus.copy()
-        phi_minus[5] = np.nan
-        return f.copy_with(phi_minus=phi_minus)
-
-    monkeypatch.setattr(verify, "_std_field", nan_in_minus_sector)
+    monkeypatch.setattr(gauge, "apply_C", nan_in_minus_sector)
     res = _by_name(run_checks("gauge"))["generator-first-order"]
     assert math.isnan(res.measured)
     assert not res.passed
+
+
+def test_wrong_sign_phase_fails_gauge_residual(monkeypatch):
+    clean = _by_name(run_checks("em"))["gauge-residual"]
+    assert clean.passed and clean.measured < 1e-13
+    monkeypatch.setattr(em, "_phase_factor",
+                        lambda q, big_phi: np.exp(-1j * q * big_phi))
+    bad = _by_name(run_checks("em"))["gauge-residual"]
+    assert not bad.passed
+    assert bad.measured > 1.0
+    assert bad.tolerance == 1e-8
