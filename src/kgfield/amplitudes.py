@@ -267,3 +267,18 @@ def invariance_check(f1: AmplitudeField, f2: AmplitudeField, boost: Boost,
         report["boosted"].append(v1)
         report["rel_dev"].append(abs(v1 - v0) / max(abs(v0), 1e-300))
     return report
+
+
+def reference_packets(params: ModelParams) -> tuple[AmplitudeField, AmplitudeField]:
+    """The two 1-D Gaussian packets of the frame-invariance checks.
+
+    Both sit on the order-64 rule of radius 8 and stretch 1, which keeps
+    their truncation deficit under the 1e-10 of truncation_mass_check;
+    lower orders are set per call through invariance_check(orders=...).
+    """
+    quad = QuadratureRule.gauss_legendre(1, radius=8.0, order=64, stretch=1.0)
+    f1 = AmplitudeField(params, 1, GaussianAmplitude((0.4,), 0.5),
+                        GaussianAmplitude((-0.2,), 0.6, amp=0.3 + 0.2j), quad)
+    f2 = AmplitudeField(params, 1, GaussianAmplitude((0.1,), 0.45, amp=0.8 - 0.5j),
+                        None, quad)
+    return f1, f2

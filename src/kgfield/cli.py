@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .amplitudes import invariance_check, reference_packets
 from .core import (
     Boost,
     ModelParams,
@@ -592,24 +593,11 @@ def _sweep_point(payload: dict) -> float:
         return abs(norm_a(gauge_transform(f, value)) ** 2 - base) / base
 
     # quadrature-order: frame invariance of the continuum inner product
-    from .amplitudes import (AmplitudeField, GaussianAmplitude, QuadratureRule,
-                             inner_amplitude, boost_amplitude)
     order = int(value)
     if order != value or order < 2:
         raise TaskError("axis quadrature-order: grid must be integers >= 2")
-    quad = QuadratureRule.gauss_legendre(1, radius=8.0, order=order, stretch=1.0)
-    f1 = AmplitudeField(params, 1, GaussianAmplitude((0.4,), 0.5),
-                        GaussianAmplitude((-0.2,), 0.6, amp=0.3 + 0.2j), quad)
-    f2 = AmplitudeField(params, 1,
-                        GaussianAmplitude((0.1,), 0.45, amp=0.8 - 0.5j),
-                        None, quad)
-    b = Boost((0.35,))
-    b1, b2 = boost_amplitude(f1, b), boost_amplitude(f2, b)
-    rule_b = QuadratureRule.gauss_legendre(1, b1.quad.radius, order,
-                                           b1.quad.stretch)
-    v0 = inner_amplitude(f1, f2)
-    v1 = inner_amplitude(b1, b2, rule_b)
-    return float(abs(v1 - v0) / abs(v0))
+    f1, f2 = reference_packets(params)
+    return invariance_check(f1, f2, Boost((0.35,)), orders=(order,))["rel_dev"][0]
 
 
 def _cmd_sweep(args) -> int:

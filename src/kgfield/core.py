@@ -216,9 +216,6 @@ class LatticeField:
         p, m = self.mode_pair(t)
         return -1j * self.omega * (p - m)
 
-    def mode_psiddot(self, t: float) -> np.ndarray:
-        return -(self.omega ** 2) * self.mode_psi(t)
-
     def psi_grid(self, t: float, pad: int = 1) -> np.ndarray:
         return self.lattice.modes_to_grid(self.mode_psi(t), pad)
 

@@ -1,17 +1,19 @@
 """Inner products on the space of field configurations.
 
-Three routes are implemented and cross-checked in the tests:
+Production route: inner_a and inner_0 evaluate the positive-definite
+family (-1 < a < 1) in closed mode-space form, one sector-weighted sum
+    (kappa/M) V sum_k w_k [(1+a) conj(phi1+) phi2+ + (1-a) conj(phi1-) phi2-]
+with a = params.a for inner_a and a = 0 for inner_0.  The exact
+evolution only re-phases each sector, so the value does not depend on t.
 
-* kg_inner: the charge-type sesquilinear form, evaluated by grid
-  quadrature of i g [<psi1|psidot2> - <psidot1|psi2>].  Indefinite.
-* inner_a: the positive-definite family, evaluated term by term via mode
-  sums of (kappa/2M) {<psi1|D^{1/2} psi2> + <psidot1|D^{-1/2} psidot2>
-  + i a [<psi1|psidot2> - <psidot1|psi2>]}.  Requires -1 < a < 1.
-* inner_a_split: the same quantity assembled from the energy-sign split,
+Grid-quadrature routes, kept as independent cross-checks:
+
+* kg_inner: the charge-type form i g [<psi1|psidot2> - <psidot1|psi2>].
+  Indefinite.
+* inner_a_split: the family from the energy-sign split,
   kappa [(1+a) kg(psi1+, psi2+) - (1-a) kg(psi1-, psi2-)] at g = 1/(2M),
-  which exercises kg_inner on definite-sign fields.
-
-All three are invariant under the exact time evolution.
+  at any time t.
+* wald_inner: Re of the charge form on positive projections, real data.
 """
 
 from __future__ import annotations
@@ -19,11 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import LatticeField, energy_split
-
-
-def _l2_mode(lattice, f_modes, g_modes) -> complex:
-    """<f|g> of the box from mode coefficients."""
-    return complex(np.vdot(f_modes, g_modes)) * lattice.volume
 
 
 def _check_pair(f1: LatticeField, f2: LatticeField):
@@ -55,21 +52,25 @@ def kg_inner(f1: LatticeField, f2: LatticeField, g: float,
     return 1j * g * (bra_ket - ket_bra)
 
 
-def inner_a(f1: LatticeField, f2: LatticeField,
-            t: float | None = None) -> complex:
-    """Positive-definite inner product of the family, via mode sums at t."""
+def _sector_form(f1: LatticeField, f2: LatticeField, a: float) -> complex:
+    """(kappa/M) V sum_k w [(1+a) conj(phi1+) phi2+ + (1-a) conj(phi1-) phi2-].
+
+    f2 is re-phased to f1's reference time; the common phase of the two
+    fields cancels, so only a difference of their t0 survives.
+    """
     _check_pair(f1, f2)
     p = f1.params
-    if t is None:
-        t = f1.t0
-    lat = f1.lattice
     w = f1.omega
-    psi1, psi2 = f1.mode_psi(t), f2.mode_psi(t)
-    psidot1, psidot2 = f1.mode_psidot(t), f2.mode_psidot(t)
-    term_D = _l2_mode(lat, psi1, w * psi2)
-    term_Dinv = _l2_mode(lat, psidot1, psidot2 / w)
-    term_kg = _l2_mode(lat, psi1, psidot2) - _l2_mode(lat, psidot1, psi2)
-    return (p.kappa / (2.0 * p.mass)) * (term_D + term_Dinv + 1j * p.a * term_kg)
+    p2, m2 = f2.mode_pair(f1.t0)
+    acc = ((1.0 + a) * np.vdot(f1.phi_plus, w * p2)
+           + (1.0 - a) * np.vdot(f1.phi_minus, w * m2))
+    return complex(acc) * f1.lattice.volume * (p.kappa / p.mass)
+
+
+def inner_a(f1: LatticeField, f2: LatticeField,
+            t: float | None = None) -> complex:
+    """Positive-definite inner product of the family; independent of t."""
+    return _sector_form(f1, f2, f1.params.a)
 
 
 def inner_a_split(f1: LatticeField, f2: LatticeField,
@@ -89,18 +90,9 @@ def inner_0(f1: LatticeField, f2: LatticeField,
     """The a = 0 member of the family, regardless of the fields' own a.
 
     Used wherever position wavefunctions are involved: their Parseval
-    identity singles out this member.
+    identity singles out this member.  Independent of t.
     """
-    _check_pair(f1, f2)
-    p = f1.params
-    if t is None:
-        t = f1.t0
-    lat = f1.lattice
-    w = f1.omega
-    p1, m1 = f1.mode_pair(t)
-    p2, m2 = f2.mode_pair(t)
-    acc = _l2_mode(lat, p1, w * p2) + _l2_mode(lat, m1, w * m2)
-    return (p.kappa / p.mass) * acc
+    return _sector_form(f1, f2, 0.0)
 
 
 def norm_a(f: LatticeField, t: float | None = None) -> float:

@@ -1,5 +1,7 @@
 """Inner product family: closed-form oracles, axioms, route agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from kgfield.core import (
     from_initial_data,
     random_field,
 )
-from kgfield.inner import inner_a, inner_a_split, kg_inner, norm_a, wald_inner
+from kgfield.inner import inner_0, inner_a, inner_a_split, kg_inner, norm_a, wald_inner
 
 # single lattice mode, frozen closed-form values:
 # d = 1, L = 8, N = 32, k = 2 pi 3 / 8, M = 1.5, kappa = 0.7, a = 0.3,
@@ -89,15 +91,32 @@ def test_time_invariance(a):
     params = ModelParams(mass=0.9, a=a)
     f1 = random_field(lat, params, seed=7)
     f2 = random_field(lat, params, seed=8)
-    base = inner_a(f1, f2, t=0.0)
-    for t in (0.31, 2.7, -5.3):
-        assert abs(inner_a(f1, f2, t=t) - base) < 1e-12 * abs(base)
+    # the closed form has no time in it: compare it with the grid route
+    base = inner_a(f1, f2)
+    for t in (0.0, 0.31, 2.7, -5.3):
+        assert abs(inner_a_split(f1, f2, t) - base) < 1e-12 * abs(base)
     gbase = kg_inner(f1, f2, 0.8, t=0.0)
     for t in (0.31, 2.7, -5.3):
         assert abs(kg_inner(f1, f2, 0.8, t=t) - gbase) < 1e-12 * abs(gbase)
     # evolving both arguments leaves the value unchanged too
     assert abs(inner_a(evolve(f1, 1.7), evolve(f2, 1.7)) - base) \
         < 1e-12 * abs(base)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.3])
+def test_fields_with_different_reference_times(a):
+    lat = MomentumLattice([9.0], [32])
+    params = ModelParams(mass=0.9, kappa=0.7, a=a)
+    f1 = random_field(lat, params, seed=41)
+    f2 = evolve(random_field(lat, params, seed=42), 0.9)
+    assert (f1.t0, f2.t0) == (0.0, 0.9)
+    # grid route of inner_0: the same fields with the sector weights at a = 0
+    z1, z2 = (f.copy_with(params=replace(params, a=0.0)) for f in (f1, f2))
+    va, v0 = inner_a(f1, f2), inner_0(f1, f2)
+    for t in (0.0, 0.9, 2.3, -1.1):
+        assert abs(inner_a_split(f1, f2, t) - va) < 1e-12 * abs(va)
+        assert abs(inner_a_split(z1, z2, t) - v0) < 1e-12 * abs(v0)
+    assert abs(inner_a(f2, f1) - np.conj(va)) < 1e-12 * abs(va)
 
 
 @pytest.mark.parametrize("a", [-0.6, 0.0, 0.8])

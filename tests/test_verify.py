@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from kgfield import em, gauge, verify
+from kgfield import em, gauge, inner, verify
 from kgfield.core import apply_C
 from kgfield.verify import _worst, run_checks
 
@@ -81,3 +81,17 @@ def test_wrong_sign_phase_fails_gauge_residual(monkeypatch):
     assert not bad.passed
     assert bad.measured > 1.0
     assert bad.tolerance == 1e-8
+
+
+def test_swapped_sector_weights_fail_inner_route_checks(monkeypatch):
+    names = ("split-route-agreement", "time-independence")
+    clean = _by_name(run_checks("inner"))
+    assert all(clean[n].passed for n in names)
+    original = inner._sector_form
+    # (1+a) and (1-a) trade places exactly when a changes sign
+    monkeypatch.setattr(inner, "_sector_form",
+                        lambda f1, f2, a: original(f1, f2, -a))
+    bad = _by_name(run_checks("inner"))
+    for n in names:
+        assert not bad[n].passed
+        assert bad[n].tolerance == 1e-12
