@@ -19,7 +19,6 @@ from .core import (
     boost_matrix,
     boost_planewave,
     energy_split,
-    evaluate,
     evolve,
     from_initial_data,
     gaussian_profile,
@@ -42,7 +41,6 @@ __all__ = [
     "boost_matrix",
     "boost_planewave",
     "energy_split",
-    "evaluate",
     "evolve",
     "from_initial_data",
     "gaussian_profile",

@@ -185,28 +185,6 @@ def inner_amplitude(f1: AmplitudeField, f2: AmplitudeField,
     return complex((2.0 * np.pi) ** f1.dim * (p.kappa / p.mass) * acc)
 
 
-def kg_inner_amplitude(f1: AmplitudeField, f2: AmplitudeField, g: float,
-                       t: float = 0.0) -> complex:
-    """Charge-type form i g [<psi1|psidot2> - <psidot1|psi2>] by quadrature."""
-    if f1.params != f2.params or f1.dim != f2.dim:
-        raise ValueError("amplitude fields are not compatible")
-    rule = f1.quad
-    k, w = rule.nodes, rule.weights
-    om = np.sqrt(np.sum(k * k, axis=-1) + f1.params.mass ** 2)
-    def hat(f, deriv):
-        val = np.zeros(k.shape[0], dtype=complex)
-        for eps in (1, -1):
-            a = f.amplitude(eps, k)
-            ph = np.exp(-1j * eps * om * t)
-            val += (-1j * eps * om) ** deriv * a * ph
-        return val
-    psi1, psidot1 = hat(f1, 0), hat(f1, 1)
-    psi2, psidot2 = hat(f2, 0), hat(f2, 1)
-    bra_ket = np.sum(w * np.conj(psi1) * psidot2)
-    ket_bra = np.sum(w * np.conj(psidot1) * psi2)
-    return complex(1j * g * (2.0 * np.pi) ** f1.dim * (bra_ket - ket_bra))
-
-
 def boost_amplitude(field: AmplitudeField, boost: Boost) -> AmplitudeField:
     """Exact boost of a continuum packet.
 

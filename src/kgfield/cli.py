@@ -45,7 +45,7 @@ from .currents import (
     total_probability,
     two_mode_oracle,
 )
-from .gauge import gauge_transform
+from .gauge import norm_drift
 from .inner import inner_a, inner_a_split, norm_a
 from .limits import fit_slope, schrodinger_deviation
 from .localization import besselK_profile, localized_state
@@ -510,11 +510,7 @@ def _task_current_oracle(field, t0, task, config):
 
 def _task_gauge_orbit(field, t0, task, config):
     f = _require_lattice_field(field, "gauge-orbit")
-    base = norm_a(f) ** 2
-    rows = []
-    for theta in task["thetas"]:
-        g = gauge_transform(f, theta)
-        rows.append((theta, abs(norm_a(g) ** 2 - base) / base))
+    rows = [(theta, norm_drift(f, theta)) for theta in task["thetas"]]
     summary = {"max_norm_drift": float(np.max([v for _, v in rows]))}
     return [("gauge_orbit.csv", ("theta", "norm_rel_drift"), rows, ())], summary
 
@@ -589,8 +585,7 @@ def _sweep_point(payload: dict) -> float:
     if axis == "theta":
         field = _field_from_block(config["field"], lattice, params, t0)
         f = _require_lattice_field(field, observable)
-        base = norm_a(f) ** 2
-        return abs(norm_a(gauge_transform(f, value)) ** 2 - base) / base
+        return norm_drift(f, value)
 
     # quadrature-order: frame invariance of the continuum inner product
     order = int(value)
@@ -610,6 +605,9 @@ def _cmd_sweep(args) -> int:
             f"{AXIS_OBSERVABLES[axis]}, got {observable!r}")
     if axis != "quadrature-order" and "field" not in config:
         raise ConfigError(f"axis {axis}: a field block is required")
+    if axis == "quadrature-order" and config["model"]["d"] != 1:
+        raise ConfigError("axis quadrature-order: the reference packets are "
+                          "1-D, so the model block needs d = 1")
     if axis == "a":
         for v in config["grid"]:
             if not -1.0 < v < 1.0:

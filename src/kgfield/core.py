@@ -216,11 +216,11 @@ class LatticeField:
         p, m = self.mode_pair(t)
         return -1j * self.omega * (p - m)
 
-    def psi_grid(self, t: float, pad: int = 1) -> np.ndarray:
-        return self.lattice.modes_to_grid(self.mode_psi(t), pad)
+    def psi_grid(self, t: float) -> np.ndarray:
+        return self.lattice.modes_to_grid(self.mode_psi(t))
 
-    def psidot_grid(self, t: float, pad: int = 1) -> np.ndarray:
-        return self.lattice.modes_to_grid(self.mode_psidot(t), pad)
+    def psidot_grid(self, t: float) -> np.ndarray:
+        return self.lattice.modes_to_grid(self.mode_psidot(t))
 
     def copy_with(self, **kw) -> "LatticeField":
         return replace(self, **kw)
@@ -245,11 +245,6 @@ def from_initial_data(
     half = 0.5j * psidot_hat / w
     return LatticeField(lattice, params, 0.5 * psi_hat + half,
                         0.5 * psi_hat - half, t0)
-
-
-def evaluate(field: LatticeField, t: float, pad: int = 1):
-    """Pointwise (psi, psidot) samples on the spatial grid at time t."""
-    return field.psi_grid(t, pad), field.psidot_grid(t, pad)
 
 
 def apply_D_power(field: LatticeField, alpha: float) -> LatticeField:

@@ -37,8 +37,6 @@ class FourVectorGrid:
 
     components: np.ndarray           # shape (d+1, *grid_shape)
     lattice: "object"                # lattice the grids are sampled on
-    t: float
-    kind: str                        # twisted_chiral | probability | rosenstein_horwitz
 
     def __post_init__(self):
         if self.components.shape[0] != len(self.lattice.nodes) + 1:
@@ -52,7 +50,7 @@ def _tilde_modes(field: LatticeField, t: float):
     return (1.0 + a) * p, -(1.0 - a) * m
 
 
-def _ja_and_rate(field: LatticeField, t: float, pad: int):
+def _ja_and_rate(field: LatticeField, t: float):
     """current_Ja and d_t of its time slot, from one set of padded grids.
 
     d_t J^0 = (i kappa / 2M) [psi* psi_tilde'' - (psi'')* psi_tilde]:
@@ -66,59 +64,38 @@ def _ja_and_rate(field: LatticeField, t: float, pad: int):
     til_modes = tp + tm
     w = field.omega
 
-    psi = lat.modes_to_grid(psi_modes, pad)
-    til = lat.modes_to_grid(til_modes, pad)
-    psidot = lat.modes_to_grid(-1j * w * (pm_p - pm_m), pad)
-    tildot = lat.modes_to_grid(-1j * w * (tp - tm), pad)
+    psi = lat.modes_to_grid(psi_modes, PAD)
+    til = lat.modes_to_grid(til_modes, PAD)
+    psidot = lat.modes_to_grid(-1j * w * (pm_p - pm_m), PAD)
+    tildot = lat.modes_to_grid(-1j * w * (tp - tm), PAD)
 
     pref = -0.5j * params.kappa / params.mass
     comps = np.empty((lat.dim + 1,) + psi.shape, dtype=complex)
     # d^0 = -d_0: both derivative hits flip sign
     comps[0] = pref * (-np.conj(psi) * tildot + np.conj(psidot) * til)
     for i, k in enumerate(lat.k_grids):
-        dpsi = lat.modes_to_grid(1j * k * psi_modes, pad)
-        dtil = lat.modes_to_grid(1j * k * til_modes, pad)
+        dpsi = lat.modes_to_grid(1j * k * psi_modes, PAD)
+        dtil = lat.modes_to_grid(1j * k * til_modes, PAD)
         comps[1 + i] = pref * (np.conj(psi) * dtil - np.conj(dpsi) * til)
     w2 = w ** 2
-    psidd = lat.modes_to_grid(-w2 * psi_modes, pad)
-    tildd = lat.modes_to_grid(-w2 * til_modes, pad)
+    psidd = lat.modes_to_grid(-w2 * psi_modes, PAD)
+    tildd = lat.modes_to_grid(-w2 * til_modes, PAD)
     dj0dt = (0.5j * params.kappa / params.mass
              * (np.conj(psi) * tildd - np.conj(psidd) * til))
-    cur = FourVectorGrid(comps, lat.refined(pad), float(t), "twisted_chiral")
+    cur = FourVectorGrid(comps, lat.refined(PAD))
     return cur, dj0dt
 
 
-def current_Ja(field: LatticeField, t: float, pad: int = PAD) -> FourVectorGrid:
+def current_Ja(field: LatticeField, t: float) -> FourVectorGrid:
     """Conserved covariant current on the padded grid.
 
     J^mu = -(i kappa / 2M) [psi* d^mu psi_tilde - (d^mu psi*) psi_tilde],
     with the tilde field carrying sector weights (1+a), -(1-a).
     """
-    return _ja_and_rate(field, t, pad)[0]
+    return _ja_and_rate(field, t)[0]
 
 
-def density_Ja_direct(field: LatticeField, t: float, pad: int = PAD) -> np.ndarray:
-    """Time slot of the conserved current from the quadratic-form route.
-
-    (kappa/2M){psi* D^{1/2} psi + psidot* D^{-1/2} psidot
-               + i a [psi* psidot - psidot* psi]};
-    used as an independent cross-check of current_Ja's component 0.
-    """
-    lat = field.lattice
-    params = field.params
-    w = field.omega
-    psi_m = field.mode_psi(t)
-    psidot_m = field.mode_psidot(t)
-    psi = lat.modes_to_grid(psi_m, pad)
-    psidot = lat.modes_to_grid(psidot_m, pad)
-    dhalf = lat.modes_to_grid(w * psi_m, pad)
-    dminus = lat.modes_to_grid(psidot_m / w, pad)
-    quad = (np.conj(psi) * dhalf + np.conj(psidot) * dminus
-            + 1j * params.a * (np.conj(psi) * psidot - np.conj(psidot) * psi))
-    return 0.5 * params.kappa / params.mass * quad
-
-
-def _calja_and_rate(field: LatticeField, t: float, pad: int):
+def _calja_and_rate(field: LatticeField, t: float):
     """current_calJa and d_t of its time slot, from one set of padded grids.
 
     The time slot is rho_a on the padded grid, so
@@ -136,33 +113,33 @@ def _calja_and_rate(field: LatticeField, t: float, pad: int):
     up, down = w ** 0.5, w ** -0.5  # D^{+-1/4} as omega^{+-1/2}
     Q_m, Qc_m = down * psi_m, down * psic_m
 
-    P = lat.modes_to_grid(up * psi_m, pad)
-    Pc = lat.modes_to_grid(up * psic_m, pad)
+    P = lat.modes_to_grid(up * psi_m, PAD)
+    Pc = lat.modes_to_grid(up * psic_m, PAD)
     pref = 0.5 * params.kappa / params.mass
     comps = np.empty((lat.dim + 1,) + P.shape, dtype=float)
     for mu in range(lat.dim + 1):
         if mu == 0:     # d^0 = -d_0
-            dQ = -lat.modes_to_grid(down * psidot_m, pad)
-            dQc = -lat.modes_to_grid(down * psicdot_m, pad)
+            dQ = -lat.modes_to_grid(down * psidot_m, PAD)
+            dQc = -lat.modes_to_grid(down * psicdot_m, PAD)
         else:
             k = lat.k_grids[mu - 1]
-            dQ = lat.modes_to_grid(1j * k * Q_m, pad)
-            dQc = lat.modes_to_grid(1j * k * Qc_m, pad)
+            dQ = lat.modes_to_grid(1j * k * Q_m, PAD)
+            dQc = lat.modes_to_grid(1j * k * Qc_m, PAD)
         s = (np.conj(P) * dQc - Pc * np.conj(dQ)
              + params.a * (np.conj(P) * dQ - Pc * np.conj(dQc)))
         comps[mu] = pref * np.imag(s)
 
-    P_dot = lat.modes_to_grid(up * psidot_m, pad)
-    Pc_dot = lat.modes_to_grid(up * psicdot_m, pad)
+    P_dot = lat.modes_to_grid(up * psidot_m, PAD)
+    Pc_dot = lat.modes_to_grid(up * psicdot_m, PAD)
     s = (np.conj(P_dot) * Pc + np.conj(P) * Pc_dot)
     dj0dt = pref * (2.0 * np.real(np.conj(P) * P_dot)
                     + 2.0 * np.real(np.conj(Pc) * Pc_dot)
                     + 2.0 * params.a * np.real(s))
-    cur = FourVectorGrid(comps, lat.refined(pad), float(t), "probability")
+    cur = FourVectorGrid(comps, lat.refined(PAD))
     return cur, dj0dt
 
 
-def current_calJa(field: LatticeField, t: float, pad: int = PAD) -> FourVectorGrid:
+def current_calJa(field: LatticeField, t: float) -> FourVectorGrid:
     """Probability current: real-valued, nonnegative time slot, not conserved.
 
     (kappa/2M) Im{ P* d^mu Qc - Pc (d^mu Q)*
@@ -170,7 +147,7 @@ def current_calJa(field: LatticeField, t: float, pad: int = PAD) -> FourVectorGr
     with P = D^{1/4} psi, Pc = D^{1/4} psi_c, Q = D^{-1/4} psi,
     Qc = D^{-1/4} psi_c.
     """
-    return _calja_and_rate(field, t, pad)[0]
+    return _calja_and_rate(field, t)[0]
 
 
 def rho_a(field: LatticeField, t: float, pad: int = 1) -> np.ndarray:
@@ -199,82 +176,17 @@ def rho_a(field: LatticeField, t: float, pad: int = 1) -> np.ndarray:
     return np.clip(dens, 0.0, None)
 
 
-def rho_a_symmetrized(field: LatticeField, t: float, pad: int = 1) -> np.ndarray:
-    """Same density via the half-angle mixture route.
-
-    psi' = alpha_+ psi + i alpha_- D^{-1/2} psidot with
-    alpha_pm = (sqrt(1+a) +/- sqrt(1-a))/2 turns the density into a plain
-    two-term sum of squares; used as an independent oracle for rho_a.
-    """
-    lat = field.lattice
-    params = field.params
-    w = field.omega
-    ap = 0.5 * (np.sqrt(1 + params.a) + np.sqrt(1 - params.a))
-    am = 0.5 * (np.sqrt(1 + params.a) - np.sqrt(1 - params.a))
-    p, m = field.mode_pair(t)
-    psi_m = p + m
-    psic_m = p - m                      # i D^{-1/2} psidot
-    prime = ap * psi_m + am * psic_m
-    primedot = -1j * w * (ap * (p - m) + am * (p + m))
-    A = lat.modes_to_grid(w ** 0.5 * prime, pad)
-    B = lat.modes_to_grid(primedot / w ** 0.5, pad)
-    return 0.5 * params.kappa / params.mass * (np.abs(A) ** 2 + np.abs(B) ** 2)
-
-
 def total_probability(field: LatticeField, t: float) -> float:
     """Box integral of the probability density (exact on the native grid)."""
     return float(field.lattice.integrate(rho_a(field, t)))
 
 
-def split_re_im(field: LatticeField, t: float, pad: int = PAD):
-    """Real and imaginary parts of the conserved current as separate grids.
-
-    re^mu = (kappa/M) Im[(1+a) psi+* d^mu psi+ - (1-a) psi-* d^mu psi-
-                         + a W^mu],
-    im^mu = (kappa/M) Re W^mu,  W^mu = psi+* d^mu psi- - (d^mu psi+)* psi-.
-
-    im vanishes identically for definite-charge fields and for real-data
-    fields whose Nyquist rows are empty (an occupied Nyquist bin has no
-    conjugate partner on the lattice, so the padded interpolant of a
-    "real" field acquires spurious imaginary parts between coarse nodes).
-    """
-    lat = field.lattice
-    params = field.params
-    d = len(lat.nodes)
-    pm_p, pm_m = field.mode_pair(t)
-    w = field.omega
-
-    def grids(modes, dotmodes):
-        val = lat.modes_to_grid(modes, pad)
-        der = [-lat.modes_to_grid(dotmodes, pad)]      # d^0 = -d_0
-        der += [lat.modes_to_grid(1j * k * modes, pad) for k in lat.k_grids]
-        return val, der
-
-    plus, dplus = grids(pm_p, -1j * w * pm_p)
-    minus, dminus = grids(pm_m, 1j * w * pm_m)
-
-    shape = plus.shape
-    re = np.empty((d + 1,) + shape, dtype=float)
-    im = np.empty((d + 1,) + shape, dtype=float)
-    a = params.a
-    fac = params.kappa / params.mass
-    for mu in range(d + 1):
-        W = np.conj(plus) * dminus[mu] - np.conj(dplus[mu]) * minus
-        re[mu] = fac * (np.imag((1 + a) * np.conj(plus) * dplus[mu]
-                                - (1 - a) * np.conj(minus) * dminus[mu])
-                        + a * np.imag(W))
-        im[mu] = fac * np.real(W)
-    ev_lat = lat.refined(pad)
-    return (FourVectorGrid(re, ev_lat, float(t), "twisted_chiral"),
-            FourVectorGrid(im, ev_lat, float(t), "twisted_chiral"))
-
-
 _CURRENT_AND_RATE = {"J_a": _ja_and_rate, "calJ_a": _calja_and_rate}
 
 
-def _divergence(field: LatticeField, t: float, which: str, pad: int):
+def _divergence(field: LatticeField, t: float, which: str):
     """The current and its pointwise d_mu (current)^mu grid."""
-    cur, dj0dt = _CURRENT_AND_RATE[which](field, t, pad)
+    cur, dj0dt = _CURRENT_AND_RATE[which](field, t)
     lattice = cur.lattice
     div = 0.0
     for k, comp in zip(lattice.k_grids, cur.components[1:]):
@@ -284,7 +196,7 @@ def _divergence(field: LatticeField, t: float, which: str, pad: int):
 
 
 def continuity_residual(field: LatticeField, t: float,
-                        which: str = "J_a", pad: int = PAD) -> float:
+                        which: str = "J_a") -> float:
     """Max-norm of d_mu (current)^mu relative to the current's max-norm.
 
     Time derivative is exact (mode phases); spatial divergence is
@@ -293,17 +205,14 @@ def continuity_residual(field: LatticeField, t: float,
     """
     if which not in _CURRENT_AND_RATE:
         raise ValueError("which must be 'J_a' or 'calJ_a'")
-    cur, div = _divergence(field, t, which, pad)
+    cur, div = _divergence(field, t, which)
     scale = max(np.abs(cur.components).max(), 1e-300)
     return float(np.abs(div).max() / scale)
 
 
-def divergence_grid(field: LatticeField, t: float,
-                    which: str = "calJ_a", pad: int = PAD) -> np.ndarray:
-    """The pointwise d_mu (current)^mu grid (not normalized)."""
-    if which != "calJ_a":
-        raise ValueError("divergence_grid supports the probability current")
-    return np.real(_divergence(field, t, which, pad)[1])
+def divergence_grid(field: LatticeField, t: float) -> np.ndarray:
+    """Pointwise d_mu calJ_a^mu of the probability current (not normalized)."""
+    return np.real(_divergence(field, t, "calJ_a")[1])
 
 
 # ------------------------------------------------------------ plane waves
@@ -335,44 +244,6 @@ def planewave_current_Ja(field: PlaneWaveField, events: np.ndarray) -> np.ndarra
             cross = np.conj(phase[:, l]) * phase[:, m]
             out += pref * amp * cross[:, None] * psum[None, :]
     return out
-
-
-def planewave_current_calJa(field: PlaneWaveField, events: np.ndarray) -> np.ndarray:
-    """Closed-form probability current of a plane-wave superposition.
-
-    Same four-bundle structure as the grid version, with quarter powers
-    of the mode frequencies.  Returns (n_events, d+1) real components.
-    """
-    events = np.atleast_2d(np.asarray(events, dtype=float))
-    params = field.params
-    fv = field.mode_fourvectors()
-    coeffs = np.array([c for _, _, c in field.modes])
-    eps = np.array([e for e, _, _ in field.modes], dtype=float)
-    om = np.array([field.mode_omega(k) for _, k, _ in field.modes])
-    eta = events[:, 1:] @ fv[:, 1:].T - events[:, :1] * fv[:, 0][None, :]
-    phase = np.exp(1j * eta)
-
-    bundles = {
-        "P": om ** 0.5 * coeffs,
-        "Pc": eps * om ** 0.5 * coeffs,
-        "Q": om ** -0.5 * coeffs,
-        "Qc": eps * om ** -0.5 * coeffs,
-    }
-
-    def value(name):
-        return phase @ bundles[name]
-
-    def deriv(name):
-        # contravariant d^mu of the bundle: i p^mu per mode
-        return np.stack([phase @ (1j * fv[:, mu] * bundles[name])
-                         for mu in range(fv.shape[1])], axis=-1)
-
-    P, Pc = value("P"), value("Pc")
-    dQ, dQc = deriv("Q"), deriv("Qc")
-    s = (np.conj(P)[:, None] * dQc - Pc[:, None] * np.conj(dQ)
-         + params.a * (np.conj(P)[:, None] * dQ
-                       - Pc[:, None] * np.conj(dQc)))
-    return 0.5 * params.kappa / params.mass * np.imag(s)
 
 
 # -------------------------------------------------------- two-mode oracle

@@ -72,20 +72,10 @@ class DenseOperator:
     eigenvectors: np.ndarray       # columns, orthonormal
     sym_residual: float
 
-    def apply(self, grid: np.ndarray) -> np.ndarray:
-        return (self.matrix @ grid.ravel()).reshape(grid.shape)
-
-    def apply_function(self, fn, grid: np.ndarray) -> np.ndarray:
-        coeff = self.eigenvectors.conj().T @ grid.ravel()
-        out = self.eigenvectors @ (fn(self.eigenvalues) * coeff)
-        return out.reshape(grid.shape)
-
     def apply_power(self, alpha: float, grid: np.ndarray) -> np.ndarray:
-        return self.apply_function(lambda lam: lam ** alpha, grid)
-
-    def matrix_power(self, alpha: float) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues ** alpha) \
-            @ self.eigenvectors.conj().T
+        coeff = self.eigenvectors.conj().T @ grid.ravel()
+        out = self.eigenvectors @ (self.eigenvalues ** alpha * coeff)
+        return out.reshape(grid.shape)
 
 
 def _gauged_laplacian_columns(bg: EMBackground,

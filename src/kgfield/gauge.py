@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import LatticeField, apply_C
+from .inner import norm_a
 
 _TWO_PI = 2.0 * np.pi
 
@@ -69,6 +70,12 @@ def gauge_transform(field: LatticeField, theta: float,
                            phi_minus=ph_minus * field.phi_minus)
 
 
+def norm_drift(field: LatticeField, theta: float) -> float:
+    """|norm_a(g psi)^2 - norm_a(psi)^2| / norm_a(psi)^2 for g at theta."""
+    base = norm_a(field) ** 2
+    return abs(norm_a(gauge_transform(field, theta)) ** 2 - base) / base
+
+
 def generator_check(field: LatticeField, a: float, dtheta: float) -> float:
     """Finite-difference check that -i(C + a) generates the group.
 
@@ -88,34 +95,6 @@ def generator_check(field: LatticeField, a: float, dtheta: float) -> float:
     return float(np.max(devs))    # a NaN in either sector propagates
 
 
-def charge_phase_space(field: LatticeField, t: float) -> float:
-    """Conserved charge evaluated on canonical phase-space variables.
-
-    Uses the momentum conjugate to the field value, pi = (lambda/2)
-    d(psi)*/dt with lambda = 1/M, and spectral half-powers of the
-    spatial operator.  Equals the total probability.
-    """
-    lat = field.lattice
-    params = field.params
-    lam = 1.0 / params.mass
-    w = field.omega
-    psi = field.psi_grid(t)
-    psi_m = field.mode_psi(t)
-    psidot_m = field.mode_psidot(t)
-    pi_grid = 0.5 * lam * np.conj(lat.modes_to_grid(psidot_m))
-
-    d_half_psi = lat.modes_to_grid(w * psi_m)
-    d_mhalf_pibar = 0.5 * lam * lat.modes_to_grid(psidot_m / w)
-    integrand = (np.conj(psi) * d_half_psi
-                 + 4.0 / lam ** 2 * pi_grid * d_mhalf_pibar
-                 + 2j / lam * params.a * (np.conj(psi) * np.conj(pi_grid)
-                                          - psi * pi_grid))
-    val = params.kappa / (2.0 * params.mass) * lat.integrate(integrand)
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1.0):
-        raise FloatingPointError("charge came out non-real")
-    return float(val.real)
-
-
 @dataclass(frozen=True)
 class GroupClass:
     kind: str             # "U1" or "Rplus"
@@ -131,8 +110,7 @@ def _element_distance(a: float, theta: float) -> float:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [j for j in range(1, n) if n % j == 0]
-    return out
+    return [j for j in range(1, n) if n % j == 0]
 
 
 def group_classify(a) -> GroupClass:

@@ -77,22 +77,21 @@ class LimitSweep:
                                   self.sigma, kcarrier=self.kcarrier)
 
 
-def schrodinger_reference(field: LatticeField, t: float,
-                          pad: int = PAD) -> tuple:
+def schrodinger_reference(field: LatticeField, t: float) -> tuple:
     """Schrodinger probability density and current of the field value.
 
     rho = |psi|^2 and j = -(i/2M)[psi* grad psi - psi grad psi*] with
-    the gradient spectral, sampled on the pad-refined grid so the output
+    the gradient spectral, sampled on the PAD-refined grid so the output
     aligns with the relativistic currents.
     """
     lat = field.lattice
     mass = field.params.mass
     psi_m = field.mode_psi(t)
-    psi = lat.modes_to_grid(psi_m, pad)
+    psi = lat.modes_to_grid(psi_m, PAD)
     rho = np.abs(psi) ** 2
     jvec = np.empty((lat.dim,) + psi.shape, dtype=float)
     for i, k in enumerate(lat.k_grids):
-        cross = np.conj(psi) * lat.modes_to_grid(1j * k * psi_m, pad)
+        cross = np.conj(psi) * lat.modes_to_grid(1j * k * psi_m, PAD)
         jvec[i] = (-1j / (2.0 * mass) * (cross - np.conj(cross))).real
     return rho, jvec
 
@@ -108,39 +107,6 @@ def operator_expansion_deviation(lattice: MomentumLattice, mass: float,
     approx = 1.0 / mass - lattice.ksq / (2.0 * mass ** 3)
     diff = (1.0 / w - approx) * profile_modes
     return _l2(diff) / _l2(profile_modes)
-
-
-def conjugate_deviation(field: LatticeField, t: float | None = None) -> float:
-    """Relative distance between the charge conjugate and the field."""
-    if t is None:
-        t = field.t0
-    p, m = field.mode_pair(t)
-    return 2.0 * _l2(m) / _l2(p + m)
-
-
-def tilde_deviation(field: LatticeField, t: float | None = None) -> float:
-    """Relative distance of the a-weighted combination from (1+a) psi."""
-    if t is None:
-        t = field.t0
-    a = field.params.a
-    p, m = field.mode_pair(t)
-    return 2.0 * _l2(m) / ((1.0 + a) * _l2(p + m))
-
-
-def schrodinger_residual(field: LatticeField, t: float | None = None) -> float:
-    """Residual of the free Schrodinger equation for e^{iMt} psi.
-
-    Computes ||i d(chi)/dt + grad^2 chi/(2M)|| / (M ||chi||) in mode
-    space at time t; the phase peel makes this finite as M grows.
-    """
-    if t is None:
-        t = field.t0
-    mass = field.params.mass
-    lat = field.lattice
-    p, m = field.mode_pair(t)
-    w = field.omega
-    num = w * (p - m) - mass * (p + m) - lat.ksq / (2.0 * mass) * (p + m)
-    return _l2(num) / (mass * _l2(p + m))
 
 
 _CURRENTS = {"J_a": current_Ja, "calJ_a": current_calJa}
@@ -178,25 +144,4 @@ def limit_deviation(sweep: LimitSweep, which: str, t: float = 0.0) -> dict:
         "dev_j": np.asarray(dev_j),
         "slope_rho": fit_slope(masses, dev_rho),
         "slope_j": fit_slope(masses, dev_j),
-    }
-
-
-def current_mutual_deviation(sweep: LimitSweep, t: float = 0.0) -> dict:
-    """Distance between the two current families along the ladder.
-
-    Both tend to the same Schrodinger pair, so their mutual relative
-    deviation decays near slope -2 as well.
-    """
-    devs = []
-    for mass in sweep.masses:
-        f = sweep.packet(mass)
-        ja = current_Ja(f, t)
-        ca = current_calJa(f, t)
-        devs.append(_l2(ja.components - ca.components)
-                    / _l2(ja.components))
-    masses = np.asarray(sweep.masses, dtype=float)
-    return {
-        "masses": masses,
-        "dev": np.asarray(devs),
-        "slope": fit_slope(masses, devs),
     }

@@ -46,14 +46,6 @@ class TwoComponent:
         return (self.lattice.modes_to_grid(self.xi1),
                 self.lattice.modes_to_grid(self.xi2))
 
-    def pair_sum(self, other: "TwoComponent") -> complex:
-        """The plain L2 + L2 inner product, cell-weighted."""
-        if self.lattice != other.lattice:
-            raise ValueError("lattices differ")
-        v = self.lattice.volume
-        return complex(v * (np.vdot(self.xi1, other.xi1)
-                            + np.vdot(self.xi2, other.xi2)))
-
 
 def map_Ua(field: LatticeField, a: float | None = None,
            t0: float | None = None) -> TwoComponent:
@@ -104,9 +96,8 @@ def mixture_map(field: LatticeField, a: float, t0: float | None = None) -> Latti
         t0 = field.t0
     xi = map_Ua(field, 0.0, t0)
     newparams = ModelParams(field.params.mass, field.params.kappa, a)
-    out = map_U_inverse(TwoComponent(xi.lattice, newparams, xi.xi1, xi.xi2,
-                                     xi.t0), a)
-    return out
+    return map_U_inverse(TwoComponent(xi.lattice, newparams, xi.xi1, xi.xi2,
+                                      xi.t0), a)
 
 
 def wavefunction_f(field: LatticeField, t0: float | None = None):
@@ -116,14 +107,7 @@ def wavefunction_f(field: LatticeField, t0: float | None = None):
     over both sectors reproduce the a = 0 norm (Parseval), and the pair
     is unchanged if the field is first passed through mixture_map.
     """
-    params = field.params
-    if t0 is None:
-        t0 = field.t0
-    wq = field.omega ** 0.5
-    p, m = field.mode_pair(t0)
-    root = np.sqrt(params.kappa / params.mass)
-    return (field.lattice.modes_to_grid(root * wq * p),
-            field.lattice.modes_to_grid(root * wq * m))
+    return map_Ua(field, 0.0, t0).grids()
 
 
 def position_density(field: LatticeField, t0: float | None = None) -> np.ndarray:
@@ -214,18 +198,6 @@ def position_apply(field: LatticeField, t0: float | None = None,
     return out
 
 
-def momentum_apply(field: LatticeField, t0: float | None = None) -> list[LatticeField]:
-    """Momentum operator per axis: spectral multiplication by k."""
-    if t0 is None:
-        t0 = field.t0
-    p, m = field.mode_pair(t0)
-    out = []
-    for k in field.lattice.k_grids:
-        out.append(LatticeField(field.lattice, field.params,
-                                k * p, k * m, t0=t0))
-    return out
-
-
 # -------------------------------------------------------- localized states
 
 
@@ -301,11 +273,11 @@ def field_from_wavefunctions(fp: np.ndarray, fm: np.ndarray,
                              lattice: MomentumLattice, params: ModelParams,
                              t0: float = 0.0) -> LatticeField:
     """Inverse of wavefunction_f."""
-    winv = lattice.omega(params.mass) ** -0.5
-    root = np.sqrt(params.mass / params.kappa)
-    phi_p = root * winv * lattice.grid_to_modes(np.asarray(fp, dtype=complex))
-    phi_m = root * winv * lattice.grid_to_modes(np.asarray(fm, dtype=complex))
-    return LatticeField(lattice, params, phi_p, phi_m, t0=t0)
+    xi = TwoComponent(lattice, params,
+                      lattice.grid_to_modes(np.asarray(fp, dtype=complex)),
+                      lattice.grid_to_modes(np.asarray(fm, dtype=complex)),
+                      float(t0))
+    return map_U_inverse(xi, 0.0)
 
 
 # ------------------------------------------------------------- regions
@@ -361,9 +333,8 @@ def probability_region(field: LatticeField, region: Region,
             raise ValueError("cannot normalize a null field")
     else:
         normalize = False
-    fp, fm = wavefunction_f(field, t0)
+    dens = position_density(field, t0)
     mask = region.mask(field.lattice)
-    dens = np.abs(fp) ** 2 + np.abs(fm) ** 2
     val = float(dens[mask].sum() * field.lattice.cell_volume)
     if normalize:
         val /= norm2

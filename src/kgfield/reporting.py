@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from datetime import datetime, timezone
 
@@ -69,66 +68,30 @@ def timestamp_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def header_lines(config, timestamp: str | None = None,
-                 extra: tuple[str, ...] = ()) -> list[str]:
-    lines = [
-        f"# kgfield {__version__}",
-        f"# config-sha256 {config_hash(config)}",
-        f"# written {timestamp or timestamp_now()}",
-    ]
-    for key, val in _flatten(config):
-        lines.append(f"# param {key}={val}")
-    lines.extend(f"# {line}" for line in extra)
-    return lines
-
-
-def render_csv(columns, rows, config, footer: tuple[str, ...] = (),
-               timestamp: str | None = None) -> str:
-    """Full CSV text: comment header, column row, data rows, footer."""
-    buf = io.StringIO()
-    for line in header_lines(config, timestamp):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_value(v) for v in row])
-    for line in footer:
-        buf.write(f"# {line}\n")
-    return buf.getvalue()
-
-
-def write_csv(path, columns, rows, config, footer: tuple[str, ...] = (),
-              timestamp: str | None = None) -> None:
+def write_csv(path, columns, rows, config, footer: tuple[str, ...] = ()) -> None:
+    """Full CSV file: comment header, column row, data rows, footer."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(columns, rows, config, footer, timestamp))
+        fh.write(f"# kgfield {__version__}\n"
+                 f"# config-sha256 {config_hash(config)}\n"
+                 f"# written {timestamp_now()}\n")
+        for key, val in _flatten(config):
+            fh.write(f"# param {key}={val}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([format_value(v) for v in row])
+        for line in footer:
+            fh.write(f"# {line}\n")
 
 
-def write_json(path, payload, config, timestamp: str | None = None) -> None:
+def write_json(path, payload, config) -> None:
     doc = {
         "tool": {"name": "kgfield", "version": __version__},
         "config_sha256": config_hash(config),
-        "written": timestamp or timestamp_now(),
+        "written": timestamp_now(),
         "config": config,
     }
     doc.update(payload)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
-
-
-def body_lines(csv_text: str) -> list[str]:
-    """Everything except comment lines; used to compare determinism."""
-    return [ln for ln in csv_text.splitlines() if not ln.startswith("#")]
-
-
-def footer_lines(csv_text: str) -> list[str]:
-    """Comment lines after the first data row (slope footers and the like)."""
-    lines = csv_text.splitlines()
-    seen_data = False
-    out = []
-    for ln in lines:
-        if not ln.startswith("#"):
-            seen_data = True
-        elif seen_data:
-            out.append(ln)
-    return out

@@ -16,6 +16,12 @@ from .core import LatticeField, ModelParams, MomentumLattice, PlaneWaveField
 
 VERSION_TAG = "kgfield-state-v1"
 
+# header keys each kind of state must carry, as save_state writes them
+_HEADER_KEYS = {
+    "lattice": ("dim", "L", "N", "M", "kappa", "a", "t0"),
+    "planewave": ("dim", "M", "kappa", "a", "modes"),
+}
+
 
 def _header_lines(pairs) -> bytes:
     lines = [VERSION_TAG]
@@ -103,11 +109,14 @@ def load_state(path):
         blob = fh.read()
     fields, payload = _parse_header(blob)
     kind = fields.get("kind")
+    if kind not in _HEADER_KEYS:
+        raise ValueError(f"unknown state kind {kind!r}")
+    for key in _HEADER_KEYS[kind]:
+        if key not in fields:
+            raise ValueError(f"{kind} state header has no {key!r} line")
     if kind == "lattice":
         return _load_lattice(fields, payload)
-    if kind == "planewave":
-        return _load_planewave(fields, payload)
-    raise ValueError(f"unknown state kind {kind!r}")
+    return _load_planewave(fields, payload)
 
 
 def _model_params(fields: dict) -> ModelParams:

@@ -30,7 +30,6 @@ from kgfield.currents import (
     divergence_grid,
     noncovariance_demo,
     planewave_current_Ja,
-    planewave_current_calJa,
     rho_a,
     total_probability,
     two_mode_oracle,
@@ -40,7 +39,6 @@ from kgfield.gauge import GaugeElement, gauge_transform, generator_check, group_
 from kgfield.inner import inner_0, inner_a, inner_a_split, kg_inner, norm_a, wald_inner
 from kgfield.limits import (
     LimitSweep,
-    conjugate_deviation,
     fit_slope,
     limit_deviation,
     operator_expansion_deviation,
@@ -53,6 +51,7 @@ from kgfield.localization import (
     position_apply,
     wavefunction_f,
 )
+from kgfield.oracles import conjugate_deviation, planewave_current_calJa
 
 A_GRID = (-0.99, -0.5, 0.0, 0.5, 0.99)
 
@@ -162,7 +161,7 @@ def test_criterion_04_two_mode_oracles():
     modes[0], modes[n2] = c1, c2
     f = LatticeField(lat, params, modes, np.zeros_like(modes))
     t = 0.45
-    divgrid = divergence_grid(f, t, "calJ_a")
+    divgrid = divergence_grid(f, t)
     # the divergence grid lives on the dealiased (padded) lattice
     xs = current_Ja(f, t).lattice.coordinate_axes()[0]
     expected = np.array([two_mode_oracle(o, np.array([t, x]))["div_calJ"]

@@ -10,11 +10,11 @@ from kgfield.amplitudes import (
     boost_amplitude,
     inner_amplitude,
     invariance_check,
-    kg_inner_amplitude,
     truncation_mass_check,
 )
 from kgfield.core import Boost, ModelParams, MomentumLattice, LatticeField
 from kgfield.inner import inner_a
+from kgfield.oracles import kg_inner_amplitude
 
 
 def packet_pair(a=0.0, kappa=1.0):

@@ -12,7 +12,26 @@ import pytest
 import kgfield
 from kgfield.cli import main
 from kgfield.core import ModelParams, MomentumLattice
-from kgfield.reporting import body_lines, footer_lines
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def body_lines(csv_text: str) -> list[str]:
+    """Everything except comment lines; used to compare determinism."""
+    return [ln for ln in csv_text.splitlines() if not ln.startswith("#")]
+
+
+def footer_lines(csv_text: str) -> list[str]:
+    """Comment lines after the first data row (slope footers and the like)."""
+    lines = csv_text.splitlines()
+    seen_data = False
+    out = []
+    for ln in lines:
+        if not ln.startswith("#"):
+            seen_data = True
+        elif seen_data:
+            out.append(ln)
+    return out
 
 
 def write_config(tmp_path, name, doc):
@@ -229,6 +248,16 @@ def test_sweep_workers_match_serial(tmp_path, monkeypatch):
     assert max(vals) < 1e-12
 
 
+def test_sweep_quadrature_order_needs_one_dimension(tmp_path, capsys):
+    # the reference packets are 1-D; a 2-D model block must not pass for one
+    doc = json.loads((CONFIGS / "sweep_quadrature.json").read_text())
+    doc["model"].update(d=2, N=16)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["sweep", write_config(tmp_path, "quad2d.json", doc)]) == 2
+    assert "d = 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep_quadrature-order.csv").exists()
+
+
 def test_sweep_observable_axis_mismatch(tmp_path):
     doc = {
         "axis": "theta",
@@ -276,7 +305,9 @@ def _planewave_state() -> bytes:
     (_lattice_state(bad_entry=11), "phi_minus holds a non-finite coefficient"),
     (_lattice_state(t0="nan"), "t0 must be finite"),
     (_planewave_state(), "coefficient must be finite"),
-], ids=["lattice-nan-payload", "lattice-nan-t0", "planewave-nan-coeff"])
+    (_lattice_state().replace(b"\nM 1.0\n", b"\n"), "has no 'M' line"),
+], ids=["lattice-nan-payload", "lattice-nan-t0", "planewave-nan-coeff",
+        "lattice-no-M"])
 def test_non_finite_state_file_fails_at_the_boundary(tmp_path, capsys,
                                                      blob, message):
     path = tmp_path / "bad.kgs"
@@ -330,11 +361,16 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
 
 
 def test_verify_process_never_imports_sympy(tmp_path):
-    # em:gauge-residual runs on numpy jets; sympy is only the test witness
+    # em:gauge-residual runs on numpy jets; sympy is only the test witness,
+    # and no command reaches the test-only kgfield.oracles
+    scenario = str(CONFIGS / "scenario_packet.json")
     code = ("import sys; from kgfield.cli import main; "
             f"rc = main(['verify', '--out', {str(tmp_path)!r}]); "
-            "print(rc, 'sympy' in sys.modules)")
+            f"rc += main(['scenario', {scenario!r}, "
+            f"'--out', {str(tmp_path / 'scn')!r}]); "
+            "print(rc, 'sympy' in sys.modules, "
+            "'kgfield.oracles' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 False False"

@@ -14,7 +14,6 @@ from kgfield.core import (
     boost_matrix,
     boost_planewave,
     energy_split,
-    evaluate,
     evolve,
     from_initial_data,
     kg_residual,
@@ -187,7 +186,7 @@ def test_initial_data_roundtrip():
     psi0 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     psidot0 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     f = from_initial_data(lat, params, psi0, psidot0, t0=0.3)
-    psi, psidot = evaluate(f, 0.3)
+    psi, psidot = f.psi_grid(0.3), f.psidot_grid(0.3)
     assert np.abs(psi - psi0).max() < 1e-11
     assert np.abs(psidot - psidot0).max() < 1e-11
 
@@ -212,7 +211,7 @@ def test_apply_D_power_constant_grid():
     f = from_initial_data(lat, params, np.ones(32, dtype=complex),
                           np.zeros(32, dtype=complex))
     g = apply_D_power(f, -0.5)
-    psi, _ = evaluate(g, 0.0)
+    psi = g.psi_grid(0.0)
     assert np.abs(psi - 1.0).max() < 1e-13
 
 

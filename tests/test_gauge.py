@@ -20,12 +20,12 @@ from kgfield.currents import total_probability
 from kgfield.gauge import (
     GaugeElement,
     GroupClass,
-    charge_phase_space,
     gauge_transform,
     generator_check,
     group_classify,
 )
 from kgfield.inner import inner_a, norm_a
+from kgfield.oracles import charge_phase_space
 
 
 def small_field(a=0.3, seed=5):

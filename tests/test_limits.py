@@ -13,13 +13,15 @@ from kgfield.core import (
 from kgfield.limits import (
     DEFAULT_MASSES,
     LimitSweep,
-    conjugate_deviation,
-    current_mutual_deviation,
     fit_slope,
     limit_deviation,
     operator_expansion_deviation,
     schrodinger_deviation,
     schrodinger_reference,
+)
+from kgfield.oracles import (
+    conjugate_deviation,
+    current_mutual_deviation,
     schrodinger_residual,
     tilde_deviation,
 )
