@@ -118,26 +118,6 @@ class AmplitudeField:
             return np.zeros(k.shape[0], dtype=complex)
         return np.asarray(fn(k), dtype=complex)
 
-    def with_quad(self, quad: QuadratureRule) -> "AmplitudeField":
-        return AmplitudeField(self.params, self.dim, self.amp_plus,
-                              self.amp_minus, quad)
-
-    def evaluate_at(self, events: np.ndarray) -> np.ndarray:
-        """Quadrature approximation of the field at event rows (t, x)."""
-        events = np.atleast_2d(np.asarray(events, dtype=float))
-        k = self.quad.nodes
-        w = self.quad.weights
-        om = self.omega(k)
-        kx = events[:, 1:] @ k.T                    # (nev, nq)
-        out = np.zeros(events.shape[0], dtype=complex)
-        for eps in (1, -1):
-            a = self.amplitude(eps, k)
-            if not np.any(a):
-                continue
-            phase = np.exp(1j * (kx - eps * om[None, :] * events[:, :1]))
-            out += phase @ (w * a)
-        return out
-
 
 def truncation_mass_check(field: AmplitudeField, rtol: float = 1e-10) -> float:
     """Fraction of quadratic amplitude mass missed by the truncation radius.

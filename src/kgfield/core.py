@@ -20,7 +20,8 @@ p = (eps*w, kvec).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -148,24 +149,32 @@ class MomentumLattice:
     def modes_to_grid(self, modes: np.ndarray, pad: int = 1) -> np.ndarray:
         """Evaluate sum_k modes(k) e^{i k.x} on the grid, or with pad > 1
         on the pad-refined grid of the same box (modes zero-padded)."""
-        lat = self
-        if pad != 1:
-            lat = self.refined(pad)
-            padded = np.zeros(lat.nodes, dtype=complex)
-            padded[self._pad_index(pad)] = modes
-            modes = padded
-        return np.fft.ifftn(modes * lat._phase_table()) * lat.total_nodes
+        if pad == 1:
+            return self._synthesize(np.array(modes, dtype=complex))
+        lat = self.refined(pad)
+        padded = np.zeros(lat.nodes, dtype=complex)
+        padded[self._pad_index(pad)] = modes
+        return lat._synthesize(padded)
+
+    def _synthesize(self, buf: np.ndarray) -> np.ndarray:
+        """modes_to_grid in place on a complex mode grid the caller gives up."""
+        np.multiply(buf, self._phase_table(), out=buf)
+        np.fft.ifftn(buf, out=buf)
+        return np.multiply(buf, self.total_nodes, out=buf)
 
     def grid_to_modes(self, grid: np.ndarray) -> np.ndarray:
         """Inverse of modes_to_grid on the native grid."""
-        return np.fft.fftn(grid) * self._phase_table(1.0 / self.total_nodes)
+        return self._analyze(grid, np.empty(self.nodes, dtype=complex))
+
+    def _analyze(self, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """grid_to_modes written into out, which may be grid itself."""
+        np.fft.fftn(grid, out=out)
+        return np.multiply(out, self._phase_table(1.0 / self.total_nodes),
+                           out=out)
 
     def _phase_table(self, scale: float = 1.0) -> np.ndarray:
         """scale times the centering phase, broadcast from its open factors."""
-        table = scale
-        for phase in self._phase0:
-            table = table * phase
-        return table
+        return reduce(np.multiply, self._phase0, scale)
 
     def integrate(self, grid: np.ndarray):
         """Box integral of a sampled function (exact for band-limited data)."""
@@ -204,23 +213,29 @@ class LatticeField:
         return self.lattice.omega(self.params.mass)
 
     def mode_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Re-phased (phi+, phi-) coefficient grids at time t."""
-        ph = np.exp(-1j * self.omega * (t - self.t0))
-        return self.phi_plus * ph, self.phi_minus * np.conj(ph)
+        """Re-phased (phi+, phi-) coefficient grids at time t, both new."""
+        ph = -1j * self.omega * (t - self.t0)
+        np.exp(ph, out=ph)
+        # left an expression: numpy's temporary elision picks the operand
+        # order, and complex products round differently in each order
+        m = self.phi_minus * np.conj(ph)
+        return np.multiply(self.phi_plus, ph, out=ph), m
 
     def mode_psi(self, t: float) -> np.ndarray:
         p, m = self.mode_pair(t)
-        return p + m
+        return np.add(p, m, out=p)
 
     def mode_psidot(self, t: float) -> np.ndarray:
         p, m = self.mode_pair(t)
-        return -1j * self.omega * (p - m)
+        np.subtract(p, m, out=p)
+        del m
+        return np.multiply(-1j * self.omega, p, out=p)
 
     def psi_grid(self, t: float) -> np.ndarray:
-        return self.lattice.modes_to_grid(self.mode_psi(t))
+        return self.lattice._synthesize(self.mode_psi(t))
 
     def psidot_grid(self, t: float) -> np.ndarray:
-        return self.lattice.modes_to_grid(self.mode_psidot(t))
+        return self.lattice._synthesize(self.mode_psidot(t))
 
     def copy_with(self, **kw) -> "LatticeField":
         return replace(self, **kw)
@@ -466,14 +481,6 @@ class PlaneWaveField:
         vals = np.zeros(events.shape[0], dtype=complex)
         for (eps, kvec, coeff), p in zip(self.modes, self.mode_fourvectors()):
             vals += coeff * np.exp(1j * minkowski_dot(p, events))
-        return vals
-
-    def psic_at(self, events: np.ndarray) -> np.ndarray:
-        """Values of the charge-graded field i D^{-1/2} psidot."""
-        events = np.atleast_2d(np.asarray(events, dtype=float))
-        vals = np.zeros(events.shape[0], dtype=complex)
-        for (eps, kvec, coeff), p in zip(self.modes, self.mode_fourvectors()):
-            vals += eps * coeff * np.exp(1j * minkowski_dot(p, events))
         return vals
 
 

@@ -41,9 +41,6 @@ class GaugeElement:
             raise ValueError("group elements belong to different groups")
         return GaugeElement(self.theta + other.theta, self.a)
 
-    def apply(self, field: LatticeField) -> LatticeField:
-        return gauge_transform(field, self.theta, self.a)
-
 
 def gauge_transform(field: LatticeField, theta: float,
                     a: float | None = None) -> LatticeField:

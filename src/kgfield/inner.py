@@ -62,8 +62,8 @@ def _sector_form(f1: LatticeField, f2: LatticeField, a: float) -> complex:
     p = f1.params
     w = f1.omega
     p2, m2 = f2.mode_pair(f1.t0)
-    acc = ((1.0 + a) * np.vdot(f1.phi_plus, w * p2)
-           + (1.0 - a) * np.vdot(f1.phi_minus, w * m2))
+    acc = ((1.0 + a) * np.vdot(f1.phi_plus, np.multiply(w, p2, out=p2))
+           + (1.0 - a) * np.vdot(f1.phi_minus, np.multiply(w, m2, out=m2)))
     return complex(acc) * f1.lattice.volume * (p.kappa / p.mass)
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .amplitudes import AmplitudeField
-from .core import LatticeField, PlaneWaveField
+from .amplitudes import AmplitudeField, QuadratureRule
+from .core import LatticeField, ModelParams, MomentumLattice, PlaneWaveField, minkowski_dot
 from .currents import PAD, FourVectorGrid, current_calJa, current_Ja
 from .em import DenseOperator
 from .limits import LimitSweep, fit_slope
-from .localization import TwoComponent
+from .localization import TwoComponent, map_U_inverse
 
 
 # ------------------------------------------------------------- currents
@@ -107,6 +107,15 @@ def split_re_im(field: LatticeField, t: float, pad: int = PAD):
     return FourVectorGrid(re, ev_lat), FourVectorGrid(im, ev_lat)
 
 
+def psic_at(field: PlaneWaveField, events: np.ndarray) -> np.ndarray:
+    """Values of the charge-graded field i D^{-1/2} psidot."""
+    events = np.atleast_2d(np.asarray(events, dtype=float))
+    vals = np.zeros(events.shape[0], dtype=complex)
+    for (eps, kvec, coeff), p in zip(field.modes, field.mode_fourvectors()):
+        vals += eps * coeff * np.exp(1j * minkowski_dot(p, events))
+    return vals
+
+
 def planewave_current_calJa(field: PlaneWaveField, events: np.ndarray) -> np.ndarray:
     """Closed-form probability current of a plane-wave superposition.
 
@@ -177,6 +186,28 @@ def charge_phase_space(field: LatticeField, t: float) -> float:
 
 
 # ----------------------------------------------------------- amplitudes
+
+
+def with_quad(field: AmplitudeField, quad: QuadratureRule) -> AmplitudeField:
+    return AmplitudeField(field.params, field.dim, field.amp_plus,
+                          field.amp_minus, quad)
+
+
+def evaluate_at(field: AmplitudeField, events: np.ndarray) -> np.ndarray:
+    """Quadrature approximation of the field at event rows (t, x)."""
+    events = np.atleast_2d(np.asarray(events, dtype=float))
+    k = field.quad.nodes
+    w = field.quad.weights
+    om = field.omega(k)
+    kx = events[:, 1:] @ k.T                    # (nev, nq)
+    out = np.zeros(events.shape[0], dtype=complex)
+    for eps in (1, -1):
+        a = field.amplitude(eps, k)
+        if not np.any(a):
+            continue
+        phase = np.exp(1j * (kx - eps * om[None, :] * events[:, :1]))
+        out += phase @ (w * a)
+    return out
 
 
 def kg_inner_amplitude(f1: AmplitudeField, f2: AmplitudeField, g: float,
@@ -259,6 +290,17 @@ def current_mutual_deviation(sweep: LimitSweep, t: float = 0.0) -> dict:
 
 
 # --------------------------------------------------------- localization
+
+
+def field_from_wavefunctions(fp: np.ndarray, fm: np.ndarray,
+                             lattice: MomentumLattice, params: ModelParams,
+                             t0: float = 0.0) -> LatticeField:
+    """Inverse of wavefunction_f."""
+    xi = TwoComponent(lattice, params,
+                      lattice.grid_to_modes(np.asarray(fp, dtype=complex)),
+                      lattice.grid_to_modes(np.asarray(fm, dtype=complex)),
+                      float(t0))
+    return map_U_inverse(xi, 0.0)
 
 
 def pair_sum(xi: TwoComponent, other: TwoComponent) -> complex:

@@ -151,8 +151,9 @@ def _chk_reversible(ctx):
 def _chk_sectors(ctx):
     f = _std_field(ctx, off=2)
     fp, fm = energy_split(f)
-    dev = np.abs(fp.psi_grid(0.4) + fm.psi_grid(0.4) - f.psi_grid(0.4)).max()
-    return dev / np.abs(f.psi_grid(0.4)).max(), 1e-12
+    psi = f.psi_grid(0.4)
+    dev = np.abs(fp.psi_grid(0.4) + fm.psi_grid(0.4) - psi).max()
+    return dev / np.abs(psi).max(), 1e-12
 
 
 @_check("core", "boost-matrix-metric")

@@ -87,7 +87,7 @@ def test_commutes_with_evolution():
 def test_matrix_matches_field_action():
     f = small_field(a=0.6)
     e = GaugeElement(1.234, 0.6)
-    g = e.apply(f)
+    g = gauge_transform(f, e.theta, e.a)
     m = e.matrix
     assert np.abs(g.phi_plus - m[0, 0] * f.phi_plus).max() == 0.0
     assert np.abs(g.phi_minus - m[1, 1] * f.phi_minus).max() == 0.0

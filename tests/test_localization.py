@@ -26,7 +26,6 @@ from kgfield.localization import (
     besselK_profile,
     besselK_profile_momentum_route,
     expand_in_localized_basis,
-    field_from_wavefunctions,
     localized_state,
     map_U_inverse,
     map_Ua,
@@ -36,7 +35,7 @@ from kgfield.localization import (
     probability_region,
     wavefunction_f,
 )
-from kgfield.oracles import momentum_apply, pair_sum
+from kgfield.oracles import field_from_wavefunctions, momentum_apply, pair_sum
 
 # frozen continuum profile values at M = 1, kappa = 1 (25-digit quadrature)
 PROFILE_HALF = 0.157757587038505329
