@@ -79,7 +79,8 @@ def old_localized_modes(lat, params, idx):
     return root * winv * modes
 
 
-def old_inner_0(f1, f2, a=0.0):
+def old_inner_0(f1, f2):
+    a = 0.0
     w = f1.omega
     p2, m2 = old_pair(f2, f1.t0)
     acc = ((1.0 + a) * np.vdot(f1.phi_plus, w * p2)
