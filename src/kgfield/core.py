@@ -21,7 +21,6 @@ p = (eps*w, kvec).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -174,7 +173,10 @@ class MomentumLattice:
 
     def _phase_table(self, scale: float = 1.0) -> np.ndarray:
         """scale times the centering phase, broadcast from its open factors."""
-        return reduce(np.multiply, self._phase0, scale)
+        table = scale
+        for phase in self._phase0:
+            table = table * phase
+        return table
 
     def integrate(self, grid: np.ndarray):
         """Box integral of a sampled function (exact for band-limited data)."""

@@ -92,6 +92,8 @@ def mixture_map(field: LatticeField, a: float, t0: float | None = None) -> Latti
     The image carries parameter a, and its a-form inner products equal
     the 0-form inner products of the source.
     """
+    if t0 is None:
+        t0 = field.t0
     xi = map_Ua(field, 0.0, t0)
     newparams = ModelParams(field.params.mass, field.params.kappa, a)
     return map_U_inverse(TwoComponent(xi.lattice, newparams, xi.xi1, xi.xi2,
@@ -115,10 +117,14 @@ def position_density(field: LatticeField, t0: float | None = None) -> np.ndarray
 
 def _interior_mass_fraction(field: LatticeField, t0: float) -> float:
     dens = position_density(field, t0)
-    lat = field.lattice
-    mask = np.zeros(dens.shape, dtype=bool)
-    mask[np.ix_(*(np.abs(x) <= L / 4.0 for x, L
-                  in zip(lat.coordinate_axes(), lat.box_lengths)))] = True
+    axes = field.lattice.coordinate_axes()
+    mask = np.ones(dens.shape, dtype=bool)
+    for i, x in enumerate(axes):
+        Li = field.lattice.box_lengths[i]
+        sel = np.abs(x) <= Li / 4.0
+        shape = [1] * dens.ndim
+        shape[i] = -1
+        mask &= sel.reshape(shape)
     total = dens.sum()
     if total == 0.0:
         return 1.0
@@ -230,16 +236,20 @@ def localized_state(epsilon: int, y, lattice: MomentumLattice,
     if epsilon not in (1, -1):
         raise ValueError("sector label must be +1 or -1")
     idx = _node_index(lattice, y)
-    delta = np.zeros(lattice.nodes, dtype=complex)
+    shape = tuple(lattice.nodes)
+    delta = np.zeros(shape, dtype=complex)
     delta[idx] = 1.0 / np.sqrt(lattice.cell_volume)
     modes = lattice._analyze(delta, delta)
     winv = lattice.omega(params.mass) ** -0.5
     root = np.sqrt(params.mass / params.kappa)
     phi = np.multiply(np.multiply(root, winv, out=winv), modes, out=modes)
     zero = np.zeros_like(phi)
-    plus, minus = (phi, zero) if epsilon > 0 else (zero, phi)
-    f = LatticeField(lattice, params, plus, minus, t0=t0)
-    ycoord = np.array([ax[j] for ax, j in zip(lattice.coordinate_axes(), idx)])
+    if epsilon > 0:
+        f = LatticeField(lattice, params, phi, zero, t0=t0)
+    else:
+        f = LatticeField(lattice, params, zero, phi, t0=t0)
+    axes = lattice.coordinate_axes()
+    ycoord = np.array([axes[i][idx[i]] for i in range(len(idx))])
     return LocalizedState(epsilon, ycoord, idx, f)
 
 
@@ -249,6 +259,8 @@ def expand_in_localized_basis(field: LatticeField, t0: float | None = None):
     With Kronecker-normalized states these are just the wavefunction
     values scaled by sqrt(cell volume).
     """
+    if t0 is None:
+        t0 = field.t0
     fp, fm = wavefunction_f(field, t0)
     s = np.sqrt(field.lattice.cell_volume)
     return fp * s, fm * s
@@ -296,6 +308,8 @@ def probability_region(field: LatticeField, region: Region,
     sectors.  The field must be normalized in the a = 0 inner product to
     1e-10 unless normalize=True is passed.
     """
+    if t0 is None:
+        t0 = field.t0
     norm2 = inner_0(field, field).real
     if abs(norm2 - 1.0) > 1e-10:
         if not normalize:
