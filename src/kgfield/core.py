@@ -216,6 +216,10 @@ class LatticeField:
 
     def mode_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Re-phased (phi+, phi-) coefficient grids at time t, both new."""
+        if t == self.t0:
+            # phi * exp(-i w 0) is phi * (1, +0): a copy would differ at signed zeros
+            unit = np.complex128(1.0)
+            return self.phi_plus * unit, self.phi_minus * np.conj(unit)
         ph = -1j * self.omega * (t - self.t0)
         np.exp(ph, out=ph)
         # left an expression: numpy's temporary elision picks the operand
@@ -292,7 +296,7 @@ def evolve(field: LatticeField, dt: float) -> LatticeField:
                            t0=field.t0 + dt)
 
 
-def kg_residual(field, t: float, _omega_scale: float = 1.0) -> float:
+def kg_residual(field: LatticeField, t: float, _omega_scale: float = 1.0) -> float:
     """Max-norm residual of the wave equation at time t.
 
     The second time derivative is taken analytically mode-wise, the
@@ -301,12 +305,8 @@ def kg_residual(field, t: float, _omega_scale: float = 1.0) -> float:
     dispersion relation is observable (any value != 1 must make the
     residual large).
     """
-    if isinstance(field, PlaneWaveField):
-        res = 0.0
-        for eps, kvec, coeff in field.modes:
-            w = _omega_scale * np.sqrt(kvec @ kvec + field.params.mass ** 2)
-            res += abs((-w * w + kvec @ kvec + field.params.mass ** 2) * coeff)
-        return float(res)
+    if not isinstance(field, LatticeField):
+        raise TypeError(f"kg_residual needs a LatticeField, not {type(field).__name__}")
     w2 = (_omega_scale * field.omega) ** 2
     modes = (-w2 + field.lattice.ksq + field.params.mass ** 2) * field.mode_psi(t)
     grid = field.lattice.modes_to_grid(modes)
@@ -476,14 +476,6 @@ class PlaneWaveField:
             out[i, 0] = eps * self.mode_omega(kvec)
             out[i, 1:] = kvec
         return out
-
-    def evaluate_at(self, events: np.ndarray) -> np.ndarray:
-        """Field values at event rows (t, x1..xd)."""
-        events = np.atleast_2d(np.asarray(events, dtype=float))
-        vals = np.zeros(events.shape[0], dtype=complex)
-        for (eps, kvec, coeff), p in zip(self.modes, self.mode_fourvectors()):
-            vals += coeff * np.exp(1j * minkowski_dot(p, events))
-        return vals
 
 
 def boost_planewave(field: PlaneWaveField, boost: Boost) -> PlaneWaveField:

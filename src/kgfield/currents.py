@@ -43,13 +43,6 @@ class FourVectorGrid:
             raise ValueError("component count must be d + 1")
 
 
-def _tilde_modes(field: LatticeField, t: float):
-    """Mode pair of the a-twisted combination (charge-graded + a * field)."""
-    p, m = field.mode_pair(t)
-    a = field.params.a
-    return (1.0 + a) * p, -(1.0 - a) * m
-
-
 def _ja_and_rate(field: LatticeField, t: float):
     """current_Ja and d_t of its time slot, from one set of padded grids.
 
@@ -60,7 +53,7 @@ def _ja_and_rate(field: LatticeField, t: float):
     params = field.params
     pm_p, pm_m = field.mode_pair(t)
     psi_modes = pm_p + pm_m
-    tp, tm = _tilde_modes(field, t)
+    tp, tm = (1.0 + params.a) * pm_p, -(1.0 - params.a) * pm_m
     til_modes = tp + tm
     w = field.omega
 

@@ -107,13 +107,20 @@ def split_re_im(field: LatticeField, t: float, pad: int = PAD):
     return FourVectorGrid(re, ev_lat), FourVectorGrid(im, ev_lat)
 
 
-def psic_at(field: PlaneWaveField, events: np.ndarray) -> np.ndarray:
-    """Values of the charge-graded field i D^{-1/2} psidot."""
+def planewave_values(field: PlaneWaveField, events: np.ndarray) -> np.ndarray:
+    """Field values at event rows (t, x1..xd)."""
     events = np.atleast_2d(np.asarray(events, dtype=float))
     vals = np.zeros(events.shape[0], dtype=complex)
     for (eps, kvec, coeff), p in zip(field.modes, field.mode_fourvectors()):
-        vals += eps * coeff * np.exp(1j * minkowski_dot(p, events))
+        vals += coeff * np.exp(1j * minkowski_dot(p, events))
     return vals
+
+
+def psic_at(field: PlaneWaveField, events: np.ndarray) -> np.ndarray:
+    """Values of the charge-graded field i D^{-1/2} psidot."""
+    graded = [(eps, kvec, eps * coeff) for eps, kvec, coeff in field.modes]
+    return planewave_values(PlaneWaveField(field.params, graded, field.dim),
+                            events)
 
 
 def planewave_current_calJa(field: PlaneWaveField, events: np.ndarray) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Inner product family: closed-form oracles, axioms, route agreement."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgfield
 from kgfield.core import (
     LatticeField,
     ModelParams,
@@ -221,3 +226,29 @@ def test_cauchy_schwarz():
     f1 = random_field(lat, params, seed=95)
     f2 = random_field(lat, params, seed=96)
     assert abs(inner_a(f1, f2)) <= norm_a(f1) * norm_a(f2) * (1 + 1e-12)
+
+
+def test_inner_products_do_not_depend_on_the_blas_thread_count():
+    # 32^3 modes: threaded BLAS splits one long dot product by thread count
+    code = (
+        "import numpy as np\n"
+        "from kgfield.core import ModelParams, MomentumLattice, random_field\n"
+        "from kgfield.inner import inner_0, kg_inner\n"
+        "lat = MomentumLattice([6.0] * 3, [32] * 3)\n"
+        "p = ModelParams(mass=1.3, kappa=0.8, a=0.35)\n"
+        "f = random_field(lat, p, seed=5, t0=0.25)\n"
+        "g = random_field(lat, p, seed=6, t0=-0.4)\n"
+        "print(np.complex128(inner_0(f, g)).tobytes().hex(),\n"
+        "      np.complex128(kg_inner(f, g, 0.5)).tobytes().hex())\n")
+    src = str(Path(kgfield.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]

@@ -7,6 +7,8 @@ signed zeros included.  The references are written out here on purpose:
 numpy elides temporaries of 256 KiB and more into in-place operations
 with swapped operands, and complex multiplication is not bitwise
 commutative, so the two shapes sit on either side of that threshold.
+At a field's own reference time mode_pair multiplies by a scalar unit
+instead of an exp grid; the routes must still give the exp grid's bytes.
 """
 
 import tracemalloc
@@ -20,7 +22,7 @@ from kgfield.core import (
     energy_split,
     random_field,
 )
-from kgfield.inner import inner_0
+from kgfield.inner import inner_0, inner_a
 from kgfield.localization import localized_state
 
 PARAMS = ModelParams(mass=1.3, kappa=0.8, a=0.35)
@@ -79,12 +81,23 @@ def old_localized_modes(lat, params, idx):
     return root * winv * modes
 
 
-def old_inner_0(f1, f2):
-    a = 0.0
+def blocked_vdot(x, y, block=8192):
+    """np.vdot over blocks of 8192 entries summed in order; a single call
+    below that size.  Longer BLAS dot products round by thread count."""
+    x, y = x.reshape(-1), y.reshape(-1)
+    parts = [np.vdot(x[i:i + block], y[i:i + block])
+             for i in range(0, x.size, block)]
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = acc + part
+    return acc
+
+
+def old_inner(f1, f2, a=0.0):
     w = f1.omega
     p2, m2 = old_pair(f2, f1.t0)
-    acc = ((1.0 + a) * np.vdot(f1.phi_plus, w * p2)
-           + (1.0 - a) * np.vdot(f1.phi_minus, w * m2))
+    acc = ((1.0 + a) * blocked_vdot(f1.phi_plus, w * p2)
+           + (1.0 - a) * blocked_vdot(f1.phi_minus, w * m2))
     return complex(acc) * f1.lattice.volume * (f1.params.kappa / f1.params.mass)
 
 
@@ -138,7 +151,7 @@ def test_inner_0_is_bitwise_unchanged(shape):
     for f in fields.values():
         for f1, f2 in ((f, g), (g, f), (f, f)):
             assert_same_bytes(np.complex128(inner_0(f1, f2)),
-                              np.complex128(old_inner_0(f1, f2)))
+                              np.complex128(old_inner(f1, f2)))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -159,6 +172,65 @@ def test_localized_state_is_bitwise_unchanged(shape, eps):
     assert_same_bytes(f.psi_grid(T), old_modes_to_grid(lat, old_psi(old, T)))
 
 
+def _with_signed_zeros(f):
+    """f with +-0 real and imaginary parts planted in both sectors."""
+    sectors = []
+    for phi in (f.phi_plus, f.phi_minus):
+        flat = phi.copy().reshape(-1)
+        flat[1::7] = -0.0 + 1j * flat[1::7].imag
+        flat[2::11] = flat[2::11].real - 0.0j
+        flat[3::13] = complex(-0.0, -0.0)
+        flat[4::17] = complex(0.0, -0.0)
+        sectors.append(flat.reshape(phi.shape))
+    return f.copy_with(phi_plus=sectors[0], phi_minus=sectors[1])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_routes_at_the_reference_time_are_bitwise_unchanged(shape):
+    lat, fields = _fields(shape)
+    t0 = 0.9
+    g = _with_signed_zeros(random_field(lat, PARAMS, seed=6, t0=t0))
+    for f in fields.values():
+        f = _with_signed_zeros(f.copy_with(t0=t0))
+        for new, old in zip(f.mode_pair(t0), old_pair(f, t0)):
+            assert_same_bytes(new, old)
+        assert_same_bytes(f.mode_psi(t0), old_psi(f, t0))
+        assert_same_bytes(f.mode_psidot(t0), old_psidot(f, t0))
+        assert_same_bytes(f.psi_grid(t0), old_modes_to_grid(lat, old_psi(f, t0)))
+        assert_same_bytes(f.psidot_grid(t0),
+                          old_modes_to_grid(lat, old_psidot(f, t0)))
+        for f1, f2 in ((f, g), (g, f), (f, f)):
+            assert_same_bytes(np.complex128(inner_0(f1, f2)),
+                              np.complex128(old_inner(f1, f2)))
+            assert_same_bytes(np.complex128(inner_a(f1, f2)),
+                              np.complex128(old_inner(f1, f2, PARAMS.a)))
+    idx = tuple(n // 3 for n in lat.nodes)
+    y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
+    state = localized_state(1, y, lat, PARAMS, t0=t0).field
+    assert_same_bytes(state.psi_grid(t0),
+                      old_modes_to_grid(lat, old_psi(state, t0)))
+
+
+def test_reference_time_takes_no_grid_sized_exp(monkeypatch):
+    lat, fields = _fields("32x32x32")
+    f = fields["both"]
+    g = random_field(lat, PARAMS, seed=6, t0=f.t0)
+    sizes = []
+    real_exp = np.exp
+
+    def exp(x, *args, **kw):
+        sizes.append(np.size(x))
+        return real_exp(x, *args, **kw)
+
+    monkeypatch.setattr(np, "exp", exp)
+    f.mode_pair(f.t0)
+    f.psi_grid(f.t0)
+    inner_0(f, g)
+    assert max(sizes, default=0) <= 1, f"exp over {max(sizes)} elements"
+    f.mode_pair(T)                  # the spy sees the moving case
+    assert max(sizes) == lat.total_nodes
+
+
 def test_transforms_leave_their_input_alone():
     lat, fields = _fields("32x32x32")
     f = fields["both"]
@@ -177,7 +249,7 @@ def test_mode_pair_returns_new_arrays():
     _, fields = _fields("32x32x32")
     f = fields["both"]
     plus, minus = f.phi_plus.copy(), f.phi_minus.copy()
-    for t in (T0, T):
+    for t in (T0, T):               # T0 is the field's own reference time
         for out in f.mode_pair(t):
             assert not np.shares_memory(out, f.phi_plus)
             assert not np.shares_memory(out, f.phi_minus)
