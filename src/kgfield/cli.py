@@ -47,7 +47,7 @@ from .currents import (
 )
 from .gauge import norm_drift
 from .inner import inner_a, inner_a_split, norm_a
-from .limits import fit_slope, schrodinger_deviation
+from .limits import fit_slope, limit_params, schrodinger_deviation
 from .localization import besselK_profile, localized_state
 from .reporting import write_csv, write_json
 from .stateio import inspect_state, load_state
@@ -569,11 +569,10 @@ def _sweep_point(payload: dict) -> float:
 
     if axis == "M":
         # nonrelativistic deviation of the a-current from the Schrodinger
-        # reference; kappa = 1/(1+a) so the leading densities match, and
-        # the comparison runs at a generic time away from the reference
-        # slice where the first correction degenerates
-        params = ModelParams(mass=params.mass, kappa=1.0 / (1.0 + params.a),
-                             a=params.a)
+        # reference under the limit convention for kappa; the comparison
+        # runs at a generic time away from the reference slice where the
+        # first correction degenerates
+        params = limit_params(params.mass, params.a)
         block = config["field"]
         if block["construction"] != "gaussian-packet":
             raise TaskError("axis M: needs a gaussian-packet field")

@@ -188,9 +188,26 @@ class MomentumLattice:
         return (delta + L / 2.0) % L - L / 2.0
 
 
+_ZERO = np.complex128(0.0)
+
+
+def _all_bytes_zero(grid: np.ndarray) -> bool:
+    """True if every byte of the contiguous grid is zero; blocks of 64 Ki
+    words stop the scan at the first non-zero one."""
+    words = grid.reshape(-1).view(np.uint64)
+    return not any(words[i:i + 65536].any()
+                   for i in range(0, words.size, 65536))
+
+
 @dataclass
 class LatticeField:
-    """Field configuration as mode coefficients over a momentum lattice."""
+    """Field configuration as mode coefficients over a momentum lattice.
+
+    zero_sectors records, per sector (plus, minus), whether every byte of
+    its grid is zero, so that every entry is +0+0j.  It is derived from the
+    content on every construction, copy_with included, and a sector it
+    names is stored read-only so that the record cannot go stale.
+    """
 
     lattice: MomentumLattice
     params: ModelParams
@@ -202,24 +219,39 @@ class LatticeField:
         shape = tuple(self.lattice.nodes)
         if self.phi_plus.shape != shape or self.phi_minus.shape != shape:
             raise ValueError("coefficient grids must match the lattice shape")
-        self.phi_plus = np.ascontiguousarray(self.phi_plus, dtype=complex)
-        self.phi_minus = np.ascontiguousarray(self.phi_minus, dtype=complex)
         if not np.isfinite(self.t0):
             raise ValueError(f"start time t0 must be finite, got {self.t0!r}")
+        zero = []
         for name in ("phi_plus", "phi_minus"):
-            if not np.isfinite(getattr(self, name)).all():
+            phi = np.ascontiguousarray(getattr(self, name), dtype=complex)
+            zero.append(_all_bytes_zero(phi))
+            if zero[-1]:
+                phi = phi.view()
+                phi.flags.writeable = False
+            elif not np.isfinite(phi).all():
                 raise ValueError(f"{name} holds a non-finite coefficient")
+            setattr(self, name, phi)
+        self.zero_sectors = tuple(zero)
 
     @property
     def omega(self) -> np.ndarray:
         return self.lattice.omega(self.params.mass)
 
-    def mode_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Re-phased (phi+, phi-) coefficient grids at time t, both new."""
+    def _rephased(self, t: float):
+        """(phi+, phi-) re-phased to time t as new grids, except that at
+        t == t0 a sector in zero_sectors is the scalar +0: every entry of
+        its grid would be (+0, +0) * (1, -+0) = (+0, +0).  At least one of
+        the two is a grid."""
         if t == self.t0:
             # phi * exp(-i w 0) is phi * (1, +0): a copy would differ at signed zeros
             unit = np.complex128(1.0)
-            return self.phi_plus * unit, self.phi_minus * np.conj(unit)
+            zp, zm = self.zero_sectors
+            p = _ZERO if zp else self.phi_plus * unit
+            m = _ZERO if zm else self.phi_minus * np.conj(unit)
+            if zp and zm:
+                p = np.zeros(self.phi_plus.shape, dtype=complex)
+            return p, m
+        # away from t0 a zero sector takes signed zeros from the phase
         ph = -1j * self.omega * (t - self.t0)
         np.exp(ph, out=ph)
         # left an expression: numpy's temporary elision picks the operand
@@ -227,15 +259,21 @@ class LatticeField:
         m = self.phi_minus * np.conj(ph)
         return np.multiply(self.phi_plus, ph, out=ph), m
 
+    def mode_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Re-phased (phi+, phi-) coefficient grids at time t, both new."""
+        return tuple(np.zeros(self.phi_plus.shape, dtype=complex)
+                     if np.ndim(s) == 0 else s for s in self._rephased(t))
+
     def mode_psi(self, t: float) -> np.ndarray:
-        p, m = self.mode_pair(t)
-        return np.add(p, m, out=p)
+        p, m = self._rephased(t)
+        return np.add(p, m, out=p if np.ndim(p) else m)
 
     def mode_psidot(self, t: float) -> np.ndarray:
-        p, m = self.mode_pair(t)
-        np.subtract(p, m, out=p)
-        del m
-        return np.multiply(-1j * self.omega, p, out=p)
+        p, m = self._rephased(t)
+        out = p if np.ndim(p) else m
+        np.subtract(p, m, out=out)
+        del p, m
+        return np.multiply(-1j * self.omega, out, out=out)
 
     def psi_grid(self, t: float) -> np.ndarray:
         return self.lattice._synthesize(self.mode_psi(t))
@@ -282,9 +320,11 @@ def apply_C(field: LatticeField) -> LatticeField:
 
 def energy_split(field: LatticeField) -> tuple[LatticeField, LatticeField]:
     """Projections (psi + C psi)/2 and (psi - C psi)/2 onto the two sectors."""
-    zero = np.zeros_like(field.phi_plus)
-    plus = field.copy_with(phi_plus=field.phi_plus.copy(), phi_minus=zero)
-    minus = field.copy_with(phi_plus=zero.copy(), phi_minus=field.phi_minus.copy())
+    shape = field.phi_plus.shape
+    plus = field.copy_with(phi_plus=field.phi_plus.copy(),
+                           phi_minus=np.zeros(shape, dtype=complex))
+    minus = field.copy_with(phi_plus=np.zeros(shape, dtype=complex),
+                            phi_minus=field.phi_minus.copy())
     return plus, minus
 
 
@@ -371,7 +411,7 @@ def positive_packet(lattice, params, sigma, kcarrier=None, center=None,
     g = gaussian_profile(lattice, sigma, center, kcarrier)
     phi_plus = lattice.grid_to_modes(g)
     return LatticeField(lattice, params, phi_plus,
-                        np.zeros_like(phi_plus), t0)
+                        np.zeros(phi_plus.shape, dtype=complex), t0)
 
 
 def schrodinger_packet(lattice, params, sigma, kcarrier=None, center=None,

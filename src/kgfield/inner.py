@@ -64,15 +64,26 @@ def _sector_form(f1: LatticeField, f2: LatticeField, a: float) -> complex:
     """(kappa/M) V sum_k w [(1+a) conj(phi1+) phi2+ + (1-a) conj(phi1-) phi2-].
 
     f2 is re-phased to f1's reference time; the common phase of the two
-    fields cancels, so only a difference of their t0 survives.
+    fields cancels, so only a difference of their t0 survives.  A sector
+    that is zero in both fields at a shared t0 reduces to exactly +0.
     """
     _check_pair(f1, f2)
     p = f1.params
     w = f1.omega
-    p2, m2 = f2.mode_pair(f1.t0)
-    acc = ((1.0 + a) * _vdot(f1.phi_plus, np.multiply(w, p2, out=p2))
-           + (1.0 - a) * _vdot(f1.phi_minus, np.multiply(w, m2, out=m2)))
+    p2, m2 = f2._rephased(f1.t0)
+    acc = ((1.0 + a) * _weighted_vdot(f1.phi_plus, f1.zero_sectors[0], w, p2)
+           + (1.0 - a) * _weighted_vdot(f1.phi_minus, f1.zero_sectors[1], w, m2))
     return complex(acc) * f1.lattice.volume * (p.kappa / p.mass)
+
+
+def _weighted_vdot(phi1: np.ndarray, zero1: bool, w: np.ndarray, phi2):
+    """_vdot(phi1, w * phi2), where phi2 is a re-phased grid or the scalar
+    +0 that stands for a zero grid; np.vdot of two +0 grids is +0."""
+    if np.ndim(phi2) == 0:
+        if zero1:
+            return np.complex128(0.0)
+        phi2 = np.zeros(phi1.shape, dtype=complex)
+    return _vdot(phi1, np.multiply(w, phi2, out=phi2))
 
 
 def inner_a(f1: LatticeField, f2: LatticeField,

@@ -33,14 +33,19 @@ def fit_slope(masses, deviations) -> float:
     return float(np.polyfit(np.log(masses), np.log(deviations), 1)[0])
 
 
+def limit_params(mass: float, a: float) -> ModelParams:
+    """Model parameters under the limit convention kappa = 1/(1+a), the
+    choice that sends the currents to the Schrodinger pair."""
+    return ModelParams(mass=float(mass), kappa=1.0 / (1.0 + a), a=a)
+
+
 @dataclass(frozen=True)
 class LimitSweep:
     """Fixed spatial packet swept over a geometric mass ladder.
 
     The profile (width sigma, carrier kcarrier) is held fixed; only the
-    mass moves.  The normalization convention kappa = 1/(1+a) is baked
-    in, which is the choice that sends the currents to the Schrodinger
-    pair (|psi|^2, j).
+    mass moves.  The normalization convention of limit_params,
+    kappa = 1/(1+a), is baked in.
     """
 
     lattice: MomentumLattice
@@ -67,10 +72,10 @@ class LimitSweep:
 
     @property
     def kappa(self) -> float:
-        return 1.0 / (1.0 + self.a)
+        return self.params(1.0).kappa
 
     def params(self, mass: float) -> ModelParams:
-        return ModelParams(mass=float(mass), kappa=self.kappa, a=self.a)
+        return limit_params(mass, self.a)
 
     def packet(self, mass: float) -> LatticeField:
         return schrodinger_packet(self.lattice, self.params(mass),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LatticeField, ModelParams, MomentumLattice, from_initial_data
+from .core import LatticeField, ModelParams, MomentumLattice
 from .inner import inner_0
 
 # Gamma(1/4) to 25 significant digits (computed once with mpmath at
@@ -131,23 +131,14 @@ def _interior_mass_fraction(field: LatticeField, t0: float) -> float:
     return float(dens[mask].sum() / total)
 
 
-def position_apply(field: LatticeField, t0: float | None = None,
-                   cross_check: bool = True) -> list[LatticeField]:
-    """Apply the position operator along each axis.
+def position_apply(field: LatticeField,
+                   t0: float | None = None) -> list[LatticeField]:
+    """Apply the position operator along each axis: conjugate coordinate
+    multiplication by the two-component map.
 
-    Route (i), the definition: conjugate coordinate multiplication by
-    the two-component map.  Route (ii), a cross-check: the closed form
-    x + i k/(2(k^2 + M^2)) acting on the value slot and its adjoint on
-    the derivative slot.  With cross_check on, the two must agree to
-    1e-9 and route (i) is returned.
-
-    The closed form matches the conjugated operator exactly only in the
-    continuum; on the lattice the gap scales like (M dx)^(3/2) weighted
-    by the field's mode content near the cutoff.  Smooth packets sit far
-    below 1e-9, but states that saturate the band (lattice-delta
-    localized states) disagree at the percent level no matter how fine
-    the grid.  Pass cross_check=False for those; route (i) is exact on
-    them.
+    The continuum closed form x + i k/(2(k^2 + M^2)) is a cross-check
+    only (oracles.position_apply_checked); on the lattice it matches
+    this route exactly only in the continuum.
 
     Coordinate multiplication on a periodic box only makes sense away
     from the wrap, so fields must hold 99.9% of their position density
@@ -160,39 +151,11 @@ def position_apply(field: LatticeField, t0: float | None = None,
         raise ValueError(
             f"field is not interior-localized (central-half mass {frac:.6f})")
     lat = field.lattice
-    params = field.params
-    xi = map_Ua(field, 0.0, t0)
-    g1, g2 = xi.grids()
-    xgrids = lat.coordinate_grids()
-
-    out = []
-    psi_modes, psidot_modes = field.mode_psi(t0), field.mode_psidot(t0)
-    psi0 = lat.modes_to_grid(psi_modes)
-    psidot0 = lat.modes_to_grid(psidot_modes)
-    for i, xg in enumerate(xgrids):
-        # route (i)
-        xi_x = TwoComponent(lat, params,
-                            lat.grid_to_modes(xg * g1),
-                            lat.grid_to_modes(xg * g2), t0)
-        via_map = map_U_inverse(xi_x, 0.0)
-
-        if cross_check:
-            # route (ii)
-            mult = lat.k_grids[i] / (2.0 * (lat.ksq + params.mass ** 2))
-            val = xg * psi0 + lat.modes_to_grid(1j * mult * psi_modes)
-            dot = xg * psidot0 - lat.modes_to_grid(1j * mult * psidot_modes)
-            direct = from_initial_data(lat, params, val, dot, t0=t0)
-
-            scale = max(np.abs(via_map.phi_plus).max(),
-                        np.abs(via_map.phi_minus).max(), 1e-300)
-            dev = max(np.abs(via_map.phi_plus - direct.phi_plus).max(),
-                      np.abs(via_map.phi_minus - direct.phi_minus).max())
-            if dev > 1e-9 * scale:
-                raise FloatingPointError(
-                    f"position operator routes disagree (rel dev "
-                    f"{dev/scale:.3e}); band-saturating or wrapping field")
-        out.append(via_map)
-    return out
+    g1, g2 = map_Ua(field, 0.0, t0).grids()
+    return [map_U_inverse(TwoComponent(lat, field.params,
+                                       lat.grid_to_modes(xg * g1),
+                                       lat.grid_to_modes(xg * g2), t0), 0.0)
+            for xg in lat.coordinate_grids()]
 
 
 # -------------------------------------------------------- localized states
@@ -243,7 +206,7 @@ def localized_state(epsilon: int, y, lattice: MomentumLattice,
     winv = lattice.omega(params.mass) ** -0.5
     root = np.sqrt(params.mass / params.kappa)
     phi = np.multiply(np.multiply(root, winv, out=winv), modes, out=modes)
-    zero = np.zeros_like(phi)
+    zero = np.zeros(shape, dtype=complex)     # calloc: no pages until written
     if epsilon > 0:
         f = LatticeField(lattice, params, phi, zero, t0=t0)
     else:

@@ -309,7 +309,7 @@ def _chk_position(ctx):
     params = ModelParams(mass=1.0, kappa=1.0, a=0.0)
     y = 8 * lat.spacings[0]
     s = localized_state(1, (y,), lat, params)
-    comps = position_apply(s.field, cross_check=False)
+    comps = position_apply(s.field)
     dev = np.abs(comps[0].phi_plus - y * s.field.phi_plus).max()
     return dev / np.abs(s.field.phi_plus).max(), 1e-12
 

@@ -245,7 +245,7 @@ def test_criterion_06_localization():
     for eps in (1, -1):
         for j in rng.choice(inner_nodes, size=10, replace=False):
             s = localized_state(eps, (axes1[0][j],), lat1, p1)
-            out = position_apply(s.field, cross_check=False)[0]
+            out = position_apply(s.field)[0]
             scale = max(np.abs(s.field.phi_plus).max(),
                         np.abs(s.field.phi_minus).max()) * max(1.0, abs(s.y[0]))
             eig_dev = _worst((

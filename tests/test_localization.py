@@ -16,6 +16,7 @@ from kgfield.core import (
     gaussian_profile,
     positive_packet,
     random_field,
+    schrodinger_packet,
 )
 from kgfield.inner import inner_0, inner_a
 from kgfield.localization import (
@@ -35,7 +36,13 @@ from kgfield.localization import (
     probability_region,
     wavefunction_f,
 )
-from kgfield.oracles import field_from_wavefunctions, momentum_apply, pair_sum
+from kgfield import oracles
+from kgfield.oracles import (
+    field_from_wavefunctions,
+    momentum_apply,
+    pair_sum,
+    position_apply_checked,
+)
 
 # frozen continuum profile values at M = 1, kappa = 1 (25-digit quadrature)
 PROFILE_HALF = 0.157757587038505329
@@ -217,8 +224,8 @@ def big_box(N=256, L=48.0):
 
 
 def test_position_eigenvalue_equation():
-    # localized states saturate the band, so the continuum closed-form
-    # cross-check does not apply; the conjugation route is exact on them
+    # localized states saturate the band, so the continuum closed form
+    # does not apply; the conjugation route is exact on them
     lat = big_box()
     params = ModelParams(mass=1.0)
     axes = lat.coordinate_axes()
@@ -227,7 +234,7 @@ def test_position_eigenvalue_equation():
     for eps in (1, -1):
         for j in rng.choice(inner_nodes, size=10, replace=False):
             s = localized_state(eps, (axes[0][j],), lat, params)
-            out = position_apply(s.field, cross_check=False)[0]
+            out = position_apply(s.field)[0]
             scale = (abs(s.y[0]) + 1.0) * (np.abs(s.field.phi_plus).max()
                                            + np.abs(s.field.phi_minus).max())
             assert np.abs(out.phi_plus - s.y[0] * s.field.phi_plus).max() \
@@ -241,8 +248,8 @@ def test_position_cross_check_flags_band_saturation():
     params = ModelParams(mass=1.0)
     s = localized_state(1, (0.0,), lat, params)
     with pytest.raises(FloatingPointError):
-        position_apply(s.field)
-    out = position_apply(s.field, cross_check=False)[0]
+        position_apply_checked(s.field)
+    out = position_apply(s.field)[0]
     assert np.abs(out.phi_plus).max() < 1e-12    # y = 0 annihilates it
 
 
@@ -250,9 +257,28 @@ def test_position_expectation_of_centered_packet():
     lat = big_box()
     params = ModelParams(mass=1.0)
     f = positive_packet(lat, params, sigma=1.5)
-    xf = position_apply(f)[0]
+    xf = position_apply_checked(f)[0]
+    assert xf.phi_plus.tobytes() == position_apply(f)[0].phi_plus.tobytes()
     expect = inner_0(f, xf).real / inner_0(f, f).real
     assert abs(expect) < 1e-8
+
+
+def test_position_cross_check_fails_on_nan_in_second_sector(monkeypatch):
+    # fields reject NaN at construction, so the NaN goes in place into the
+    # closed-form field; Python's max(dev_plus, nan) would return dev_plus
+    lat = big_box()
+    f = schrodinger_packet(lat, ModelParams(mass=1.0), sigma=1.5)
+    position_apply_checked(f)
+    closed_form = oracles.position_closed_form
+
+    def nan_in_minus_sector(field, t0=None):
+        out = closed_form(field, t0)
+        out[0].phi_minus[5] = np.nan
+        return out
+
+    monkeypatch.setattr(oracles, "position_closed_form", nan_in_minus_sector)
+    with pytest.raises(FloatingPointError, match="rel dev nan"):
+        position_apply_checked(f)
 
 
 def test_position_rejects_wrapping_fields():
@@ -263,6 +289,8 @@ def test_position_rejects_wrapping_fields():
     f = from_initial_data(lat, params, prof, -1j * params.mass * prof)
     with pytest.raises(ValueError):
         position_apply(f)
+    with pytest.raises(ValueError):
+        position_apply_checked(f)
 
 
 def test_momentum_operator_is_spectral():

@@ -9,6 +9,9 @@ with swapped operands, and complex multiplication is not bitwise
 commutative, so the two shapes sit on either side of that threshold.
 At a field's own reference time mode_pair multiplies by a scalar unit
 instead of an exp grid; the routes must still give the exp grid's bytes.
+A sector that is zero in every byte is neither re-phased there nor
+reduced against another zero sector; the one-sector routes must still
+give the bytes of the two-grid expressions.
 """
 
 import tracemalloc
@@ -19,11 +22,15 @@ import pytest
 from kgfield.core import (
     ModelParams,
     MomentumLattice,
+    apply_C,
     energy_split,
+    positive_packet,
     random_field,
 )
+from kgfield.currents import current_calJa, current_Ja, rho_a
+from kgfield.gauge import gauge_transform
 from kgfield.inner import inner_0, inner_a
-from kgfield.localization import localized_state
+from kgfield.localization import localized_state, map_Ua
 
 PARAMS = ModelParams(mass=1.3, kappa=0.8, a=0.35)
 T0, T = 0.25, 0.9
@@ -172,17 +179,20 @@ def test_localized_state_is_bitwise_unchanged(shape, eps):
     assert_same_bytes(f.psi_grid(T), old_modes_to_grid(lat, old_psi(old, T)))
 
 
+def _planted(phi):
+    """phi with +-0 real and imaginary parts planted."""
+    flat = phi.copy().reshape(-1)
+    flat[1::7] = -0.0 + 1j * flat[1::7].imag
+    flat[2::11] = flat[2::11].real - 0.0j
+    flat[3::13] = complex(-0.0, -0.0)
+    flat[4::17] = complex(0.0, -0.0)
+    return flat.reshape(phi.shape)
+
+
 def _with_signed_zeros(f):
     """f with +-0 real and imaginary parts planted in both sectors."""
-    sectors = []
-    for phi in (f.phi_plus, f.phi_minus):
-        flat = phi.copy().reshape(-1)
-        flat[1::7] = -0.0 + 1j * flat[1::7].imag
-        flat[2::11] = flat[2::11].real - 0.0j
-        flat[3::13] = complex(-0.0, -0.0)
-        flat[4::17] = complex(0.0, -0.0)
-        sectors.append(flat.reshape(phi.shape))
-    return f.copy_with(phi_plus=sectors[0], phi_minus=sectors[1])
+    return f.copy_with(phi_plus=_planted(f.phi_plus),
+                       phi_minus=_planted(f.phi_minus))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -259,13 +269,23 @@ def test_mode_pair_returns_new_arrays():
     assert_same_bytes(f.phi_minus, minus)
 
 
-@pytest.mark.parametrize("route", ["psi_grid", "psidot_grid", "inner_0"])
+# complex grids above held memory at 48^3
+BUDGETS = {"psi_grid": 2.5, "psidot_grid": 2.5, "inner_0": 2.5,
+           "one-sector-psi_grid": 1.75, "one-sector-inner_0": 1.25}
+
+
+@pytest.mark.parametrize("route", BUDGETS)
 def test_lean_routes_stay_within_their_memory_budget(route):
     lat = MomentumLattice([6.0] * 3, [48] * 3)
-    f = random_field(lat, PARAMS, seed=7, t0=T0)
-    run = {"psi_grid": lambda: f.psi_grid(T),
-           "psidot_grid": lambda: f.psidot_grid(T),
-           "inner_0": lambda: inner_0(f, f)}[route]
+    if route.startswith("one-sector"):
+        # the zero sector is neither re-phased nor reduced: one grid less
+        f = localized_state(1, [0.0] * 3, lat, PARAMS, t0=T0).field
+        t = T0
+    else:
+        f, t = random_field(lat, PARAMS, seed=7, t0=T0), T
+    run = {"psi_grid": lambda: f.psi_grid(t),
+           "psidot_grid": lambda: f.psidot_grid(t),
+           "inner_0": lambda: inner_0(f, f)}[route.split("-")[-1]]
     run()                       # the lattice caches its frequencies
     tracemalloc.start()
     try:
@@ -275,4 +295,123 @@ def test_lean_routes_stay_within_their_memory_budget(route):
     finally:
         tracemalloc.stop()
     grids = (peak - held) / (16 * lat.total_nodes)
-    assert grids <= 2.5, f"{route} peaked {grids:.2f} complex grids above held"
+    assert grids <= BUDGETS[route], \
+        f"{route} peaked {grids:.2f} complex grids above held"
+
+
+class _TwoGrid:
+    """A field as the two-grid code saw it: mode_pair multiplies both
+    sectors by the exp phase grid, zero or not."""
+
+    def __init__(self, f):
+        self.f, self.lattice, self.params = f, f.lattice, f.params
+        self.omega, self.t0 = f.omega, f.t0
+
+    def mode_pair(self, t):
+        return old_pair(self.f, t)
+
+
+def _one_sector_fields(lat, t0):
+    """Localized states of both signs and the + half of a random field,
+    each with +-0 planted in its live sector."""
+    idx = tuple(n // 3 for n in lat.nodes)
+    y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
+    out = {}
+    for eps in (1, -1):
+        f = localized_state(eps, y, lat, PARAMS, t0=t0).field
+        out[eps] = (f.copy_with(phi_plus=_planted(f.phi_plus)) if eps > 0
+                    else f.copy_with(phi_minus=_planted(f.phi_minus)))
+    plus, _ = energy_split(random_field(lat, PARAMS, seed=8, t0=t0))
+    out["split"] = plus.copy_with(phi_plus=_planted(plus.phi_plus))
+    return out
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("t", ["t0", "T"])
+def test_one_sector_routes_are_bitwise_unchanged(shape, t):
+    lat, _ = _fields(shape)
+    fields = _one_sector_fields(lat, T0)
+    t = T0 if t == "t0" else T
+    for key, f in fields.items():
+        assert f.zero_sectors == ((False, True) if key != -1 else (True, False))
+        for new, old in zip(f.mode_pair(t), old_pair(f, t)):
+            assert_same_bytes(new, old)
+        assert_same_bytes(f.mode_psi(t), old_psi(f, t))
+        assert_same_bytes(f.mode_psidot(t), old_psidot(f, t))
+        assert_same_bytes(f.psi_grid(t), old_modes_to_grid(lat, old_psi(f, t)))
+        assert_same_bytes(f.psidot_grid(t),
+                          old_modes_to_grid(lat, old_psidot(f, t)))
+        old = _TwoGrid(f)
+        for new, ref in ((current_Ja(f, t), current_Ja(old, t)),
+                         (current_calJa(f, t), current_calJa(old, t))):
+            assert_same_bytes(new.components, ref.components)
+        assert_same_bytes(rho_a(f, t), rho_a(old, t))
+        for a in (None, 0.0):
+            new, ref = map_Ua(f, a, t), map_Ua(old, a, t)
+            assert_same_bytes(new.xi1, ref.xi1)
+            assert_same_bytes(new.xi2, ref.xi2)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_sector_inner_products_are_bitwise_unchanged(shape):
+    lat, _ = _fields(shape)
+    ones = list(_one_sector_fields(lat, T0).values())
+    ones.append(ones[0].copy_with(t0=-0.4))      # a zero sector, t0 apart
+    twos = [_with_signed_zeros(random_field(lat, PARAMS, seed=6, t0=t0))
+            for t0 in (T0, -0.4)]
+    pairs = [(f1, f2) for f1 in ones for f2 in ones]
+    pairs += [(f1, f2) for f in ones for g in twos for f1, f2 in ((f, g), (g, f))]
+    for f1, f2 in pairs:
+        assert_same_bytes(np.complex128(inner_0(f1, f2)),
+                          np.complex128(old_inner(f1, f2)))
+        assert_same_bytes(np.complex128(inner_a(f1, f2)),
+                          np.complex128(old_inner(f1, f2, PARAMS.a)))
+
+
+def test_zero_sector_record_follows_the_content():
+    lat, fields = _fields("64x64")
+    f = _one_sector_fields(lat, T0)[1]
+    assert f.zero_sectors == (False, True)
+    assert f.copy_with(t0=T).zero_sectors == (False, True)
+    # a copy with new content derives its record again
+    assert f.copy_with(phi_minus=fields["both"].phi_minus).zero_sectors \
+        == (False, False)
+    # -0 is a non-zero byte: a sector of -0 must take the grid route
+    for neg in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+        g = f.copy_with(phi_minus=np.full(f.phi_minus.shape, neg))
+        assert g.zero_sectors == (False, False)
+        assert_same_bytes(g.mode_psi(T0), old_psi(g, T0))
+    assert apply_C(f).zero_sectors == (False, False)
+    # the recorded sector is read-only, so the record cannot go stale
+    with pytest.raises(ValueError, match="read-only"):
+        f.phi_minus[3, 4] = 1.0
+    assert positive_packet(lat, PARAMS, 0.8).zero_sectors == (False, True)
+    both_zero = f.copy_with(phi_plus=np.zeros(f.phi_plus.shape, dtype=complex))
+    assert both_zero.zero_sectors == (True, True)
+    assert_same_bytes(both_zero.psi_grid(T0),
+                      old_modes_to_grid(lat, old_psi(both_zero, T0)))
+    assert inner_0(both_zero, both_zero) == 0
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_sector_maps_of_one_sector_fields_keep_their_bytes(eps):
+    lat, _ = _fields("32x32x32")
+    f = _one_sector_fields(lat, T0)[eps]
+    g = random_field(lat, PARAMS, seed=6, t0=T0)
+    flipped = apply_C(f)
+    assert_same_bytes(flipped.phi_plus, f.phi_plus)
+    assert_same_bytes(flipped.phi_minus, -f.phi_minus)
+    images = [flipped]
+    for theta in (0.7, 2.5, -1.9):
+        moved = gauge_transform(f, theta)
+        a = PARAMS.a
+        assert_same_bytes(moved.phi_plus,
+                          np.exp(-1j * (a + 1.0) * theta) * f.phi_plus)
+        assert_same_bytes(moved.phi_minus,
+                          np.exp(-1j * (a - 1.0) * theta) * f.phi_minus)
+        images.append(moved)
+    for h in images:
+        assert_same_bytes(h.psi_grid(T0), old_modes_to_grid(lat, old_psi(h, T0)))
+        for f1, f2 in ((h, f), (f, h), (h, h), (h, g)):
+            assert_same_bytes(np.complex128(inner_0(f1, f2)),
+                              np.complex128(old_inner(f1, f2)))
