@@ -224,8 +224,8 @@ def big_box(N=256, L=48.0):
 
 
 def test_position_eigenvalue_equation():
-    # localized states saturate the band, so the continuum closed form
-    # does not apply; the conjugation route is exact on them
+    # localized states saturate the band, so the continuum closed-form
+    # cross-check does not apply; the conjugation route is exact on them
     lat = big_box()
     params = ModelParams(mass=1.0)
     axes = lat.coordinate_axes()
