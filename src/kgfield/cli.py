@@ -38,7 +38,6 @@ from .core import (
     schrodinger_packet,
 )
 from .currents import (
-    TwoModeOracle,
     continuity_residual,
     noncovariance_demo,
     rho_a,
@@ -418,7 +417,7 @@ def _task_rho_a(field, t0, task, config):
 
 def _task_inner_products(field, t0, task, config):
     f = _require_lattice_field(field, "inner_products")
-    v = inner_a(f, f, t0)
+    v = inner_a(f, f)
     split = inner_a_split(f, f, t0)
     summary = {
         "norm_sq": v.real,
@@ -474,26 +473,18 @@ def _task_bessel_profile(field, t0, task, config):
 def _task_current_oracle(field, t0, task, config):
     if not isinstance(field, PlaneWaveField):
         raise TaskError("current-oracle: needs a plane-waves field")
-    if len(field.modes) != 2:
-        raise TaskError("current-oracle: needs exactly two modes")
-    (e1, k1, c1), (e2, k2, c2) = field.modes
-    if e1 != 1 or e2 != 1:
-        raise TaskError("current-oracle: both modes must be positive-energy")
-    oracle = TwoModeOracle(k1, k2, c1, c2, field.params)
-    seed = config.get("seed", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.get("seed", 0))
     events = np.column_stack(
         [rng.uniform(-2.0, 2.0, task["events"])]
         + [rng.uniform(-4.0, 4.0, task["events"]) for _ in range(field.dim)])
-    rows = []
-    for ev in events:
-        rec = two_mode_oracle(oracle, ev)
-        rows.append(tuple(ev) + tuple(np.real(rec["J"]))
-                    + tuple(rec["calJ"]) + (rec["div_calJ"],))
     try:
-        demo = noncovariance_demo(oracle, Boost((task["beta"],) + (0.0,) * (field.dim - 1)))
+        records = [two_mode_oracle(field, ev) for ev in events]
+        demo = noncovariance_demo(
+            field, Boost((task["beta"],) + (0.0,) * (field.dim - 1)))
     except ValueError as exc:
         raise TaskError(f"current-oracle: {exc}") from None
+    rows = [tuple(ev) + tuple(np.real(rec["J"])) + tuple(rec["calJ"])
+            + (rec["div_calJ"],) for ev, rec in zip(events, records)]
     cols = (tuple(f"x{i}" for i in range(field.dim + 1))
             + tuple(f"J{i}" for i in range(field.dim + 1))
             + tuple(f"calJ{i}" for i in range(field.dim + 1))
@@ -613,6 +604,8 @@ def _cmd_sweep(args) -> int:
                 raise ConfigError("axis a: grid values must lie in (-1, 1)")
     if axis == "M" and any(v <= 0 for v in config["grid"]):
         raise ConfigError("axis M: grid values must be positive")
+    if axis == "M" and len(config["grid"]) < 4:
+        raise ConfigError("axis M: the slope fit needs at least 4 grid points")
 
     payloads = [{"config": config, "value": v} for v in config["grid"]]
     workers = max(1, args.workers)
@@ -638,8 +631,8 @@ def _cmd_sweep(args) -> int:
     if "json" in formats:
         payload = {"axis": axis, "grid": list(config["grid"]),
                    "values": values}
-        if footer:
-            payload["fitted_slope"] = fit_slope(config["grid"], values)
+        if axis == "M":
+            payload["fitted_slope"] = slope
         write_json(outdir / f"sweep_{axis}.json", payload, config)
         print(f"wrote {outdir / f'sweep_{axis}.json'}")
     return 0
@@ -669,29 +662,27 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"kgfield {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None,
-                       help="output directory (KGFIELD_OUT overrides)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="restrict emitted artifact format")
-
     p_verify = sub.add_parser("verify", help="run registered invariant checks")
     p_verify.add_argument("--suite", default=None,
                           help=f"one of {available_suites()}")
-    common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_scn = sub.add_parser("scenario", help="run a scenario config")
     p_scn.add_argument("config")
-    common(p_scn)
     p_scn.set_defaults(func=_cmd_scenario)
 
     p_swp = sub.add_parser("sweep", help="scan one axis of a config")
     p_swp.add_argument("config")
     p_swp.add_argument("--workers", type=int, default=1)
-    common(p_swp)
     p_swp.set_defaults(func=_cmd_sweep)
+
+    for p in (p_verify, p_scn, p_swp):
+        p.add_argument("--out", default=None,
+                       help="output directory (KGFIELD_OUT overrides)")
+    for p in (p_scn, p_swp):
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="restrict emitted artifact format")
 
     p_state = sub.add_parser("state", help="state-file utilities")
     state_sub = p_state.add_subparsers(dest="state_cmd", required=True)

@@ -4,8 +4,10 @@ Two current families live here.  current_Ja is the conserved, covariant
 one built from the charge-graded field; current_calJa is the genuinely
 probabilistic one built from quarter-power frequency weights, which is
 real and nonnegative in its time slot but neither conserved nor
-covariant.  Closed forms for two-mode superpositions make both failure
-modes quantitative.
+covariant.  Closed forms make both failure modes quantitative:
+planewave_current_Ja sums any PlaneWaveField, and two_mode_oracle and
+noncovariance_demo take a PlaneWaveField of two positive-energy modes
+with non-zero coefficients and raise ValueError for any other.
 
 Quadratic products double the spectral bandwidth, so every grid current
 is evaluated on a 2x zero-padded lattice and spatial derivatives are
@@ -22,7 +24,6 @@ import numpy as np
 from .core import (
     Boost,
     LatticeField,
-    ModelParams,
     PlaneWaveField,
     boost_planewave,
     minkowski_dot,
@@ -242,45 +243,19 @@ def planewave_current_Ja(field: PlaneWaveField, events: np.ndarray) -> np.ndarra
 # -------------------------------------------------------- two-mode oracle
 
 
-@dataclass(frozen=True)
-class TwoModeOracle:
-    """Two positive-energy plane waves with everything in closed form."""
-
-    k1: np.ndarray
-    k2: np.ndarray
-    c1: complex
-    c2: complex
-    params: ModelParams
-
-    def __post_init__(self):
-        object.__setattr__(self, "k1", np.atleast_1d(np.asarray(self.k1, float)))
-        object.__setattr__(self, "k2", np.atleast_1d(np.asarray(self.k2, float)))
-        if self.k1.shape != self.k2.shape:
-            raise ValueError("wave vectors must share a dimension")
-        if self.c1 == 0 or self.c2 == 0:
-            raise ValueError("oracle needs two nonzero coefficients")
-
-    @property
-    def omega1(self) -> float:
-        return float(np.sqrt(self.k1 @ self.k1 + self.params.mass ** 2))
-
-    @property
-    def omega2(self) -> float:
-        return float(np.sqrt(self.k2 @ self.k2 + self.params.mass ** 2))
-
-    def fourvectors(self):
-        p1 = np.concatenate([[self.omega1], self.k1])
-        p2 = np.concatenate([[self.omega2], self.k2])
-        return p1, p2
-
-    def as_planewave(self) -> PlaneWaveField:
-        return PlaneWaveField(self.params,
-                              [(1, self.k1.copy(), self.c1),
-                               (1, self.k2.copy(), self.c2)],
-                              dim=len(self.k1))
+def _two_mode_fourvectors(field: PlaneWaveField) -> np.ndarray:
+    """Rows p1, p2 of a field of two positive-energy modes with non-zero
+    coefficients, the only fields the closed forms below describe."""
+    if len(field.modes) != 2:
+        raise ValueError("needs exactly two modes")
+    if any(eps != 1 for eps, _, _ in field.modes):
+        raise ValueError("both modes must be positive-energy")
+    if any(c == 0 for _, _, c in field.modes):
+        raise ValueError("needs two nonzero coefficients")
+    return field.mode_fourvectors()
 
 
-def two_mode_oracle(o: TwoModeOracle, x: np.ndarray) -> dict:
+def two_mode_oracle(field: PlaneWaveField, x: np.ndarray) -> dict:
     """All the closed forms at one event x = (t, x1..xd).
 
     K^mu mixes the two on-shell four-vectors with square-root frequency
@@ -288,9 +263,10 @@ def two_mode_oracle(o: TwoModeOracle, x: np.ndarray) -> dict:
     exactly what makes it fail to be a scalar.
     """
     x = np.asarray(x, dtype=float)
-    p1, p2 = o.fourvectors()
-    params = o.params
-    w1, w2 = o.omega1, o.omega2
+    p1, p2 = _two_mode_fourvectors(field)
+    (_, _, c1), (_, _, c2) = field.modes
+    params = field.params
+    w1, w2 = p1[0], p2[0]
     r12 = np.sqrt(w2 / w1)
     K = r12 * p1 + p2 / r12
     dot12 = minkowski_dot(p1, p2)
@@ -298,8 +274,8 @@ def two_mode_oracle(o: TwoModeOracle, x: np.ndarray) -> dict:
 
     eta1 = -p1[0] * x[0] + p1[1:] @ x[1:]
     eta2 = -p2[0] * x[0] + p2[1:] @ x[1:]
-    cross = o.c1 * np.conj(o.c2) * np.exp(1j * (eta1 - eta2))
-    base = (np.abs(o.c1) ** 2 * p1 + np.abs(o.c2) ** 2 * p2)
+    cross = c1 * np.conj(c2) * np.exp(1j * (eta1 - eta2))
+    base = (np.abs(c1) ** 2 * p1 + np.abs(c2) ** 2 * p2)
     fac = params.kappa / params.mass
 
     calJ = (1.0 + params.a) * fac * (base + np.real(cross) * K)
@@ -317,25 +293,24 @@ def two_mode_oracle(o: TwoModeOracle, x: np.ndarray) -> dict:
     }
 
 
-def noncovariance_demo(o: TwoModeOracle, boost: Boost) -> dict:
+def noncovariance_demo(field: PlaneWaveField, boost: Boost) -> dict:
     """Boost the two modes exactly and watch K.K change.
 
     The honest scalar 2 k1.k2 stays put; the frequency-ratio term does
     not, which is the whole point.
     """
-    if abs(o.omega1 - o.omega2) < 1e-9:
+    p1, p2 = _two_mode_fourvectors(field)
+    if abs(p1[0] - p2[0]) < 1e-9:
         raise ValueError("equal mode frequencies: the obstruction vanishes")
-    before = two_mode_oracle(o, np.zeros(len(o.k1) + 1))
-    pw = boost_planewave(o.as_planewave(), boost)
-    (_, k1b, c1b), (_, k2b, c2b) = pw.modes
-    ob = TwoModeOracle(k1b, k2b, c1b, c2b, o.params)
-    after = two_mode_oracle(ob, np.zeros(len(o.k1) + 1))
-    p1, p2 = o.fourvectors()
-    q1, q2 = ob.fourvectors()
+    boosted = boost_planewave(field, boost)
+    q1, q2 = boosted.mode_fourvectors()
+    origin = np.zeros(field.dim + 1)
+    before = two_mode_oracle(field, origin)["Ksq"]
+    after = two_mode_oracle(boosted, origin)["Ksq"]
     return {
-        "Ksq_before": before["Ksq"],
-        "Ksq_after": after["Ksq"],
-        "delta": abs(after["Ksq"] - before["Ksq"]),
+        "Ksq_before": before,
+        "Ksq_after": after,
+        "delta": abs(after - before),
         "dot_before": float(minkowski_dot(p1, p2)),
         "dot_after": float(minkowski_dot(q1, q2)),
     }

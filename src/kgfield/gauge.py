@@ -32,9 +32,14 @@ class GaugeElement:
             raise ValueError("sector weight parameter must lie in (-1, 1)")
 
     @property
+    def phases(self) -> tuple[complex, complex]:
+        """Sector phases e^{-i(a+1)theta}, e^{-i(a-1)theta}."""
+        return (np.exp(-1j * (self.a + 1.0) * self.theta),
+                np.exp(-1j * (self.a - 1.0) * self.theta))
+
+    @property
     def matrix(self) -> np.ndarray:
-        return np.diag([np.exp(-1j * (self.a + 1.0) * self.theta),
-                        np.exp(-1j * (self.a - 1.0) * self.theta)])
+        return np.diag(self.phases)
 
     def compose(self, other: "GaugeElement") -> "GaugeElement":
         if other.a != self.a:
@@ -53,10 +58,7 @@ def gauge_transform(field: LatticeField, theta: float,
     """
     if a is None:
         a = field.params.a
-    if not -1.0 < a < 1.0:
-        raise ValueError("sector weight parameter must lie in (-1, 1)")
-    ph_plus = np.exp(-1j * (a + 1.0) * theta)
-    ph_minus = np.exp(-1j * (a - 1.0) * theta)
+    ph_plus, ph_minus = GaugeElement(theta, a).phases
     # grading-operator route: phases e^{-ia theta}(cos -/+ i sin)
     base = np.exp(-1j * a * theta)
     alt_plus = base * (np.cos(theta) - 1j * np.sin(theta))
@@ -101,9 +103,7 @@ class GroupClass:
 
 def _element_distance(a: float, theta: float) -> float:
     """Entrywise distance of the group element at theta from identity."""
-    d1 = abs(np.exp(-1j * (a + 1.0) * theta) - 1.0)
-    d2 = abs(np.exp(-1j * (a - 1.0) * theta) - 1.0)
-    return max(d1, d2)
+    return max(abs(ph - 1.0) for ph in GaugeElement(theta, a).phases)
 
 
 def _divisors(n: int) -> list[int]:

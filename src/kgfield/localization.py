@@ -115,12 +115,11 @@ def position_density(field: LatticeField, t0: float | None = None) -> np.ndarray
     return np.abs(fp) ** 2 + np.abs(fm) ** 2
 
 
-def _interior_mass_fraction(field: LatticeField, t0: float) -> float:
-    dens = position_density(field, t0)
-    axes = field.lattice.coordinate_axes()
+def _interior_mass_fraction(lattice: MomentumLattice, dens: np.ndarray) -> float:
+    axes = lattice.coordinate_axes()
     mask = np.ones(dens.shape, dtype=bool)
     for i, x in enumerate(axes):
-        Li = field.lattice.box_lengths[i]
+        Li = lattice.box_lengths[i]
         sel = np.abs(x) <= Li / 4.0
         shape = [1] * dens.ndim
         shape[i] = -1
@@ -146,12 +145,12 @@ def position_apply(field: LatticeField,
     """
     if t0 is None:
         t0 = field.t0
-    frac = _interior_mass_fraction(field, t0)
+    lat = field.lattice
+    g1, g2 = wavefunction_f(field, t0)
+    frac = _interior_mass_fraction(lat, np.abs(g1) ** 2 + np.abs(g2) ** 2)
     if frac < _INTERIOR_MASS:
         raise ValueError(
             f"field is not interior-localized (central-half mass {frac:.6f})")
-    lat = field.lattice
-    g1, g2 = map_Ua(field, 0.0, t0).grids()
     return [map_U_inverse(TwoComponent(lat, field.params,
                                        lat.grid_to_modes(xg * g1),
                                        lat.grid_to_modes(xg * g2), t0), 0.0)

@@ -33,7 +33,6 @@ from .core import (
     random_field,
 )
 from .currents import (
-    TwoModeOracle,
     continuity_residual,
     noncovariance_demo,
     planewave_current_Ja,
@@ -243,10 +242,10 @@ def _chk_covariance(ctx):
     return float(np.abs(Jb - J @ b.matrix.T).max() / np.abs(J).max()), 1e-10
 
 
-def _reference_oracle() -> TwoModeOracle:
+def _reference_oracle() -> PlaneWaveField:
     params = ModelParams(mass=1.0, kappa=0.8, a=0.3)
-    return TwoModeOracle(np.array([0.0]), np.array([np.sqrt(3.0)]),
-                         0.7 + 0.4j, -0.3 + 0.9j, params)
+    return PlaneWaveField(params, [(1, [0.0], 0.7 + 0.4j),
+                                   (1, [np.sqrt(3.0)], -0.3 + 0.9j)], dim=1)
 
 
 @_check("currents", "closed-form-oracle")
@@ -254,7 +253,7 @@ def _chk_oracle(ctx):
     o = _reference_oracle()
     rng = np.random.default_rng(ctx.seed + 13)
     events = np.column_stack([rng.uniform(-2, 2, 50), rng.uniform(-4, 4, 50)])
-    direct = planewave_current_Ja(o.as_planewave(), events)
+    direct = planewave_current_Ja(o, events)
     dev = _worst(np.abs(direct[i] - two_mode_oracle(o, events[i])["J"]).max()
                  for i in range(len(events)))
     rec = two_mode_oracle(o, np.zeros(2))

@@ -24,7 +24,6 @@ from kgfield.core import (
     random_field,
 )
 from kgfield.currents import (
-    TwoModeOracle,
     continuity_residual,
     current_Ja,
     divergence_grid,
@@ -137,12 +136,11 @@ def test_criterion_04_two_mode_oracles():
     c1, c2 = 0.7 + 0.4j, -0.3 + 0.9j
 
     # closed forms against the direct plane-wave evaluation at 1000 events
-    o = TwoModeOracle(np.array([0.0]), np.array([np.sqrt(3.0)]), c1, c2, params)
+    o = PlaneWaveField(params, [(1, [0.0], c1), (1, [np.sqrt(3.0)], c2)], dim=1)
     rng = np.random.default_rng(29)
     events = np.column_stack([rng.uniform(-2, 2, 1000), rng.uniform(-4, 4, 1000)])
-    pw = o.as_planewave()
-    direct_J = planewave_current_Ja(pw, events)
-    direct_cal = planewave_current_calJa(pw, events)
+    direct_J = planewave_current_Ja(o, events)
+    direct_cal = planewave_current_calJa(o, events)
     scale = np.abs(direct_J).max()
     worst = 0.0
     for i, x in enumerate(events):
@@ -203,10 +201,9 @@ def test_criterion_05_covariance_dichotomy():
                         np.abs(Jb - J @ b.matrix.T).max() / np.abs(J).max()))
     assert worst <= 1e-10
 
-    o = TwoModeOracle(np.array([0.0]), np.array([np.sqrt(3.0)]),
-                      0.7 + 0.4j, -0.3 + 0.9j, params)
+    pw2 = PlaneWaveField(params, [(1, [0.0], 0.7 + 0.4j),
+                                  (1, [np.sqrt(3.0)], -0.3 + 0.9j)], dim=1)
     b = Boost((0.5,))
-    pw2 = o.as_planewave()
     bw2 = boost_planewave(pw2, b)
     events = np.column_stack([rng.uniform(-2, 2, 200), rng.uniform(-4, 4, 200)])
     cal = planewave_current_calJa(pw2, events)

@@ -170,6 +170,15 @@ def test_sweep_a_affine_column(tmp_path, monkeypatch):
 
 
 def test_sweep_mass_slope_footer(tmp_path, monkeypatch):
+    from kgfield import cli
+
+    fits = []
+
+    def counted(*args, _real=cli.fit_slope):
+        fits.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(cli, "fit_slope", counted)
     monkeypatch.delenv("KGFIELD_OUT", raising=False)
     out = tmp_path / "swm"
     doc = {
@@ -190,6 +199,7 @@ def test_sweep_mass_slope_footer(tmp_path, monkeypatch):
     assert abs(slope + 2.0) < 0.4
     payload = json.loads((out / "sweep_M.json").read_text())
     assert abs(payload["fitted_slope"] - slope) < 1e-12
+    assert len(fits) == 1
 
 
 def test_sweep_mass_point_is_the_library_deviation():
@@ -246,6 +256,54 @@ def test_sweep_workers_match_serial(tmp_path, monkeypatch):
     assert b1 == b2
     vals = [float(ln.split(",")[1]) for ln in b1[1:]]
     assert max(vals) < 1e-12
+
+
+def test_sweep_mass_too_short_for_slope_is_config_error(tmp_path, capsys,
+                                                       monkeypatch):
+    from kgfield import cli
+
+    def no_point(payload):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    doc = json.loads((CONFIGS / "sweep_mass.json").read_text())
+    doc["grid"] = doc["grid"][:3]
+    cfg = write_config(tmp_path, "m3.json", doc)
+    assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "at least 4 grid points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "x.json", "--seed", "99"],
+    ["sweep", "x.json", "--seed", "99"],
+    ["verify", "--format", "csv"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes, reason", [
+    ([(1, 0.0, (0.7, 0.4)), (1, 1.0, (0.1, 0.0)), (1, 2.0, (0.2, 0.0))],
+     "exactly two modes"),
+    ([(1, 0.0, (0.7, 0.4)), (-1, 1.0, (0.1, 0.0))], "positive-energy"),
+    ([(1, 0.0, (0.0, 0.0)), (1, 1.0, (0.1, 0.0))], "nonzero coefficients"),
+    ([(1, 1.0, (0.7, 0.4)), (1, -1.0, (0.1, 0.0))], "equal mode frequencies"),
+])
+def test_current_oracle_rejections_exit_one(tmp_path, capsys, modes, reason):
+    doc = json.loads((CONFIGS / "scenario_two_modes.json").read_text())
+    doc["field"]["modes"] = [{"epsilon": e, "k": [k], "coeff": list(c)}
+                             for e, k, c in modes]
+    doc["output"]["directory"] = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "two.json", doc)
+    assert main(["scenario", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("task failed: current-oracle: ")
+    assert reason in err
+    assert "Traceback" not in err
 
 
 def test_sweep_quadrature_order_needs_one_dimension(tmp_path, capsys):

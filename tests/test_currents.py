@@ -15,7 +15,6 @@ from kgfield.core import (
     random_field,
 )
 from kgfield.currents import (
-    TwoModeOracle,
     continuity_residual,
     current_calJa,
     current_Ja,
@@ -181,8 +180,8 @@ def test_real_field_current_independent_of_a():
 
 def reference_oracle(a=0.3, kappa=0.8):
     params = ModelParams(mass=1.0, kappa=kappa, a=a)
-    return TwoModeOracle(np.array([0.0]), np.array([np.sqrt(3.0)]),
-                         0.7 + 0.4j, -0.3 + 0.9j, params)
+    return PlaneWaveField(params, [(1, [0.0], 0.7 + 0.4j),
+                                   (1, [np.sqrt(3.0)], -0.3 + 0.9j)], dim=1)
 
 
 def test_reference_Ksq_value():
@@ -194,13 +193,13 @@ def test_reference_Ksq_value():
 
 def test_oracle_rejects_zero_coefficients():
     params = ModelParams(mass=1.0)
-    with pytest.raises(ValueError):
-        TwoModeOracle(np.array([0.0]), np.array([1.0]), 0.0, 1.0, params)
+    field = PlaneWaveField(params, [(1, [0.0], 0.0), (1, [1.0], 1.0)], dim=1)
+    with pytest.raises(ValueError, match="nonzero coefficients"):
+        two_mode_oracle(field, np.zeros(2))
 
 
 def test_oracle_matches_planewave_sums_at_events():
-    o = reference_oracle()
-    pw = o.as_planewave()
+    pw = reference_oracle()
     rng = np.random.default_rng(41)
     events = np.column_stack([rng.uniform(-3, 3, 1000),
                               rng.uniform(-6, 6, 1000)])
@@ -208,7 +207,7 @@ def test_oracle_matches_planewave_sums_at_events():
     calJ = planewave_current_calJa(pw, events)
     scale = np.abs(J).max()
     for i, x in enumerate(events):
-        rec = two_mode_oracle(o, x)
+        rec = two_mode_oracle(pw, x)
         assert np.abs(J[i] - rec["J"]).max() < 1e-12 * scale
         assert np.abs(calJ[i] - rec["calJ"]).max() < 1e-12 * scale
 
@@ -216,12 +215,13 @@ def test_oracle_matches_planewave_sums_at_events():
 def test_small_second_coefficient_limit():
     # as c2 -> 0 the oracle tends to the one-mode current scaled by (1+a)
     params = ModelParams(mass=1.0, kappa=0.8, a=0.25)
-    o = TwoModeOracle(np.array([0.0]), np.array([np.sqrt(3.0)]),
-                      0.7 + 0.4j, 1e-9, params)
+    c1 = 0.7 + 0.4j
+    o = PlaneWaveField(params, [(1, [0.0], c1), (1, [np.sqrt(3.0)], 1e-9)],
+                       dim=1)
     rec = two_mode_oracle(o, np.array([0.3, -0.7]))
-    p1, _ = o.fourvectors()
+    p1 = o.mode_fourvectors()[0]
     one_mode = (1 + params.a) * params.kappa / params.mass \
-        * abs(o.c1) ** 2 * p1
+        * abs(c1) ** 2 * p1
     assert np.abs(rec["calJ"] - one_mode).max() < 1e-8
     assert np.abs(rec["J"] - one_mode).max() < 1e-8
 
@@ -242,7 +242,7 @@ def test_lattice_two_mode_matches_closed_forms():
     c1, c2 = 0.7 + 0.4j, -0.3 + 0.9j
     f, lat = two_mode_lattice_field(params, c1, c2)
     k2 = lat.k_grids[0][3]
-    o = TwoModeOracle(np.array([0.0]), np.array([k2]), c1, c2, params)
+    o = PlaneWaveField(params, [(1, [0.0], c1), (1, [k2], c2)], dim=1)
     t = 0.45
     cur = current_calJa(f, t)
     curJ = current_Ja(f, t)
@@ -288,8 +288,7 @@ def test_covariance_dichotomy():
     assert np.abs(Jb - expect).max() < 1e-10 * scale
 
     # the probability current fails the same comparison badly
-    o = reference_oracle()
-    pw2 = o.as_planewave()
+    pw2 = reference_oracle()
     bw2 = boost_planewave(pw2, b)
     cal = planewave_current_calJa(pw2, events)
     calb = planewave_current_calJa(bw2, b.transform_events(events))
@@ -308,8 +307,8 @@ def test_noncovariance_demo_reference():
 
 def test_noncovariance_demo_equal_frequencies_rejected():
     params = ModelParams(mass=1.0)
-    o = TwoModeOracle(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                      1.0, 1.0, params)
+    o = PlaneWaveField(params, [(1, [1.0, 0.0], 1.0), (1, [0.0, 1.0], 1.0)],
+                       dim=2)
     with pytest.raises(ValueError):
         noncovariance_demo(o, Boost((0.3, 0.0)))
 

@@ -281,6 +281,23 @@ def test_position_cross_check_fails_on_nan_in_second_sector(monkeypatch):
         position_apply_checked(f)
 
 
+def test_position_apply_maps_the_field_once(monkeypatch):
+    # the interior-mass gate and the coordinate multiplication share one
+    # two-component map
+    from kgfield import localization
+
+    f = positive_packet(big_box(), ModelParams(mass=1.0), sigma=1.5)
+    calls = []
+
+    def spy(*args, _real=localization.map_Ua):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(localization, "map_Ua", spy)
+    position_apply(f)
+    assert len(calls) == 1
+
+
 def test_position_rejects_wrapping_fields():
     lat = MomentumLattice([8.0], [64])
     params = ModelParams(mass=1.0)
