@@ -87,8 +87,10 @@ class MomentumLattice:
         self.ksq = sum(k * k for k in self.k_grids)
         # e^{i k x0} with x0 = -L/2 on every axis: exact +-1 per axis
         self._phase0 = tuple(
-            np.where(np.rint(k * L / (2.0 * np.pi)) % 2 == 0, 1.0, -1.0)
+            np.where(np.rint(k * L / (2.0 * np.pi)) % 2 == 0,
+                     np.int8(1), np.int8(-1))
             for k, L in zip(self.k_grids, box_lengths))
+        self._sign: np.ndarray | None = None
         self._omega_cache: dict[float, np.ndarray] = {}
         self._fine_cache: dict[int, "MomentumLattice"] = {}
         self._pad_cache: dict[int, tuple] = {}
@@ -157,26 +159,54 @@ class MomentumLattice:
 
     def _synthesize(self, buf: np.ndarray) -> np.ndarray:
         """modes_to_grid in place on a complex mode grid the caller gives up."""
-        np.multiply(buf, self._phase_table(), out=buf)
+        # an int8 and a float +-1 both promote to +-1+0j: the same bytes
+        np.multiply(buf, self._centering_sign(), out=buf)
         np.fft.ifftn(buf, out=buf)
         return np.multiply(buf, self.total_nodes, out=buf)
 
     def grid_to_modes(self, grid: np.ndarray) -> np.ndarray:
         """Inverse of modes_to_grid on the native grid."""
-        return self._analyze(grid, np.empty(self.nodes, dtype=complex))
+        return self._analyze(
+            np.fft.fftn(grid, out=np.empty(self.nodes, dtype=complex)))
 
-    def _analyze(self, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """grid_to_modes written into out, which may be grid itself."""
-        np.fft.fftn(grid, out=out)
-        return np.multiply(out, self._phase_table(1.0 / self.total_nodes),
-                           out=out)
+    def _analyze_delta(self, idx: tuple[int, ...], value: float) -> np.ndarray:
+        """grid_to_modes of the grid that holds value at node idx and zero
+        elsewhere, without transforming the whole grid on every axis.
 
-    def _phase_table(self, scale: float = 1.0) -> np.ndarray:
-        """scale times the centering phase, broadcast from its open factors."""
-        table = scale
-        for phase in self._phase0:
-            table = table * phase
-        return table
+        numpy's fftn runs np.fft.fft axis by axis, last axis first, and
+        pocketfft transforms each line on its own.  So only the lines
+        through idx need their own transforms: a line, then a plane, then
+        the full grid along axis 0.  Every other line holds the transform
+        of zeros, which is +0 for most lengths but carries signed zeros
+        for some (Bluestein lengths such as 202); it is transformed once
+        per axis and broadcast, which keeps fftn's bytes."""
+        part = np.asarray(value, dtype=complex)
+        zero = np.zeros((), dtype=complex)
+        for axis in reversed(range(self.dim)):
+            buf = np.zeros(self.nodes[axis:], dtype=complex)
+            if not _all_bytes_zero(zero):
+                buf[...] = zero          # np.zeros already holds +0 bytes
+            if axis:
+                zero = np.fft.fft(buf, axis=0)
+            buf[idx[axis]] = part
+            part = np.fft.fft(buf, axis=0, out=buf)
+        return self._analyze(part)
+
+    def _analyze(self, spectrum: np.ndarray) -> np.ndarray:
+        """Scale an fftn spectrum in place by 1/N times the centering phase."""
+        # sign * (1/N) holds +-(1/N) exactly, as the float table always did
+        table = self._centering_sign() * (1.0 / self.total_nodes)
+        return np.multiply(spectrum, table, out=spectrum)
+
+    def _centering_sign(self) -> np.ndarray:
+        """The centering phase e^{i k x0} as a cached read-only int8 +-1 grid."""
+        if self._sign is None:
+            sign = self._phase0[0]
+            for phase in self._phase0[1:]:
+                sign = sign * phase
+            sign.flags.writeable = False
+            self._sign = sign
+        return self._sign
 
     def integrate(self, grid: np.ndarray):
         """Box integral of a sampled function (exact for band-limited data)."""
@@ -189,6 +219,7 @@ class MomentumLattice:
 
 
 _ZERO = np.complex128(0.0)
+_BLOCK = 8192       # entries of a 128 KiB complex block
 
 
 def _all_bytes_zero(grid: np.ndarray) -> bool:
@@ -265,6 +296,11 @@ class LatticeField:
                      if np.ndim(s) == 0 else s for s in self._rephased(t))
 
     def mode_psi(self, t: float) -> np.ndarray:
+        if t == self.t0 and sum(self.zero_sectors) == 1:
+            # live + 0 is live * (1, -+0) + 0 in one pass: the unit leaves
+            # every non-zero part alone, and adding +0 makes every +-0 a +0
+            live = self.phi_minus if self.zero_sectors[0] else self.phi_plus
+            return np.add(live, _ZERO)
         p, m = self._rephased(t)
         return np.add(p, m, out=p if np.ndim(p) else m)
 
@@ -273,7 +309,12 @@ class LatticeField:
         out = p if np.ndim(p) else m
         np.subtract(p, m, out=out)
         del p, m
-        return np.multiply(-1j * self.omega, out, out=out)
+        # -1j * omega a block at a time: no complex grid temporary
+        flat, w = out.reshape(-1), self.omega.reshape(-1)
+        for i in range(0, flat.size, _BLOCK):
+            np.multiply(-1j * w[i:i + _BLOCK], flat[i:i + _BLOCK],
+                        out=flat[i:i + _BLOCK])
+        return out
 
     def psi_grid(self, t: float) -> np.ndarray:
         return self.lattice._synthesize(self.mode_psi(t))

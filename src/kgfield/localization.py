@@ -199,9 +199,7 @@ def localized_state(epsilon: int, y, lattice: MomentumLattice,
         raise ValueError("sector label must be +1 or -1")
     idx = _node_index(lattice, y)
     shape = tuple(lattice.nodes)
-    delta = np.zeros(shape, dtype=complex)
-    delta[idx] = 1.0 / np.sqrt(lattice.cell_volume)
-    modes = lattice._analyze(delta, delta)
+    modes = lattice._analyze_delta(idx, 1.0 / np.sqrt(lattice.cell_volume))
     winv = lattice.omega(params.mass) ** -0.5
     root = np.sqrt(params.mass / params.kappa)
     phi = np.multiply(np.multiply(root, winv, out=winv), modes, out=modes)

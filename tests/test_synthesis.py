@@ -11,9 +11,12 @@ At a field's own reference time mode_pair multiplies by a scalar unit
 instead of an exp grid; the routes must still give the exp grid's bytes.
 A sector that is zero in every byte is neither re-phased there nor
 reduced against another zero sector; the one-sector routes must still
-give the bytes of the two-grid expressions.
+give the bytes of the two-grid expressions.  A localized state's delta
+is transformed only along the lines through its node; that must give
+the bytes of fftn on the dense delta.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -415,3 +418,110 @@ def test_sector_maps_of_one_sector_fields_keep_their_bytes(eps):
         for f1, f2 in ((h, f), (f, h), (h, h), (h, g)):
             assert_same_bytes(np.complex128(inner_0(f1, f2)),
                               np.complex128(old_inner(f1, f2)))
+
+
+# ------------------------------------------- localized states without fftn
+
+# 96x40x24 has a partial last block in mode_psidot; 202 and 254 take
+# pocketfft's Bluestein route, where a line of zeros transforms to signed
+# zeros that the other lines must carry
+DELTA_SHAPES = [(16,), (202,), (64, 64), (48, 80), (8, 254), (4, 202),
+                (32, 32, 32), (96, 40, 24), (6, 6, 202)]
+
+
+def _delta_nodes(nodes, seed=11):
+    """Every corner node (0 or N-1 on each axis) and four seeded ones."""
+    rng = np.random.default_rng(seed)
+    drawn = [tuple(int(rng.integers(n)) for n in nodes) for _ in range(4)]
+    return [*itertools.product(*[(0, n - 1) for n in nodes]), *drawn]
+
+
+@pytest.mark.parametrize("nodes", DELTA_SHAPES, ids=str)
+def test_delta_transform_gives_the_dense_fftn_bytes(nodes):
+    lat = MomentumLattice([3.0 + i for i in range(len(nodes))], nodes)
+    value = 1.0 / np.sqrt(lat.cell_volume)
+    for idx in _delta_nodes(nodes):
+        delta = np.zeros(nodes, dtype=complex)
+        delta[idx] = value
+        assert_same_bytes(lat._analyze_delta(idx, value),
+                          old_grid_to_modes(lat, delta))
+
+
+def test_localized_state_makes_no_fftn_call(monkeypatch):
+    lat = MomentumLattice([6.0] * 3, [32] * 3)
+    calls = []
+    real_fftn = np.fft.fftn
+
+    def fftn(*args, **kw):
+        calls.append(np.shape(args[0]))
+        return real_fftn(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "fftn", fftn)
+    localized_state(-1, [0.375, -1.5, 2.25], lat, PARAMS)
+    assert calls == []
+    lat.grid_to_modes(np.ones(lat.nodes))     # the spy sees a dense transform
+    assert calls == [lat.nodes]
+
+
+def test_centering_sign_is_one_cached_int8_grid():
+    for L, N in SHAPES.values():
+        lat = MomentumLattice(L, N)
+        sign = lat._centering_sign()
+        assert sign.dtype == np.int8 and sign.shape == N
+        assert sign.nbytes == lat.total_nodes
+        assert not sign.flags.writeable
+        assert np.array_equal(sign, _table(lat))
+        assert lat._centering_sign() is sign
+
+
+# the eight +-0 patterns of a complex entry
+SIGNED_ZEROS = [complex(-0.0, 1.0), complex(0.0, -1.0), complex(1.0, -0.0),
+                complex(-1.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.0),
+                complex(0.0, -0.0), complex(0.0, 0.0)]
+
+
+def _eight_zeros(phi):
+    """phi with each of the eight +-0 patterns planted at a stride."""
+    flat = phi.copy().reshape(-1)
+    for i, z in enumerate(SIGNED_ZEROS):
+        flat[i::19] = z
+    return flat.reshape(phi.shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_pass_mode_psi_at_the_reference_time_keeps_its_bytes(shape):
+    lat, fields = _fields(shape)
+    for key in ("plus", "minus"):
+        f = fields[key]
+        name = "phi_plus" if key == "plus" else "phi_minus"
+        f = f.copy_with(**{name: _eight_zeros(getattr(f, name))})
+        assert sum(f.zero_sectors) == 1
+        assert_same_bytes(f.mode_psi(T0), old_psi(f, T0))
+        assert_same_bytes(f.psi_grid(T0), old_modes_to_grid(lat, old_psi(f, T0)))
+
+
+def test_blocked_mode_psidot_keeps_its_bytes():
+    # 92160 entries: eleven whole blocks of the -1j * omega product and a part
+    lat = MomentumLattice([5.0, 4.0, 3.0], [96, 40, 24])
+    f = _with_signed_zeros(random_field(lat, PARAMS, seed=9, t0=T0))
+    for g in (f, *energy_split(f)):
+        for t in (T0, T):
+            assert_same_bytes(g.mode_psidot(t), old_psidot(g, t))
+
+
+def test_psidot_grid_takes_no_more_memory_than_psi_grid():
+    lat = MomentumLattice([6.0] * 3, [48] * 3)
+    f = localized_state(1, [0.0] * 3, lat, PARAMS, t0=T0).field
+    peaks = []
+    for run in (f.psi_grid, f.psidot_grid):
+        run(T0)                 # the lattice caches its frequencies and sign
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run(T0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+    psi, psidot = (p / (16 * lat.total_nodes) for p in peaks)
+    assert psidot <= psi + 0.1, \
+        f"psidot_grid peaked {psidot:.2f} complex grids, psi_grid {psi:.2f}"
