@@ -7,7 +7,8 @@ Subcommands
     state inspect FILE         print a state-file header summary
 
 Configs are JSON documents validated against the published schemas
-(SCENARIO_SCHEMA, SWEEP_SCHEMA below); unknown keys are rejected before
+(SCENARIO_SCHEMA, SWEEP_SCHEMA below) by the in-package validator
+_schema_violation; unknown keys are rejected before
 any computation.  Physics parameters never appear as positional
 arguments.  Exit codes: 0 all checks/tasks passed, 1 a check or task
 failed, 2 configuration error.  KGFIELD_OUT overrides --out.  The
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict
@@ -258,9 +260,106 @@ AXIS_OBSERVABLES = {
 
 # ------------------------------------------------------- config plumbing
 
-def _load_config(path: str, schema: dict) -> dict:
-    import jsonschema
+_SCHEMA_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+    "exclusiveMaximum", "oneOf", "const", "enum"})
 
+# (keyword, fails(value, bound), message) for the numeric bounds; a NaN
+# fails none of them
+_BOUNDS = (
+    ("minimum", operator.lt, "less than the minimum"),
+    ("maximum", operator.gt, "greater than the maximum"),
+    ("exclusiveMinimum", operator.le, "less than or equal to the minimum"),
+    ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum"),
+)
+
+
+def _is_type(value, kind: str) -> bool:
+    if kind in ("number", "integer"):
+        # bool is an int subclass but never a JSON number
+        allowed = int if kind == "integer" else (int, float)
+        return isinstance(value, allowed) and not isinstance(value, bool)
+    return isinstance(value, {"object": dict, "array": list, "string": str}[kind])
+
+
+def _same(value, want) -> bool:
+    """JSON equality: true and 1 differ, 1.0 and 1 do not."""
+    if isinstance(value, bool) or isinstance(want, bool):
+        return value is want
+    return value == want
+
+
+def _selects(branch: dict, value) -> bool:
+    """True if value carries every const property of the oneOf branch."""
+    consts = {k: s["const"] for k, s in branch.get("properties", {}).items()
+              if "const" in s}
+    return bool(consts) and isinstance(value, dict) and all(
+        k in value and _same(value[k], c) for k, c in consts.items())
+
+
+def _schema_violation(value, schema: dict, path: tuple = ()):
+    """The first violation of schema by the JSON value, as (path, message),
+    or None.
+
+    Implements the JSON Schema keywords in _SCHEMA_KEYWORDS, the ones the
+    schemas above use, with jsonschema's meaning, and raises ValueError on
+    any other, so that a schema edit cannot be skipped silently.  One
+    deliberate departure: "integer" means a Python int that is not a bool,
+    where JSON Schema also counts an integral float such as 2.0, which the
+    model and task builders cannot use.  A NaN passes every numeric bound,
+    as in jsonschema; ModelParams rejects it later.  A oneOf that does not
+    match exactly one branch reports the error of the branch whose const
+    properties the value carries, if there is one.
+    """
+    unknown = schema.keys() - _SCHEMA_KEYWORDS
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"schema keywords not implemented: {sorted(unknown)}"
+                         if unknown else "additionalProperties must be false")
+    if "oneOf" in schema:
+        errors = [_schema_violation(value, s, path) for s in schema["oneOf"]]
+        if errors.count(None) != 1:
+            return next((e for s, e in zip(schema["oneOf"], errors)
+                         if e and _selects(s, value)),
+                        (path, f"{value!r} is not valid under exactly one "
+                               f"of the given schemas"))
+    if "type" in schema and not _is_type(value, schema["type"]):
+        return path, f"{value!r} is not of type {schema['type']!r}"
+    if "const" in schema and not _same(value, schema["const"]):
+        return path, f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if _is_type(value, "number"):
+        for key, fails, words in _BOUNDS:
+            if key in schema and fails(value, schema[key]):
+                return path, f"{value!r} is {words} of {schema[key]!r}"
+    children = ()
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", len(value)):
+            return path, f"{value!r} is too long"
+        if "items" in schema:
+            children = ((i, v, schema["items"]) for i, v in enumerate(value))
+    elif isinstance(value, dict):
+        props = schema.get("properties", {})
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            return path, f"{missing[0]!r} is a required property"
+        extra = [k for k in value if k not in props]
+        if "additionalProperties" in schema and extra:
+            verb = "was" if len(extra) == 1 else "were"
+            return path, (f"Additional properties are not allowed "
+                          f"({', '.join(map(repr, extra))} {verb} unexpected)")
+        children = ((k, value[k], s) for k, s in props.items() if k in value)
+    for key, item, sub in children:
+        error = _schema_violation(item, sub, path + (key,))
+        if error:
+            return error
+    return None
+
+
+def _load_config(path: str, schema: dict) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -269,12 +368,11 @@ def _load_config(path: str, schema: dict) -> dict:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+    error = _schema_violation(config, schema)
+    if error:
+        where = "/".join(str(p) for p in error[0]) or "<root>"
         raise ConfigError(f"config {path} violates the schema at {where}: "
-                          f"{exc.message}") from None
+                          f"{error[1]}")
     return config
 
 

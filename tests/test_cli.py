@@ -316,6 +316,40 @@ def test_sweep_quadrature_order_needs_one_dimension(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep_quadrature-order.csv").exists()
 
 
+@pytest.mark.parametrize("config, path", [
+    ("sweep_a", ("model", "d")),
+    ("sweep_a", ("model", "N")),
+    ("scenario_localized", ("tasks", 0, "steps")),
+    ("scenario_two_modes", ("tasks", 0, "events")),
+    ("scenario_packet", ("seed",)),
+    ("scenario_localized", ("field", "node", 0)),
+])
+def test_integral_float_at_an_integer_position_is_config_error(
+        tmp_path, capsys, config, path):
+    # JSON Schema counts 2.0 as an integer and jsonschema accepts it; the
+    # builders cannot use it, so the config fails at the boundary instead
+    # of with a TypeError deep inside a task
+    import jsonschema
+
+    from kgfield.cli import SCENARIO_SCHEMA, SWEEP_SCHEMA
+
+    doc = json.loads((CONFIGS / f"{config}.json").read_text())
+    doc["output"]["directory"] = str(tmp_path / "out")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = float(parent[path[-1]])
+    jsonschema.validate(doc, SWEEP_SCHEMA if config.startswith("sweep")
+                        else SCENARIO_SCHEMA)
+    command = "sweep" if config.startswith("sweep") else "scenario"
+    assert main([command, write_config(tmp_path, "f.json", doc)]) == 2
+    err = capsys.readouterr().err
+    where = "/".join(str(p) for p in path)
+    assert f"violates the schema at {where}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_observable_axis_mismatch(tmp_path):
     doc = {
         "axis": "theta",
@@ -416,6 +450,24 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_config_commands_never_import_jsonschema(tmp_path):
+    # configs are validated in-package; jsonschema is the test-only oracle
+    bad = write_config(tmp_path, "bad.json", {"model": {}})
+    code = ("import sys; from kgfield.cli import main; "
+            f"rc = [main(['scenario', {str(CONFIGS / 'scenario_packet.json')!r}, "
+            f"'--out', {str(tmp_path / 'scn')!r}]), "
+            f"main(['sweep', {str(CONFIGS / 'sweep_a.json')!r}, "
+            f"'--out', {str(tmp_path / 'swp')!r}]), "
+            f"main(['scenario', {bad!r}])]; "
+            "print(rc, 'jsonschema' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 2] False"
+    assert "violates the schema at <root>: 'field' is a required property" \
+        in proc.stderr
 
 
 def test_verify_process_never_imports_sympy(tmp_path):

@@ -1,6 +1,8 @@
 """Verify registry: NaN-proof reductions, shared records, negative controls."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -9,8 +11,55 @@ from kgfield.core import apply_C
 from kgfield.verify import _worst, run_checks
 
 
+BASELINE = json.loads(
+    (Path(__file__).with_name("verify_baseline.json")).read_text())["measured"]
+
+
 def _by_name(results):
     return {r.name: r for r in results}
+
+
+def _baseline_breaches(results):
+    """Checks that left the committed seed-0 baseline: above
+    max(100 * baseline, 1e-13), or for an at_least check below baseline
+    / 100.  A tripwire far tighter than most verify bounds, which stay
+    as they are; the factor covers rounding drift across machines and
+    BLAS thread counts, the floor the checks that measure exactly 0."""
+    at_least = {f"{s}:{n}" for s, n, flag, _ in verify._REGISTRY if flag}
+    breaches = []
+    for r in results:
+        key = f"{r.suite}:{r.name}"
+        base = BASELINE[key]
+        ok = (r.measured >= base / 100.0 if key in at_least
+              else r.measured <= max(100.0 * base, 1e-13))
+        if not ok:
+            breaches.append(key)
+    return breaches
+
+
+def test_verify_stays_near_its_measured_baseline():
+    results = run_checks(ctx=verify.VerifyContext(seed=0))
+    assert sorted(f"{r.suite}:{r.name}" for r in results) == sorted(BASELINE)
+    assert _baseline_breaches(results) == []
+
+
+def test_baseline_catches_what_the_verify_bound_lets_pass(monkeypatch):
+    # a 5e-13 relative error in the closed-form inner product stays under
+    # the 1e-12 bounds of the inner suite but not under its baseline
+    original = inner._sector_form
+    monkeypatch.setattr(inner, "_sector_form",
+                        lambda *args: original(*args) * (1.0 + 5e-13))
+    results = run_checks("inner", verify.VerifyContext(seed=0))
+    assert all(r.passed for r in results)
+    assert _baseline_breaches(results) == [
+        "inner:time-independence", "inner:split-route-agreement",
+        "inner:real-data-route"]
+    # the same rules flag a NaN and an at_least check that collapsed
+    nan = verify.CheckResult("core", "sector-reconstruction", math.nan,
+                             1e-12, False)
+    low = verify.CheckResult("inner", "positivity", 0.5, 1e-12, True)
+    assert _baseline_breaches([nan, low]) == ["core:sector-reconstruction",
+                                              "inner:positivity"]
 
 
 def test_worst_is_nan_when_any_value_is_not_finite():
