@@ -275,12 +275,15 @@ _BOUNDS = (
 )
 
 
+# the JSON types the schemas name; "integer" is narrowed to int (see
+# _schema_violation)
+_SCHEMA_TYPES = {"object": dict, "array": list, "string": str,
+                 "number": (int, float), "integer": int}
+
+
 def _is_type(value, kind: str) -> bool:
-    if kind in ("number", "integer"):
-        # bool is an int subclass but never a JSON number
-        allowed = int if kind == "integer" else (int, float)
-        return isinstance(value, allowed) and not isinstance(value, bool)
-    return isinstance(value, {"object": dict, "array": list, "string": str}[kind])
+    # bool is an int subclass but never a JSON number
+    return isinstance(value, _SCHEMA_TYPES[kind]) and not isinstance(value, bool)
 
 
 def _same(value, want) -> bool:
@@ -302,20 +305,28 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
     """The first violation of schema by the JSON value, as (path, message),
     or None.
 
-    Implements the JSON Schema keywords in _SCHEMA_KEYWORDS, the ones the
-    schemas above use, with jsonschema's meaning, and raises ValueError on
-    any other, so that a schema edit cannot be skipped silently.  One
-    deliberate departure: "integer" means a Python int that is not a bool,
-    where JSON Schema also counts an integral float such as 2.0, which the
-    model and task builders cannot use.  A NaN passes every numeric bound,
+    Implements the JSON Schema keywords in _SCHEMA_KEYWORDS and the types
+    in _SCHEMA_TYPES, the ones the schemas above use, with jsonschema's
+    meaning.  Any other keyword or type in a schema node that the value
+    reaches raises ValueError, so that a schema edit cannot be skipped
+    silently.  Nodes the value does not reach, such as an optional
+    property it leaves out, are not checked here; tests/test_schema.py
+    walks every node of every schema.  One deliberate departure: "integer"
+    means a Python int that is not a bool, where JSON Schema also counts an
+    integral float such as 2.0, which the model and task builders cannot
+    use.  A NaN passes every numeric bound,
     as in jsonschema; ModelParams rejects it later.  A oneOf that does not
     match exactly one branch reports the error of the branch whose const
     properties the value carries, if there is one.
     """
     unknown = schema.keys() - _SCHEMA_KEYWORDS
-    if unknown or schema.get("additionalProperties", False) is not False:
-        raise ValueError(f"schema keywords not implemented: {sorted(unknown)}"
-                         if unknown else "additionalProperties must be false")
+    if unknown:
+        raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("additionalProperties must be false")
+    # a list, not the dict: a list of type names is unhashable
+    if schema.get("type", "object") not in list(_SCHEMA_TYPES):
+        raise ValueError(f"schema type not implemented: {schema['type']!r}")
     if "oneOf" in schema:
         errors = [_schema_violation(value, s, path) for s in schema["oneOf"]]
         if errors.count(None) != 1:

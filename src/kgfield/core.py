@@ -305,17 +305,10 @@ class LatticeField:
         return np.add(p, m, out=p if np.ndim(p) else m)
 
     def mode_psidot(self, t: float) -> np.ndarray:
-        if t == self.t0 and sum(self.zero_sectors) == 1:
-            # one pass: p - (+0) keeps every bit of p, -0 included, and
-            # +0 - phi- * (1, -0) is +0 - phi-: every zero becomes +0, and
-            # the unit leaves every non-zero part alone
-            out = (np.subtract(_ZERO, self.phi_minus) if self.zero_sectors[0]
-                   else self.phi_plus * np.complex128(1.0))
-        else:
-            p, m = self._rephased(t)
-            out = p if np.ndim(p) else m
-            np.subtract(p, m, out=out)
-            del p, m
+        p, m = self._rephased(t)
+        out = p if np.ndim(p) else m
+        np.subtract(p, m, out=out)
+        del p, m
         # -1j * omega a block at a time: no complex grid temporary
         flat, w = out.reshape(-1), self.omega.reshape(-1)
         for i in range(0, flat.size, _BLOCK):

@@ -25,6 +25,7 @@ from kgfield.cli import (
     SWEEP_SCHEMA,
     TASK_SCHEMA,
     _SCHEMA_KEYWORDS,
+    _SCHEMA_TYPES,
     _schema_violation,
 )
 
@@ -139,8 +140,7 @@ def test_every_schema_keyword_is_implemented():
         for sub in _schemas(schema):
             assert sub.keys() <= _SCHEMA_KEYWORDS, sub.keys() - _SCHEMA_KEYWORDS
             assert sub.get("additionalProperties", False) is False
-            assert sub.get("type", "number") in (
-                "object", "array", "string", "number", "integer")
+            assert sub.get("type", "object") in _SCHEMA_TYPES
 
 
 def test_unimplemented_keyword_raises():
@@ -148,6 +148,9 @@ def test_unimplemented_keyword_raises():
         _schema_violation("x", {"type": "string", "pattern": "^x$"})
     with pytest.raises(ValueError, match="additionalProperties"):
         _schema_violation({}, {"type": "object", "additionalProperties": True})
+    for kind in ("boolean", "null", ["number", "null"]):
+        with pytest.raises(ValueError, match="schema type not implemented"):
+            _schema_violation(True, {"type": kind})
 
 
 def test_one_of_needs_exactly_one_branch():

@@ -500,23 +500,6 @@ def test_one_pass_mode_psi_at_the_reference_time_keeps_its_bytes(shape):
         assert_same_bytes(f.psi_grid(T0), old_modes_to_grid(lat, old_psi(f, T0)))
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_one_pass_mode_psidot_at_the_reference_time_keeps_its_bytes(
-        shape, monkeypatch):
-    lat, fields = _fields(shape)
-    for key in ("plus", "minus"):
-        f = fields[key]
-        name = "phi_plus" if key == "plus" else "phi_minus"
-        f = f.copy_with(**{name: _eight_zeros(getattr(f, name))})
-        assert sum(f.zero_sectors) == 1
-        want = old_psidot(f, T0)
-        with monkeypatch.context() as m:
-            # the one-pass route never re-phases both sectors
-            m.setattr(type(f), "_rephased", None)
-            assert_same_bytes(f.mode_psidot(T0), want)
-            assert_same_bytes(f.psidot_grid(T0), old_modes_to_grid(lat, want))
-
-
 def test_blocked_mode_psidot_keeps_its_bytes():
     # 92160 entries: eleven whole blocks of the -1j * omega product and a part
     lat = MomentumLattice([5.0, 4.0, 3.0], [96, 40, 24])
