@@ -292,25 +292,47 @@ def probability_region(field: LatticeField, region: Region,
 # ------------------------------------------------- continuum radial profile
 
 
+def _cosh_quadrature(z: float):
+    """Integrand and upper limit of the cosh route to K_{5/4}(z).
+
+    K_{5/4}(z) = int_0^tmax exp(-z cosh t) cosh(5t/4) dt to double
+    precision.  The integrand uses numpy ufuncs only, so its value at each
+    node of an array is its value at that node alone (the integrand
+    contract of kgfield._qags).
+    """
+    # beyond cosh t = 746/z the integrand underflows double precision
+    tmax = float(np.arccosh(max(746.0 / z, 2.0)))
+    return (lambda t: np.exp(-z * np.cosh(t)) * np.cosh(1.25 * t)), tmax
+
+
 def besselK_profile(r: float, params: ModelParams) -> float:
     """Continuum 3-D localized-state profile at reference time.
 
     sqrt(M/kappa) [2^{3/4} pi^{3/2} Gamma(1/4)]^{-1} (M/r)^{5/4} K_{5/4}(M r),
     with the Bessel K evaluated by quadrature of its integral
-    representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt.
+    representation K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
+    truncated where the integrand underflows.  The quadrature is the
+    in-package port of QUADPACK's QAGS (kgfield._qags) at epsabs 1e-14,
+    epsrel 1e-13 and 200 subintervals, which returns the bits of
+    scipy.integrate.quad on this integrand without importing
+    scipy.integrate.  Raises FloatingPointError, naming the radius, the
+    flag, the integral and its error estimate, when QUADPACK flags a
+    failure (ier != 0) or the profile is not finite.
     """
-    from scipy.integrate import quad
+    from ._qags import qags
 
     if not 0.0 < r < np.inf:
         raise ValueError(f"radius must be positive and finite, got {r!r}")
     M = params.mass
-    z = M * r
-    # beyond cosh t = 746/z the integrand underflows double precision
-    tmax = float(np.arccosh(max(746.0 / z, 2.0)))
-    val, err = quad(lambda t: np.exp(-z * np.cosh(t)) * np.cosh(1.25 * t),
-                    0.0, tmax, epsabs=1e-14, epsrel=1e-13, limit=200)
+    f, tmax = _cosh_quadrature(M * r)
+    val, err, ier, _ = qags(f, 0.0, tmax, 1e-14, 1e-13, 200)
     const = 2.0 ** 0.75 * np.pi ** 1.5 * GAMMA_QUARTER
-    return float(np.sqrt(M / params.kappa) / const * (M / r) ** 1.25 * val)
+    out = float(np.sqrt(M / params.kappa) / const * (M / r) ** 1.25 * val)
+    if ier != 0 or not np.isfinite(out):
+        raise FloatingPointError(
+            f"Bessel-profile quadrature failed at r={r!r}: QUADPACK ier "
+            f"{ier}, value {val!r}, error estimate {err!r}")
+    return out
 
 
 def besselK_profile_momentum_route(r: float, params: ModelParams) -> float:

@@ -441,9 +441,11 @@ def test_console_module_runs_as_subprocess(tmp_path):
 
 
 def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
-    # --version, state inspect and quadrature-free configs pay only the
-    # numpy floor; the heavy modules load inside the functions that use them
-    heavy = ("scipy.integrate", "jsonschema", "sympy", "mpmath")
+    # --version, state inspect and every shipped config pay only the numpy
+    # floor; the heavy modules load inside the functions that use them, and
+    # so does the QUADPACK port, which a cold process compiles on start
+    heavy = ("scipy.integrate", "jsonschema", "sympy", "mpmath",
+             "kgfield._qags")
     code = ("import sys, kgfield.cli; "
             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -468,6 +470,59 @@ def test_config_commands_never_import_jsonschema(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 2] False"
     assert "violates the schema at <root>: 'field' is a required property" \
         in proc.stderr
+
+
+def test_localized_scenario_never_imports_scipy(tmp_path):
+    # the Bessel profile's cosh route runs on the in-package QUADPACK port
+    scenario = str(CONFIGS / "scenario_localized.json")
+    code = ("import sys; from kgfield.cli import main; "
+            f"rc = main(['scenario', {scenario!r}, "
+            f"'--out', {str(tmp_path / 'loc')!r}]); "
+            "print(rc, 'scipy' in sys.modules, "
+            "'kgfield._qags' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False True"
+
+
+def test_verify_localization_still_imports_scipy_integrate(tmp_path):
+    # bessel-dual-quadrature's momentum route stays on scipy's QAWF
+    code = ("import sys; from kgfield.cli import main; "
+            "rc = main(['verify', '--suite', 'localization', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, 'scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True"
+
+
+def test_verify_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # LAPACK's eigenvectors of the dense magnetic operator differ in their
+    # last bits between 1 and 2 threads, and em:inner-conservation reads
+    # them; every other line must be byte-identical
+    out = []
+    for threads in ("1", "2"):
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgfield.cli", "verify",
+             "--out", str(tmp_path / threads)],
+            capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.splitlines())
+    one, two = out
+    assert len(one) == len(two)
+    moved = [(a, b) for a, b in zip(one, two) if a != b]
+    assert all(a.startswith("PASS em:inner-conservation ")
+               and b.startswith("PASS em:inner-conservation ")
+               for a, b in moved), moved
+    line = next(i for i, a in enumerate(one)
+                if a.startswith("PASS em:inner-conservation "))
+    measured = [float(lines[line].split("measured=")[1].split()[0])
+                for lines in out]
+    assert abs(measured[0] - measured[1]) <= 1e-15
 
 
 def test_verify_process_never_imports_sympy(tmp_path):

@@ -1,6 +1,8 @@
 """Two-component picture, position operator, localized states, profiles."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,15 @@ from kgfield.core import (
     random_field,
     schrodinger_packet,
 )
+from kgfield import _qags
+from kgfield._qags import qags
 from kgfield.inner import inner_0, inner_a
 from kgfield.localization import (
     GAMMA_QUARTER,
     LocalizedState,
     Region,
     TwoComponent,
+    _cosh_quadrature,
     besselK_profile,
     besselK_profile_momentum_route,
     expand_in_localized_basis,
@@ -433,3 +438,182 @@ def test_profile_scaling_and_decay():
 def test_gamma_quarter_constant():
     from scipy.special import gamma
     assert abs(GAMMA_QUARTER - gamma(0.25)) < 1e-14
+
+
+# ------------------------------------------- QUADPACK port against scipy
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# the first words of scipy.integrate.quad's message for each QUADPACK flag
+_QUADPACK_FLAGS = {1: "The maximum number of subdivisions",
+                   2: "The occurrence of roundoff error",
+                   3: "Extremely bad integrand behavior",
+                   4: "The algorithm does not converge",
+                   5: "The integral is probably divergent"}
+
+
+def _scipy_qags(f, a, b, epsabs, epsrel, limit):
+    """scipy.integrate.quad as (value, error estimate, ier, last)."""
+    from scipy.integrate import quad
+    out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+               full_output=1)
+    ier = 0
+    if len(out) > 3:        # quad appends a message when QUADPACK flags
+        ier = next(k for k, text in _QUADPACK_FLAGS.items()
+                   if out[3].startswith(text))
+    return out[0], out[1], ier, out[2]["last"]
+
+
+def _bits(out):
+    value, err, ier, last = out
+    return float(value).hex(), float(err).hex(), ier, last
+
+
+def _ray_radii(L, N, rays, steps):
+    # the sampler of cli._task_bessel_profile: j cells along each ray,
+    # while the ray stays within half the box
+    spacings = MomentumLattice([L] * 3, [N] * 3).spacings
+    radii = []
+    for ray in rays:
+        ray = np.array(ray, dtype=int)
+        for j in range(1, steps + 1):
+            if np.any(2 * np.abs(j * ray) >= N):
+                break
+            radii.append(float(np.linalg.norm(j * ray * spacings)))
+    return radii
+
+
+def _production_radii():
+    """Every radius at M = 1 that a command or benchmark op reaches."""
+    config = json.loads((CONFIGS / "scenario_localized.json").read_text())
+    model, task = config["model"], config["tasks"][0]
+    rays = ((1, 1, 1), (1, 2, 3), (2, 3, 5))
+    return (_ray_radii(model["L"], model["N"], task["rays"], task["steps"])
+            + [1.3]                                 # verify's dual quadrature
+            + _ray_radii(20.0, 160, rays, 12))      # the localized-3d op
+
+
+def _bessel_quad(qag, z):
+    f, tmax = _cosh_quadrature(z)
+    return qag(f, 0.0, tmax, 1e-14, 1e-13, 200)
+
+
+def test_qags_is_scipy_quad_on_every_production_radius():
+    radii = _production_radii()
+    assert len(radii) == 59
+    for r in radii:
+        f, tmax = _cosh_quadrature(r)
+        calls = []
+
+        def recorded(t, f=f):
+            calls.append((t, f(t)))
+            return calls[-1][1]
+
+        ours = qags(recorded, 0.0, tmax, 1e-14, 1e-13, 200)
+        assert _bits(ours) == _bits(_bessel_quad(_scipy_qags, r)), r
+        assert ours[2] == 0
+        # the integrand contract: each node's array value is its scalar
+        # value, which is what quad's one-point calls see
+        for t, values in calls:
+            scalar = np.array([f(x) for x in t.tolist()])
+            assert scalar.tobytes() == values.tobytes(), r
+
+
+def test_profile_keeps_the_bits_of_the_scipy_route():
+    from scipy.integrate import quad
+
+    const = 2.0 ** 0.75 * np.pi ** 1.5 * GAMMA_QUARTER
+    for params in (ModelParams(mass=1.0, kappa=1.0),
+                   ModelParams(mass=2.0, kappa=0.5)):
+        M = params.mass
+        for r in _production_radii():
+            f, tmax = _cosh_quadrature(M * r)
+            val, _ = quad(f, 0.0, tmax, epsabs=1e-14, epsrel=1e-13,
+                          limit=200)
+            want = float(np.sqrt(M / params.kappa) / const
+                         * (M / r) ** 1.25 * val)
+            assert besselK_profile(r, params).hex() == want.hex(), (M, r)
+
+
+def test_qags_is_scipy_quad_on_ten_thousand_radii():
+    z = np.geomspace(1e-6, 300.0, 10_001).tolist()
+    flags = set()
+    for i, zi in enumerate(z):
+        ours = _bessel_quad(qags, zi)
+        assert _bits(ours) == _bits(_bessel_quad(_scipy_qags, zi)), zi
+        flags.add(ours[2])
+    assert flags == {0}
+    # the profile stays unflagged far into the tail
+    for r in np.geomspace(300.0, 1e4, 40).tolist():
+        assert np.isfinite(besselK_profile(r, ModelParams(mass=1.0)))
+
+
+# numpy-ufunc integrands that reach the extrapolation, ordering and
+# failure branches the Bessel integrand does not
+_SINGULAR = {
+    "x^-0.5": (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0),
+    "log x": (np.log, 0.0, 1.0),
+    "x^-0.9": (lambda x: np.power(x, -0.9), 0.0, 1.0),
+    "log|x-0.3|": (lambda x: np.log(np.abs(x - 0.3)), 0.0, 1.0),
+    "1/(1e-4+x^2)": (lambda x: 1.0 / (1e-4 + np.square(x)), -1.0, 1.0),
+    "x^-0.99": (lambda x: np.power(x, -0.99), 0.0, 1.0),
+    "1/x": (np.reciprocal, 0.0, 1.0),
+    "1/|x-1/3|": (lambda x: np.reciprocal(np.abs(x - 1.0 / 3.0)), 0.0, 1.0),
+    "cos(100x)/sqrt(x)": (lambda x: np.cos(100.0 * x) / np.sqrt(x),
+                          0.0, 1.0),
+    "cos(log(x)/x)/x": (lambda x: np.cos(np.log(x) / x) / x, 0.0, 1.0),
+    "sin(1e6 x)": (lambda x: np.sin(1e6 * x), 0.0, 1.0),
+    "two peaks": (lambda x: (np.reciprocal(1e-6 + np.square(x - 0.2))
+                             + np.reciprocal(1e-6 + np.square(x - 0.7))),
+                  0.0, 1.0),
+}
+# scipy's defaults, the profile's, a pure relative one and a low limit
+_TOLERANCES = [(1.49e-8, 1.49e-8, 50), (1e-14, 1e-13, 200),
+               (0.0, 1.2e-14, 200), (1.49e-8, 1.49e-8, 5)]
+
+
+@pytest.mark.parametrize("name", sorted(_SINGULAR))
+def test_qags_is_scipy_quad_on_singular_integrands(name):
+    f, a, b = _SINGULAR[name]
+    for tol in _TOLERANCES:
+        assert _bits(qags(f, a, b, *tol)) == _bits(
+            _scipy_qags(f, a, b, *tol)), tol
+
+
+def test_singular_integrands_reach_every_quadpack_flag():
+    flags = {qags(f, a, b, *tol)[2]
+             for f, a, b in _SINGULAR.values() for tol in _TOLERANCES}
+    assert flags == {0, 1, 2, 3, 4, 5}
+    # flag 6: tolerances QUADPACK cannot meet, which quad turns into an error
+    assert qags(np.exp, 0.0, 1.0, 0.0, 1e-20, 50) == (0.0, 0.0, 6, 0)
+    with pytest.raises(ValueError):
+        _scipy_qags(np.exp, 0.0, 1.0, 0.0, 1e-20, 50)
+
+
+def test_one_ulp_in_a_kronrod_weight_breaks_the_match(monkeypatch):
+    # the comparison resolves the last bit of the rule: 22 of the 59
+    # production radii move, 12 of them in the value itself
+    wgk = list(_qags._WGK)
+    wgk[7] = float(np.nextafter(wgk[7], 1.0))
+    monkeypatch.setattr(_qags, "_WGK", tuple(wgk))
+    pairs = [(_bits(_bessel_quad(qags, r)),
+              _bits(_bessel_quad(_scipy_qags, r)))
+             for r in _production_radii()]
+    assert any(ours != theirs for ours, theirs in pairs)
+    assert any(ours[0] != theirs[0] for ours, theirs in pairs)
+
+
+def test_profile_raises_when_quadpack_flags_a_failure(monkeypatch):
+    params = ModelParams(mass=1.0)
+    monkeypatch.setattr(_qags, "qags",
+                        lambda f, a, b, epsabs, epsrel, limit:
+                        (0.0123, 4.5e-09, 1, 200))
+    with pytest.raises(FloatingPointError,
+                       match=r"r=1\.3: QUADPACK ier 1, value 0\.0123, "
+                             r"error estimate 4\.5e-09"):
+        besselK_profile(1.3, params)
+    monkeypatch.setattr(_qags, "qags",
+                        lambda f, a, b, epsabs, epsrel, limit:
+                        (float("nan"), 0.0, 0, 1))
+    with pytest.raises(FloatingPointError, match="ier 0, value nan"):
+        besselK_profile(1.3, params)
