@@ -14,6 +14,7 @@ hiding it inside the field object would invite silent bugs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -335,6 +336,46 @@ def besselK_profile(r: float, params: ModelParams) -> float:
     return out
 
 
+@lru_cache(maxsize=1)
+def _de_sine_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_n, weights w_n: int_0^inf g(x) sin(x) dx ~ sum w_n g(x_n).
+
+    Ooura and Mori's double-exponential rule for Fourier sine integrals
+    (J. Comput. Appl. Math. 112, 229-241 (1999)): x = (pi/h) phi(t) with
+    phi(t) = t / (1 - exp(-u(t))), u(t) = 2t + alpha (1 - e^{-t})
+    + beta (e^t - 1), summed at t = n h.  As t grows the nodes approach
+    the zeros n pi of sin double-exponentially, so a slowly decaying g
+    needs no truncation of its own.  The arrays are read-only, because
+    every caller shares them.
+    """
+    h = 0.075
+    big_m = np.pi / h
+    beta = 0.25
+    alpha = beta / np.sqrt(1.0 + big_m * np.log1p(big_m) / (4.0 * np.pi))
+    t = h * np.arange(-110, 501)
+    # phi is 0/0 at t = 0, and left of t = -9.7 (past the first node)
+    # e^{-u} overflows and phi' is nan; neither is warned about: the t = 0
+    # node takes its limits, and the mask drops any node whose map is not
+    # finite or whose phi has underflowed to 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = 2.0 * t - alpha * np.expm1(-t) + beta * np.expm1(t)
+        den = -np.expm1(-u)                                 # 1 - e^{-u}
+        phi = t / den
+        du = 2.0 + alpha * np.exp(-t) + beta * np.exp(t)
+        dphi = (den - t * du * np.exp(-u)) / den ** 2
+    # the t = 0 node carries weight: take phi and phi' there as limits
+    u1, u2 = 2.0 + alpha + beta, beta - alpha
+    zero = t == 0.0
+    phi[zero] = 1.0 / u1
+    dphi[zero] = (u1 * u1 - u2) / (2.0 * u1 * u1)
+    keep = np.isfinite(phi) & np.isfinite(dphi) & (phi > 0.0)
+    x = big_m * phi[keep]
+    w = np.pi * np.sin(x) * dphi[keep]                      # h (pi/h) = pi
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def besselK_profile_momentum_route(r: float, params: ModelParams) -> float:
     """Same profile from the oscillatory momentum integral.
 
@@ -342,27 +383,24 @@ def besselK_profile_momentum_route(r: float, params: ModelParams) -> float:
     an Abel-summed integral: the amplitude grows like k^{1/2}.  That
     asymptote is subtracted and its Abel value Gamma(3/2) sin(3 pi/4)
     r^{-3/2} = sqrt(2 pi)/4 r^{-3/2} (Gradshteyn & Ryzhik 3.761.4) added
-    back; the remainder decays like k^{-3/2} and goes to QUADPACK's QAWF
-    Fourier-integral routine.  The integral is held to an absolute 1e-12,
-    so the relative accuracy falls once the profile decays: below 1e-12
-    up to M r = 3, about 1e-10 at M r = 10.
+    back.  The remainder k^{1/2} expm1(-log1p(M^2/k^2)/4), which decays
+    like k^{-3/2}, goes to Ooura and Mori's double-exponential sine rule
+    (_de_sine_rule) at k = x_n / r: about 600 fixed nodes evaluated with
+    numpy ufuncs, sharing no code with the cosh route of besselK_profile.
+    Against scipy.special.kv the relative error is below 3e-14 up to
+    M r = 3 and below 4e-11 up to M r = 10: as the profile decays, the
+    rule's absolute error becomes a larger share of it.
     """
-    from scipy.integrate import quad
-
-    # QUADPACK's QAWF crashes the interpreter on a non-finite frequency
     if not 0.0 < r < np.inf:
         raise ValueError(f"radius must be positive and finite, got {r!r}")
     M = params.mass
-
-    def remainder(k):
-        return k * (k * k + M * M) ** -0.25 - k ** 0.5
-
-    val, err = quad(remainder, 0.0, np.inf, weight="sin", wvar=r,
-                    epsabs=1e-12, limit=200, limlst=200)
+    x, w = _de_sine_rule()
+    k = x / r
+    remainder = np.sqrt(k) * np.expm1(-0.25 * np.log1p((M / k) ** 2))
+    val = float(np.sum(w * remainder)) / r
     val += np.sqrt(2.0 * np.pi) / 4.0 * r ** -1.5
     out = float(np.sqrt(M / params.kappa) * val / (2.0 * np.pi ** 2 * r))
-    if not (np.isfinite(out) and np.isfinite(err)):
+    if not np.isfinite(out):
         raise FloatingPointError(
-            f"momentum-route quadrature failed at r={r!r}: value {out!r}, "
-            f"error estimate {err!r}")
+            f"momentum-route quadrature failed at r={r!r}: value {out!r}")
     return out

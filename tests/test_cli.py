@@ -1,5 +1,6 @@
 """Command-line exit codes, schema rejection, determinism, report format."""
 
+import ast
 import json
 import os
 import subprocess
@@ -486,16 +487,35 @@ def test_localized_scenario_never_imports_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False True"
 
 
-def test_verify_localization_still_imports_scipy_integrate(tmp_path):
-    # bessel-dual-quadrature's momentum route stays on scipy's QAWF
+def test_verify_never_imports_scipy(tmp_path):
+    # both Bessel-profile routes run on numpy alone; scipy is test-only
     code = ("import sys; from kgfield.cli import main; "
-            "rc = main(['verify', '--suite', 'localization', "
-            f"'--out', {str(tmp_path)!r}]); "
-            "print(rc, 'scipy.integrate' in sys.modules)")
+            f"rc = main(['verify', '--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 True"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_no_module_under_kgfield_imports_scipy():
+    # a static guard: a lazy import inside a function counts too
+    paths = sorted((Path(__file__).resolve().parents[1] / "src"
+                    / "kgfield").rglob("*.py"))
+    assert len(paths) > 10
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_verify_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):

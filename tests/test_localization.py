@@ -29,6 +29,7 @@ from kgfield.localization import (
     Region,
     TwoComponent,
     _cosh_quadrature,
+    _de_sine_rule,
     besselK_profile,
     besselK_profile_momentum_route,
     expand_in_localized_basis,
@@ -394,14 +395,41 @@ def test_profile_momentum_route_matches_scipy_kv():
     from scipy.special import gamma, kv
     for M in (0.5, 1.0, 2.0):
         params = ModelParams(mass=M, kappa=0.7)
-        for r in (0.1, 0.5, 1.0, 2.0, 3.0):
+        for r in np.linspace(0.05, 3.0, 60) / M:
             want = (np.sqrt(M / params.kappa)
                     / (2.0 ** 0.75 * np.pi ** 1.5 * gamma(0.25))
                     * (M / r) ** 1.25 * kv(1.25, M * r))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = besselK_profile_momentum_route(r, params)
-            assert abs(got - want) < 1e-10 * want
+            assert abs(got - want) < 1e-12 * want, (M, r)
+
+
+def test_profile_momentum_route_agrees_with_scipy_qawf():
+    # the route this one replaced, QUADPACK's QAWF on the same remainder,
+    # kept here as a witness
+    from scipy.integrate import quad
+    params = ModelParams(mass=1.0, kappa=1.0)
+    for r in (0.5, 1.0, 2.0, 3.0):
+        val, _ = quad(lambda k: k * (k * k + 1.0) ** -0.25 - k ** 0.5,
+                      0.0, np.inf, weight="sin", wvar=r, epsabs=1e-12,
+                      limit=200, limlst=200)
+        val += np.sqrt(2.0 * np.pi) / 4.0 * r ** -1.5
+        want = val / (2.0 * np.pi ** 2 * r)
+        got = besselK_profile_momentum_route(r, params)
+        assert abs(got - want) < 1e-10 * want, r
+
+
+def test_de_sine_rule_on_closed_form_fourier_integrals():
+    x, w = _de_sine_rule()
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
+    assert np.all(x > 0.0)
+    # int_0^inf sin(x)/x dx and int_0^inf x sin(x)/(1+x^2) dx: neither
+    # integrand decays faster than 1/x, and the t = 0 node is needed
+    assert abs(np.sum(w / x) - np.pi / 2.0) < 1e-13
+    assert abs(np.sum(w * x / (1.0 + x * x)) - np.pi / (2.0 * np.e)) < 1e-13
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_profile_rejects_bad_radius():

@@ -1,13 +1,14 @@
 """Verify registry: NaN-proof reductions, shared records, negative controls."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from kgfield import em, gauge, inner, verify
-from kgfield.core import apply_C
+from kgfield import amplitudes, currents, em, gauge, inner, verify
+from kgfield.core import LatticeField, ModelParams, MomentumLattice, apply_C
 from kgfield.verify import _worst, run_checks
 
 
@@ -144,3 +145,51 @@ def test_swapped_sector_weights_fail_inner_route_checks(monkeypatch):
     for n in names:
         assert not bad[n].passed
         assert bad[n].tolerance == 1e-12
+
+
+def test_mis_scaled_boosted_amplitude_fails_frame_invariance(monkeypatch):
+    original = amplitudes.boost_amplitude
+
+    def off_by_1e6(field, boost):
+        boosted = original(field, boost)
+        plus = boosted.amp_plus
+        return dataclasses.replace(
+            boosted, amp_plus=lambda k: plus(k) * (1.0 + 1e-6))
+
+    monkeypatch.setattr(amplitudes, "boost_amplitude", off_by_1e6)
+    bad = run_checks("amplitudes")
+    assert not _by_name(bad)["frame-invariance"].passed
+    assert _baseline_breaches(bad) == ["amplitudes:frame-invariance"]
+
+
+def test_swapped_density_weights_fail_charge_equals_norm(monkeypatch):
+    original = currents.rho_a
+
+    # the a-density of the field read with -a: (1+a) and (1-a) trade places
+    def swapped(field, t, pad=1):
+        p = ModelParams(field.params.mass, field.params.kappa, -field.params.a)
+        flipped = LatticeField(field.lattice, p, field.phi_plus,
+                               field.phi_minus, t0=field.t0)
+        return original(flipped, t, pad)
+
+    monkeypatch.setattr(currents, "rho_a", swapped)
+    bad = run_checks("currents")
+    assert [r.name for r in bad if not r.passed] == ["charge-equals-norm"]
+    assert _baseline_breaches(bad) == ["currents:charge-equals-norm"]
+
+
+def test_mis_scaled_dispersion_fails_every_limit_slope(monkeypatch):
+    # 100 x the slope baselines lies above the 0.4 bound, so the tripwire
+    # cannot see these checks: the corruption must fail the bound itself
+    original = MomentumLattice.omega
+    monkeypatch.setattr(MomentumLattice, "omega",
+                        lambda self, mass: original(self, mass) * 1.01)
+    verify._std_limit_record.cache_clear()
+    try:
+        bad = _by_name(run_checks("limits"))
+    finally:
+        verify._std_limit_record.cache_clear()
+    for name in ("density-limit-slope", "current-limit-slope",
+                 "operator-expansion-slope"):
+        assert not bad[name].passed, name
+        assert bad[name].measured > 2.0 * bad[name].tolerance, name
