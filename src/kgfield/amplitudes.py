@@ -119,11 +119,11 @@ class AmplitudeField:
         return np.asarray(fn(k), dtype=complex)
 
 
-def truncation_mass_check(field: AmplitudeField, rtol: float = 1e-10) -> float:
+def truncation_mass_check(field: AmplitudeField) -> float:
     """Fraction of quadratic amplitude mass missed by the truncation radius.
 
     Compares the quadrature of |a|^2 against the same with doubled radius
-    and order; returns the relative deficit (must be <= rtol).
+    and order; returns the relative deficit, which must be <= 1e-10.
     """
     def mass(rule):
         k, w = rule.nodes, rule.weights
@@ -138,7 +138,7 @@ def truncation_mass_check(field: AmplitudeField, rtol: float = 1e-10) -> float:
         field.dim, 2.0 * field.quad.radius, 2 * field.quad.order,
         field.quad.stretch))
     deficit = abs(m2 - m1) / max(m2, 1e-300)
-    if deficit > rtol:
+    if deficit > 1e-10:
         raise ValueError(
             f"truncation radius misses {deficit:.3e} of the amplitude mass")
     return deficit
@@ -156,7 +156,7 @@ def inner_amplitude(f1: AmplitudeField, f2: AmplitudeField,
     p = f1.params
     rule = quad or f1.quad
     k, w = rule.nodes, rule.weights
-    om = np.sqrt(np.sum(k * k, axis=-1) + p.mass ** 2)
+    om = f1.omega(k)
     acc = 0.0 + 0.0j
     for eps, wt in ((1, 1.0 + p.a), (-1, 1.0 - p.a)):
         a1 = f1.amplitude(eps, k)
@@ -180,7 +180,7 @@ def boost_amplitude(field: AmplitudeField, boost: Boost) -> AmplitudeField:
 
         def boosted(kp):
             kp = np.atleast_2d(kp)
-            wp = np.sqrt(np.sum(kp * kp, axis=-1) + mass ** 2)
+            wp = field.omega(kp)
             pp = np.concatenate([(eps * wp)[:, None], kp], axis=-1)
             p = pp @ Linv.T
             kpre = p[:, 1:]

@@ -48,7 +48,7 @@ from .currents import (
 )
 from .gauge import norm_drift
 from .inner import inner_a, inner_a_split, norm_a
-from .limits import fit_slope, limit_params, schrodinger_deviation
+from .limits import LIMIT_TIME, fit_slope, limit_params, schrodinger_deviation
 from .localization import besselK_profile, localized_state
 from .reporting import write_csv, write_json
 from .stateio import inspect_state, load_state
@@ -81,7 +81,8 @@ MODEL_SCHEMA = {
         "a": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1},
         "t0": _NUM,
     },
-    "required": ["d", "L", "N", "M"],
+    # L and N are required where a lattice is built (_model_from_block)
+    "required": ["d", "M"],
     "additionalProperties": False,
 }
 
@@ -387,7 +388,20 @@ def _load_config(path: str, schema: dict) -> dict:
     return config
 
 
+def _params_from_block(block: dict) -> ModelParams:
+    try:
+        return ModelParams(mass=float(block["M"]),
+                           kappa=float(block.get("kappa", 1.0)),
+                           a=float(block.get("a", 0.0)))
+    except ValueError as exc:
+        raise ConfigError(f"model block: {exc}") from None
+
+
 def _model_from_block(block: dict) -> tuple[MomentumLattice, ModelParams, float]:
+    for key in ("L", "N"):
+        if key not in block:
+            raise ConfigError(f"model block: {key!r} is required to build "
+                              f"a lattice")
     d = block["d"]
     L = block["L"]
     N = block["N"]
@@ -397,12 +411,9 @@ def _model_from_block(block: dict) -> tuple[MomentumLattice, ModelParams, float]
         raise ConfigError("model block: L and N must have d entries")
     try:
         lattice = MomentumLattice(lengths, nodes)
-        params = ModelParams(mass=float(block["M"]),
-                             kappa=float(block.get("kappa", 1.0)),
-                             a=float(block.get("a", 0.0)))
     except ValueError as exc:
         raise ConfigError(f"model block: {exc}") from None
-    return lattice, params, float(block.get("t0", 0.0))
+    return lattice, _params_from_block(block), float(block.get("t0", 0.0))
 
 
 def _field_from_block(block: dict, lattice: MomentumLattice,
@@ -656,42 +667,36 @@ def _sweep_point(payload: dict) -> float:
     value = payload["value"]
     observable = config["observable"]
     model = dict(config["model"])
+    if axis == "quadrature-order":
+        # frame invariance of the continuum inner product: no lattice
+        order = int(value)
+        if order != value or order < 2:
+            raise TaskError("axis quadrature-order: grid must be integers >= 2")
+        f1, f2 = reference_packets(_params_from_block(model))
+        return invariance_check(f1, f2, Boost((0.35,)),
+                                orders=(order,))["rel_dev"][0]
     if axis == "a":
         model["a"] = value
     elif axis == "M":
         model["M"] = value
     lattice, params, t0 = _model_from_block(model)
 
-    if axis == "a":
-        field = _field_from_block(config["field"], lattice, params, t0)
-        f = _require_lattice_field(field, observable)
-        return total_probability(f, t0)
-
     if axis == "M":
         # nonrelativistic deviation of the a-current from the Schrodinger
-        # reference under the limit convention for kappa; the comparison
-        # runs at a generic time away from the reference slice where the
-        # first correction degenerates
+        # reference under the limit convention for kappa, at LIMIT_TIME
+        # after the reference slice as in limits.limit_deviation
         params = limit_params(params.mass, params.a)
         block = config["field"]
         if block["construction"] != "gaussian-packet":
             raise TaskError("axis M: needs a gaussian-packet field")
         field = _field_from_block(dict(block, sector="schrodinger"),
                                   lattice, params, t0)
-        dev_rho, dev_j = schrodinger_deviation(field, "J_a", t0 + 0.7)
+        dev_rho, dev_j = schrodinger_deviation(field, "J_a", t0 + LIMIT_TIME)
         return dev_rho if observable == "nonrel-density-deviation" else dev_j
 
-    if axis == "theta":
-        field = _field_from_block(config["field"], lattice, params, t0)
-        f = _require_lattice_field(field, observable)
-        return norm_drift(f, value)
-
-    # quadrature-order: frame invariance of the continuum inner product
-    order = int(value)
-    if order != value or order < 2:
-        raise TaskError("axis quadrature-order: grid must be integers >= 2")
-    f1, f2 = reference_packets(params)
-    return invariance_check(f1, f2, Boost((0.35,)), orders=(order,))["rel_dev"][0]
+    field = _field_from_block(config["field"], lattice, params, t0)
+    f = _require_lattice_field(field, observable)
+    return total_probability(f, t0) if axis == "a" else norm_drift(f, value)
 
 
 def _cmd_sweep(args) -> int:
@@ -707,6 +712,10 @@ def _cmd_sweep(args) -> int:
     if axis == "quadrature-order" and config["model"]["d"] != 1:
         raise ConfigError("axis quadrature-order: the reference packets are "
                           "1-D, so the model block needs d = 1")
+    lattice_keys = [k for k in ("L", "N") if k in config["model"]]
+    if axis == "quadrature-order" and lattice_keys:
+        raise ConfigError(f"axis quadrature-order: builds no lattice, so the "
+                          f"model block takes no {lattice_keys[0]!r}")
     if axis == "a":
         for v in config["grid"]:
             if not -1.0 < v < 1.0:

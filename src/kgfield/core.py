@@ -92,8 +92,7 @@ class MomentumLattice:
             for k, L in zip(self.k_grids, box_lengths))
         self._sign: np.ndarray | None = None
         self._omega_cache: dict[float, np.ndarray] = {}
-        self._fine_cache: dict[int, "MomentumLattice"] = {}
-        self._pad_cache: dict[int, tuple] = {}
+        self._refinements: dict[int, tuple] = {}
 
     def __eq__(self, other):
         return (
@@ -127,34 +126,29 @@ class MomentumLattice:
 
     def refined(self, factor: int) -> "MomentumLattice":
         """Lattice of the same box with factor-times the nodes per axis."""
-        if factor == 1:
-            return self
-        lat = self._fine_cache.get(factor)
-        if lat is None:
-            lat = MomentumLattice(
-                self.box_lengths, tuple(n * factor for n in self.nodes)
-            )
-            self._fine_cache[factor] = lat
-        return lat
+        return self if factor == 1 else self._refinement(factor)[0]
 
-    def _pad_index(self, factor: int) -> tuple:
-        """Open-mesh index of each mode on the factor-refined lattice."""
-        dest = self._pad_cache.get(factor)
-        if dest is None:
+    def _refinement(self, factor: int) -> tuple:
+        """The factor-refined lattice and the open-mesh index of each mode
+        on it, cached together."""
+        pair = self._refinements.get(factor)
+        if pair is None:
+            fine = MomentumLattice(self.box_lengths,
+                                   tuple(n * factor for n in self.nodes))
             signed = [(np.arange(n) + n // 2) % n - n // 2 for n in self.nodes]
             dest = np.ix_(*(j % (factor * n)
                             for j, n in zip(signed, self.nodes)))
-            self._pad_cache[factor] = dest
-        return dest
+            pair = self._refinements[factor] = (fine, dest)
+        return pair
 
     def modes_to_grid(self, modes: np.ndarray, pad: int = 1) -> np.ndarray:
         """Evaluate sum_k modes(k) e^{i k.x} on the grid, or with pad > 1
         on the pad-refined grid of the same box (modes zero-padded)."""
         if pad == 1:
             return self._synthesize(np.array(modes, dtype=complex))
-        lat = self.refined(pad)
+        lat, dest = self._refinement(pad)
         padded = np.zeros(lat.nodes, dtype=complex)
-        padded[self._pad_index(pad)] = modes
+        padded[dest] = modes
         return lat._synthesize(padded)
 
     def _synthesize(self, buf: np.ndarray) -> np.ndarray:

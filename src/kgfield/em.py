@@ -153,13 +153,6 @@ def em_inner(pair1: tuple, pair2: tuple, op: DenseOperator) -> complex:
     return complex(params.kappa / (2.0 * params.mass) * cell * term)
 
 
-def em_inner_and_evolve(psi0: np.ndarray, psidot0: np.ndarray,
-                        op: DenseOperator, t: float) -> tuple:
-    """Evolve to time t and evaluate the conserved inner product there."""
-    pair = em_evolve(psi0, psidot0, op, t)
-    return pair, em_inner(pair, pair, op)
-
-
 # ----------------------------------------------------------------- gauge map
 
 # Gauss-Legendre order for the value of the phase integral.  That value
@@ -255,10 +248,6 @@ def _phase_integral(phi, events: np.ndarray, t0: float) -> np.ndarray:
     return half * (weights @ np.broadcast_to(phi(tau, x1, x2), tau.shape))
 
 
-def _phase_factor(q: float, big_phi: _Jet) -> _Jet:
-    return np.exp(1j * q * big_phi)
-
-
 def _gauged_square(f: _Jet, a: _Jet, q: float) -> np.ndarray:
     """(d - iqa)^2 f from the jets of f and a along one axis."""
     return (2.0 * f.c2 - 1j * q * (a.c1 * f.c0 + 2.0 * a.c0 * f.c1)
@@ -298,7 +287,7 @@ def em_gauge_residual(phi_profile, psi_solution, sample_events, *,
         # Phi = Int phi dtau: its x0-jet is phi's own jet shifted one order
         big_phi = _Jet(_phase_integral(phi, events, t0),
                        phi_t.c0, 0.5 * phi_t.c1)
-        u = _phase_factor(q, big_phi)
+        u = np.exp(1j * q * big_phi)
         chi = u * psi_t
         gauged = sum(_gauged_square(_along(psi, events, axis),
                                     _along(_profile(a), events, axis), q)

@@ -88,7 +88,10 @@ def _weighted_vdot(phi1: np.ndarray, zero1: bool, w: np.ndarray, phi2):
 
 def inner_a(f1: LatticeField, f2: LatticeField,
             t: float | None = None) -> complex:
-    """Positive-definite inner product of the family; independent of t."""
+    """Positive-definite inner product of the family; independent of t.
+
+    t is accepted and ignored: perfbench/inproc.py still passes it.
+    """
     return _sector_form(f1, f2, f1.params.a)
 
 
@@ -104,8 +107,7 @@ def inner_a_split(f1: LatticeField, f2: LatticeField,
                       - (1.0 - p.a) * kg_inner(m1, m2, g, t))
 
 
-def inner_0(f1: LatticeField, f2: LatticeField,
-            t: float | None = None) -> complex:
+def inner_0(f1: LatticeField, f2: LatticeField) -> complex:
     """The a = 0 member of the family, regardless of the fields' own a.
 
     Used wherever position wavefunctions are involved: their Parseval
@@ -114,8 +116,8 @@ def inner_0(f1: LatticeField, f2: LatticeField,
     return _sector_form(f1, f2, 0.0)
 
 
-def norm_a(f: LatticeField, t: float | None = None) -> float:
-    val = inner_a(f, f, t)
+def norm_a(f: LatticeField) -> float:
+    val = inner_a(f, f)
     return float(np.sqrt(max(val.real, 0.0)))
 
 

@@ -13,9 +13,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .core import LatticeField, ModelParams, MomentumLattice, schrodinger_packet
-from .currents import PAD, current_Ja, current_calJa
+from .currents import _CURRENT_AND_RATE, PAD
 
 DEFAULT_MASSES = tuple(0.75 * 2.0 ** j for j in range(6))
+
+# time after a packet's reference slice at which a limit is measured: at
+# the slice itself the first correction degenerates
+LIMIT_TIME = 0.7
 
 
 def _l2(grid: np.ndarray) -> float:
@@ -114,9 +118,6 @@ def operator_expansion_deviation(lattice: MomentumLattice, mass: float,
     return _l2(diff) / _l2(profile_modes)
 
 
-_CURRENTS = {"J_a": current_Ja, "calJ_a": current_calJa}
-
-
 def schrodinger_deviation(field: LatticeField, which: str,
                           t: float) -> tuple[float, float]:
     """Relative L2 distances of a current from its Schrodinger pair at t.
@@ -124,22 +125,24 @@ def schrodinger_deviation(field: LatticeField, which: str,
     Returns (time slot vs rho, spatial part vs j) for one field, with
     the current family named by which.
     """
-    if which not in _CURRENTS:
+    if which not in _CURRENT_AND_RATE:
         raise ValueError(f"unknown current family {which!r}")
-    cur = _CURRENTS[which](field, t)
+    cur = _CURRENT_AND_RATE[which](field, t)[0]
     rho, jvec = schrodinger_reference(field, t)
     return (_l2(cur.components[0] - rho) / _l2(rho),
             _l2(cur.components[1:] - jvec) / max(_l2(jvec), 1e-300))
 
 
-def limit_deviation(sweep: LimitSweep, which: str, t: float = 0.0) -> dict:
+def limit_deviation(sweep: LimitSweep, which: str) -> dict:
     """Deviation of the chosen current from its Schrodinger limit.
 
-    For each ladder mass, builds the packet and records the relative L2
-    deviations of schrodinger_deviation.  Returns the table along with
-    fitted log-log slopes; both should sit near -2.
+    For each ladder mass, builds the packet (reference slice t = 0) and
+    records the relative L2 deviations of schrodinger_deviation at
+    LIMIT_TIME.  Returns the table along with fitted log-log slopes; both
+    should sit near -2.
     """
-    dev_rho, dev_j = zip(*(schrodinger_deviation(sweep.packet(mass), which, t)
+    dev_rho, dev_j = zip(*(schrodinger_deviation(sweep.packet(mass), which,
+                                                 LIMIT_TIME)
                            for mass in sweep.masses))
     masses = np.asarray(sweep.masses, dtype=float)
     return {

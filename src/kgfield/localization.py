@@ -136,9 +136,9 @@ def position_apply(field: LatticeField,
     """Apply the position operator along each axis: conjugate coordinate
     multiplication by the two-component map.
 
-    The continuum closed form x + i k/(2(k^2 + M^2)) is a cross-check
-    only (oracles.position_apply_checked); on the lattice it matches
-    this route exactly only in the continuum.
+    The continuum closed form x + i k/(2(k^2 + M^2)) is the tests'
+    cross-check (position_closed_form in tests/oracles.py); it matches
+    this route exactly only in the continuum, not on the lattice.
 
     Coordinate multiplication on a periodic box only makes sense away
     from the wrap, so fields must hold 99.9% of their position density

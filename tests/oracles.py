@@ -1,9 +1,10 @@
 """Cross-check routes that only the tests call.
 
 Each function here is an independent derivation of a quantity that a
-production module computes another way.  Nothing under ``kgfield``
-imports this module, so its heavy dependencies (sympy) stay off every
-command-line path.  The sections follow the production module whose
+production module computes another way.  The module lives beside the
+tests, outside the installed package, so neither it nor its heavy
+dependency (sympy) can reach a command-line path.  It imports only
+public kgfield names.  The sections follow the production module whose
 quantity they check.
 """
 
@@ -11,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, QuadratureRule
-from .core import (
+from kgfield.amplitudes import AmplitudeField, QuadratureRule
+from kgfield.core import (
     LatticeField,
     ModelParams,
     MomentumLattice,
@@ -20,10 +21,10 @@ from .core import (
     from_initial_data,
     minkowski_dot,
 )
-from .currents import PAD, FourVectorGrid, current_calJa, current_Ja
-from .em import DenseOperator
-from .limits import LimitSweep, fit_slope
-from .localization import TwoComponent, map_U_inverse, position_apply
+from kgfield.currents import PAD, FourVectorGrid, current_calJa, current_Ja
+from kgfield.em import DenseOperator
+from kgfield.limits import LimitSweep, fit_slope
+from kgfield.localization import TwoComponent, map_U_inverse, position_apply
 
 
 # ------------------------------------------------------------- currents

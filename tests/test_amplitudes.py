@@ -14,7 +14,8 @@ from kgfield.amplitudes import (
 )
 from kgfield.core import Boost, ModelParams, MomentumLattice, LatticeField
 from kgfield.inner import inner_a
-from kgfield.oracles import evaluate_at, kg_inner_amplitude, with_quad
+
+from oracles import evaluate_at, kg_inner_amplitude, with_quad
 
 
 def packet_pair(a=0.0, kappa=1.0):

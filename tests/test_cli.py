@@ -317,6 +317,45 @@ def test_sweep_quadrature_order_needs_one_dimension(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep_quadrature-order.csv").exists()
 
 
+@pytest.mark.parametrize("keys", [{"L": 4.0}, {"N": 16}, {"L": 4.0, "N": 16}])
+def test_sweep_quadrature_order_rejects_lattice_keys(tmp_path, capsys,
+                                                     monkeypatch, keys):
+    # that axis builds no lattice, so an L or N there would be ignored
+    from kgfield import cli
+
+    def no_point(payload):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    doc = json.loads((CONFIGS / "sweep_quadrature.json").read_text())
+    doc["model"].update(keys)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["sweep", write_config(tmp_path, "quad.json", doc)]) == 2
+    assert f"takes no {next(iter(keys))!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["L", "N"])
+def test_scenario_without_a_lattice_key_names_it(tmp_path, capsys, key):
+    doc = packet_scenario(tmp_path / "out")
+    del doc["model"][key]
+    assert main(["scenario", write_config(tmp_path, "scn.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: model block: {key!r} ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", ["sweep_a", "sweep_mass"])
+def test_lattice_sweep_without_N_is_config_error(tmp_path, capsys, config):
+    # the first sweep point builds its lattice before it computes anything
+    doc = json.loads((CONFIGS / f"{config}.json").read_text())
+    del doc["model"]["N"]
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["sweep", write_config(tmp_path, "noN.json", doc)]) == 2
+    assert "model block: 'N' is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config, path", [
     ("sweep_a", ("model", "d")),
     ("sweep_a", ("model", "N")),
@@ -499,23 +538,51 @@ def test_verify_never_imports_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kgfield"
+
+
+def _imports(path: Path):
+    """(line, module, names) of every import in the file, inside functions
+    too; a relative module is written with its leading dots."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield node.lineno, module, [alias.name for alias in node.names]
+
+
 def test_no_module_under_kgfield_imports_scipy():
     # a static guard: a lazy import inside a function counts too
-    paths = sorted((Path(__file__).resolve().parents[1] / "src"
-                    / "kgfield").rglob("*.py"))
+    paths = sorted(PACKAGE.rglob("*.py"))
     assert len(paths) > 10
-    found = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for n in names
-                      if n.split(".")[0] == "scipy"]
+    found = [f"{path.name}:{line}" for path in paths
+             for line, module, _ in _imports(path)
+             if module.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_oracles_live_outside_the_package():
+    assert sorted(PACKAGE.parent.rglob("oracles.py")) == []
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.rglob("*.py"))
+             for line, module, names in _imports(path)
+             if "oracles" in module.split(".") or "oracles" in names]
+    assert found == []
+
+
+def test_oracles_import_only_public_kgfield_names():
+    # an oracle that reached a private helper could share the derivation
+    # it is meant to check
+    path = Path(__file__).with_name("oracles.py")
+    imports = [(module, names) for _, module, names in _imports(path)]
+    assert not [m for m, _ in imports if m.startswith(".")]
+    kgfield_names = [(m, n) for m, names in imports
+                     if m.split(".")[0] == "kgfield" for n in names]
+    assert len(kgfield_names) > 10
+    assert [(m, n) for m, n in kgfield_names if n.startswith("_")] == []
+    assert [m for m, _ in imports if m.split(".")[0] == "kgfield"
+            and any(part.startswith("_") for part in m.split("."))] == []
 
 
 def test_verify_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
@@ -547,14 +614,14 @@ def test_verify_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 def test_verify_process_never_imports_sympy(tmp_path):
     # em:gauge-residual runs on numpy jets; sympy is only the test witness,
-    # and no command reaches the test-only kgfield.oracles
+    # and the oracles that use it live beside the tests
     scenario = str(CONFIGS / "scenario_packet.json")
     code = ("import sys; from kgfield.cli import main; "
             f"rc = main(['verify', '--out', {str(tmp_path)!r}]); "
             f"rc += main(['scenario', {scenario!r}, "
             f"'--out', {str(tmp_path / 'scn')!r}]); "
             "print(rc, 'sympy' in sys.modules, "
-            "'kgfield.oracles' in sys.modules)")
+            "any(m.rsplit('.', 1)[-1] == 'oracles' for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr

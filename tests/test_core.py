@@ -20,7 +20,8 @@ from kgfield.core import (
     minkowski_dot,
     random_field,
 )
-from kgfield.oracles import planewave_values, psic_at
+
+from oracles import planewave_values, psic_at
 
 
 def make_lattice(d=1, L=8.0, N=32):
@@ -137,12 +138,14 @@ def test_padded_grid_refines_native_grid(pad):
     native = lat.modes_to_grid(modes)
     assert np.abs(fine[::pad, ::pad] - native).max() < 1e-12 * np.abs(native).max()
     # and its modes are the coarse ones, zero-padded
-    back = lat.refined(pad).grid_to_modes(fine)
+    fine_lat, dest = lat._refinement(pad)
+    assert fine_lat is lat.refined(pad)
+    back = fine_lat.grid_to_modes(fine)
     kept = np.zeros(back.shape, dtype=bool)
-    kept[lat._pad_index(pad)] = True
+    kept[dest] = True
     assert np.abs(back[kept] - modes.ravel()).max() < 1e-12 * np.abs(modes).max()
     assert np.abs(back[~kept]).max() < 1e-12 * np.abs(modes).max()
-    assert lat._pad_index(pad) is lat._pad_index(pad)
+    assert lat._refinement(pad) is lat._refinement(pad)
 
 
 @pytest.mark.parametrize("d,N", [(1, 32), (2, 16), (3, 8)])

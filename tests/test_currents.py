@@ -26,7 +26,8 @@ from kgfield.currents import (
     two_mode_oracle,
 )
 from kgfield.inner import inner_a
-from kgfield.oracles import (
+
+from oracles import (
     density_Ja_direct,
     planewave_current_calJa,
     rho_a_symmetrized,

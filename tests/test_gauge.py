@@ -25,7 +25,8 @@ from kgfield.gauge import (
     group_classify,
 )
 from kgfield.inner import inner_a, norm_a
-from kgfield.oracles import charge_phase_space
+
+from oracles import charge_phase_space
 
 
 def small_field(a=0.3, seed=5):
@@ -42,6 +43,21 @@ def test_identity_and_pi_flip():
     scale = np.abs(f.phi_plus).max()
     assert np.abs(gpi.phi_plus + f.phi_plus).max() < 1e-12 * scale
     assert np.abs(gpi.phi_minus + f.phi_minus).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("a", [-0.8, 0.3])
+@pytest.mark.parametrize("theta", [0.7, 2.9, -1.3, 41.3])
+def test_action_is_the_grading_operator_form(a, theta):
+    # the group element written e^{-ia theta}[cos(theta) - i sin(theta) C]
+    f = small_field(a=a)
+    g = gauge_transform(f, theta)
+    cf = apply_C(f)
+    base = np.exp(-1j * a * theta)
+    scale = max(np.abs(f.phi_plus).max(), np.abs(f.phi_minus).max())
+    for sector in ("phi_plus", "phi_minus"):
+        want = base * (np.cos(theta) * getattr(f, sector)
+                       - 1j * np.sin(theta) * getattr(cf, sector))
+        assert np.abs(getattr(g, sector) - want).max() < 1e-13 * scale
 
 
 @pytest.mark.parametrize("a", [-0.8, 0.0, 0.3, 0.9])

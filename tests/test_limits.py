@@ -19,7 +19,8 @@ from kgfield.limits import (
     schrodinger_deviation,
     schrodinger_reference,
 )
-from kgfield.oracles import (
+
+from oracles import (
     conjugate_deviation,
     current_mutual_deviation,
     schrodinger_residual,
@@ -125,7 +126,7 @@ def test_schrodinger_residual_slope():
 @pytest.mark.parametrize("which", ["J_a", "calJ_a"])
 def test_current_limits(which):
     sweep = make_sweep(a=0.3)
-    out = limit_deviation(sweep, which, t=0.7)
+    out = limit_deviation(sweep, which)
     assert -2.4 <= out["slope_rho"] <= -1.6
     assert -2.4 <= out["slope_j"] <= -1.6
     assert out["dev_rho"][-1] < 1e-3
@@ -134,7 +135,7 @@ def test_current_limits(which):
 
 def test_limit_rows_are_per_mass_schrodinger_deviations():
     sweep = make_sweep(a=0.3)
-    out = limit_deviation(sweep, "calJ_a", t=0.7)
+    out = limit_deviation(sweep, "calJ_a")
     for mass, dr, dj in zip(sweep.masses, out["dev_rho"], out["dev_j"]):
         assert (dr, dj) == schrodinger_deviation(sweep.packet(mass), "calJ_a", 0.7)
     with pytest.raises(ValueError):

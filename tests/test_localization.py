@@ -42,8 +42,9 @@ from kgfield.localization import (
     probability_region,
     wavefunction_f,
 )
-from kgfield import oracles
-from kgfield.oracles import (
+
+import oracles
+from oracles import (
     field_from_wavefunctions,
     momentum_apply,
     pair_sum,

@@ -125,8 +125,11 @@ def test_nan_sector_deviation_fails_generator_check(monkeypatch):
 def test_wrong_sign_phase_fails_gauge_residual(monkeypatch):
     clean = _by_name(run_checks("em"))["gauge-residual"]
     assert clean.passed and clean.measured < 1e-13
-    monkeypatch.setattr(em, "_phase_factor",
-                        lambda q, big_phi: np.exp(-1j * q * big_phi))
+    # exp of the negated jet: the phase map u = exp(-iq Phi) takes the
+    # wrong sign, while the manufactured field only turns into another
+    # smooth field, which the identity holds for
+    monkeypatch.setitem(em._JET_RULES, np.exp,
+                        lambda a: em._jet_exp(tuple(-c for c in a)))
     bad = _by_name(run_checks("em"))["gauge-residual"]
     assert not bad.passed
     assert bad.measured > 1.0
@@ -193,3 +196,13 @@ def test_mis_scaled_dispersion_fails_every_limit_slope(monkeypatch):
                  "operator-expansion-slope"):
         assert not bad[name].passed, name
         assert bad[name].measured > 2.0 * bad[name].tolerance, name
+
+
+def test_unpadded_currents_fail_continuity(monkeypatch):
+    # the check draws modes out to 0.9 of Nyquist, whose quadratic
+    # products alias on the native grid
+    monkeypatch.setattr(currents, "PAD", 1)
+    bad = run_checks("currents")
+    assert [r.name for r in bad if not r.passed] == ["continuity-residual"]
+    assert _by_name(bad)["continuity-residual"].measured > 1.0
+    assert _baseline_breaches(bad) == ["currents:continuity-residual"]
