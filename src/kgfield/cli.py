@@ -3,13 +3,16 @@
 Subcommands
     verify [--suite NAME]      run registered invariant checks
     scenario CONFIG.json       build a field, run tasks, emit reports
-    sweep CONFIG.json          scan one axis in parallel, emit a table
+    sweep CONFIG.json          scan one axis point by point (--workers N
+                               for a process pool), emit a table
     state inspect FILE         print a state-file header summary
 
 Configs are JSON documents validated against the published schemas
 (SCENARIO_SCHEMA, SWEEP_SCHEMA below) by the in-package validator
-_schema_violation; unknown keys are rejected before
-any computation.  Physics parameters never appear as positional
+_schema_violation; unknown keys and non-finite numbers are rejected before
+any computation.  The schemas are built from the dispatch tables _FIELDS,
+_TASKS and AXIS_OBSERVABLES, so a construction, task or axis is declared
+once.  Physics parameters never appear as positional
 arguments.  Exit codes: 0 all checks/tasks passed, 1 a check or task
 failed, 2 configuration error.  KGFIELD_OUT overrides --out.  The
 environment variable KGFIELD_CORRUPT_DISPERSION (a float, default 1)
@@ -20,7 +23,9 @@ exists so the negative-control test can watch a corrupted constant fail.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import operator
 import os
 import sys
@@ -33,6 +38,7 @@ from . import __version__
 from .amplitudes import invariance_check, reference_packets
 from .core import (
     Boost,
+    LatticeField,
     ModelParams,
     MomentumLattice,
     PlaneWaveField,
@@ -48,7 +54,7 @@ from .currents import (
 )
 from .gauge import norm_drift
 from .inner import inner_a, inner_a_split, norm_a
-from .limits import LIMIT_TIME, fit_slope, limit_params, schrodinger_deviation
+from .limits import LIMIT_TIME, fit_slope, limit_kappa, schrodinger_deviation
 from .localization import besselK_profile, localized_state
 from .reporting import write_csv, write_json
 from .stateio import inspect_state, load_state
@@ -63,200 +69,39 @@ class TaskError(Exception):
     """Task precondition failure at run time; maps to exit code 1."""
 
 
-# --------------------------------------------------------------- schemas
+# ------------------------------------------------------- schema pieces
+
+def _closed(properties: dict, *required: str) -> dict:
+    """The schema of a JSON object with these properties and no others."""
+    node = {"type": "object", "properties": properties}
+    if required:
+        node["required"] = list(required)
+    node["additionalProperties"] = False
+    return node
+
 
 _NUM = {"type": "number"}
 _NUMS = {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 3}
-
-MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "d": {"type": "integer", "minimum": 1, "maximum": 3},
-        "L": {"oneOf": [_NUM, _NUMS]},
-        "N": {"oneOf": [{"type": "integer"},
-                        {"type": "array", "items": {"type": "integer"},
-                         "minItems": 1, "maxItems": 3}]},
-        "M": {"type": "number", "exclusiveMinimum": 0},
-        "kappa": {"type": "number", "exclusiveMinimum": 0},
-        "a": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1},
-        "t0": _NUM,
-    },
-    # L and N are required where a lattice is built (_model_from_block)
-    "required": ["d", "M"],
-    "additionalProperties": False,
-}
-
-FIELD_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "construction": {"const": "gaussian-packet"},
-                "sigma": {"type": "number", "exclusiveMinimum": 0},
-                "kcarrier": _NUMS,
-                "center": _NUMS,
-                "sector": {"enum": ["positive", "schrodinger"]},
-            },
-            "required": ["construction", "sigma"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "construction": {"const": "plane-waves"},
-                "modes": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "epsilon": {"enum": [1, -1]},
-                            "k": _NUMS,
-                            "coeff": {"type": "array", "items": _NUM,
-                                      "minItems": 2, "maxItems": 2},
-                        },
-                        "required": ["epsilon", "k", "coeff"],
-                        "additionalProperties": False,
-                    },
-                },
-            },
-            "required": ["construction", "modes"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "construction": {"const": "localized-state"},
-                "epsilon": {"enum": [1, -1]},
-                "node": {"type": "array", "items": {"type": "integer"},
-                         "minItems": 1, "maxItems": 3},
-            },
-            "required": ["construction", "epsilon", "node"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "construction": {"const": "from-file"},
-                "path": {"type": "string"},
-            },
-            "required": ["construction", "path"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
+_INTS = {"type": "array", "items": {"type": "integer"}, "minItems": 1,
+         "maxItems": 3}
 _TIMES = {"type": "array", "items": _NUM, "minItems": 1}
+_EPSILON = {"enum": [1, -1]}
 
-TASK_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"task": {"const": "total_probability"}, "times": _TIMES},
-            "required": ["task", "times"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"task": {"const": "rho_a"}, "times": _TIMES},
-            "required": ["task", "times"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"task": {"const": "inner_products"}},
-            "required": ["task"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "task": {"const": "continuity"},
-                "times": _TIMES,
-                "which": {"enum": ["J_a", "calJ_a"]},
-            },
-            "required": ["task", "times"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "task": {"const": "bessel-profile"},
-                "rays": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "array", "items": {"type": "integer"},
-                              "minItems": 3, "maxItems": 3},
-                },
-                "steps": {"type": "integer", "minimum": 1},
-            },
-            "required": ["task", "rays", "steps"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "task": {"const": "current-oracle"},
-                "events": {"type": "integer", "minimum": 1},
-                "beta": {"type": "number", "exclusiveMinimum": -1,
-                         "exclusiveMaximum": 1},
-            },
-            "required": ["task", "events", "beta"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"task": {"const": "gauge-orbit"}, "thetas": _TIMES},
-            "required": ["task", "thetas"],
-            "additionalProperties": False,
-        },
-    ]
-}
+MODEL_SCHEMA = _closed({
+    "d": {"type": "integer", "minimum": 1, "maximum": 3},
+    "L": {"oneOf": [_NUM, _NUMS]},
+    "N": {"oneOf": [{"type": "integer"}, _INTS]},
+    "M": {"type": "number", "exclusiveMinimum": 0},
+    "kappa": {"type": "number", "exclusiveMinimum": 0},
+    "a": {"type": "number", "exclusiveMinimum": -1, "exclusiveMaximum": 1},
+    "t0": _NUM,
+}, "d", "M")    # L and N: where a lattice is built (_model_from_block)
 
-OUTPUT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "directory": {"type": "string"},
-        "formats": {"type": "array", "items": {"enum": ["csv", "json"]},
-                    "minItems": 1},
-    },
-    "additionalProperties": False,
-}
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": MODEL_SCHEMA,
-        "field": FIELD_SCHEMA,
-        "tasks": {"type": "array", "items": TASK_SCHEMA, "minItems": 1},
-        "output": OUTPUT_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["model", "field", "tasks"],
-    "additionalProperties": False,
-}
-
-SWEEP_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "axis": {"enum": ["a", "M", "theta", "quadrature-order"]},
-        "grid": {"type": "array", "items": _NUM, "minItems": 2},
-        "observable": {"type": "string"},
-        "model": MODEL_SCHEMA,
-        "field": FIELD_SCHEMA,
-        "output": OUTPUT_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["axis", "grid", "observable", "model"],
-    "additionalProperties": False,
-}
-
-AXIS_OBSERVABLES = {
-    "a": ("total_probability",),
-    "M": ("nonrel-density-deviation", "nonrel-current-deviation"),
-    "theta": ("gauge-norm-drift",),
-    "quadrature-order": ("frame-invariance-drift",),
-}
+OUTPUT_SCHEMA = _closed({
+    "directory": {"type": "string"},
+    "formats": {"type": "array", "items": {"enum": ["csv", "json"]},
+                "minItems": 1},
+})
 
 
 # ------------------------------------------------------- config plumbing
@@ -308,23 +153,30 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
 
     Implements the JSON Schema keywords in _SCHEMA_KEYWORDS and the types
     in _SCHEMA_TYPES, the ones the schemas above use, with jsonschema's
-    meaning.  Any other keyword or type in a schema node that the value
+    meaning.  Every object node must have the shape _closed writes:
+    type "object", properties, and additionalProperties false.  Any other
+    keyword, type or object shape in a schema node that the value
     reaches raises ValueError, so that a schema edit cannot be skipped
     silently.  Nodes the value does not reach, such as an optional
     property it leaves out, are not checked here; tests/test_schema.py
     walks every node of every schema.  One deliberate departure: "integer"
     means a Python int that is not a bool, where JSON Schema also counts an
     integral float such as 2.0, which the model and task builders cannot
-    use.  A NaN passes every numeric bound,
-    as in jsonschema; ModelParams rejects it later.  A oneOf that does not
+    use.  A NaN passes every numeric bound, as in jsonschema; configs
+    never hold one, because _load_config rejects non-finite numbers while
+    parsing.  A oneOf that does not
     match exactly one branch reports the error of the branch whose const
     properties the value carries, if there is one.
     """
     unknown = schema.keys() - _SCHEMA_KEYWORDS
     if unknown:
         raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
-    if schema.get("additionalProperties", False) is not False:
-        raise ValueError("additionalProperties must be false")
+    closed = schema.get("type") == "object"
+    if (closed and (schema.get("additionalProperties") is not False
+                    or "properties" not in schema)) or (not closed and (
+            schema.keys() & {"properties", "required", "additionalProperties"})):
+        raise ValueError("an object node needs properties and "
+                         "additionalProperties false, as _closed writes it")
     # a list, not the dict: a list of type names is unhashable
     if schema.get("type", "object") not in list(_SCHEMA_TYPES):
         raise ValueError(f"schema type not implemented: {schema['type']!r}")
@@ -353,13 +205,13 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
             return path, f"{value!r} is too long"
         if "items" in schema:
             children = ((i, v, schema["items"]) for i, v in enumerate(value))
-    elif isinstance(value, dict):
-        props = schema.get("properties", {})
+    elif closed:
+        props = schema["properties"]
         missing = [k for k in schema.get("required", ()) if k not in value]
         if missing:
             return path, f"{missing[0]!r} is a required property"
         extra = [k for k in value if k not in props]
-        if "additionalProperties" in schema and extra:
+        if extra:
             verb = "was" if len(extra) == 1 else "were"
             return path, (f"Additional properties are not allowed "
                           f"({', '.join(map(repr, extra))} {verb} unexpected)")
@@ -371,15 +223,25 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
     return None
 
 
+def _finite(literal: str) -> float:
+    """json.loads hook for NaN, Infinity and float literals."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
 def _load_config(path: str, schema: dict) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
     error = _schema_violation(config, schema)
     if error:
         where = "/".join(str(p) for p in error[0]) or "<root>"
@@ -388,73 +250,115 @@ def _load_config(path: str, schema: dict) -> dict:
     return config
 
 
-def _params_from_block(block: dict) -> ModelParams:
-    try:
-        return ModelParams(mass=float(block["M"]),
-                           kappa=float(block.get("kappa", 1.0)),
-                           a=float(block.get("a", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(f"model block: {exc}") from None
-
-
-def _model_from_block(block: dict) -> tuple[MomentumLattice, ModelParams, float]:
+def _model_from_block(block: dict, lattice: bool = True):
+    """(lattice or None, params) of the model block.  L and N are required
+    when a lattice is built and rejected when none is."""
     for key in ("L", "N"):
-        if key not in block:
-            raise ConfigError(f"model block: {key!r} is required to build "
-                              f"a lattice")
+        if (key in block) != lattice:
+            raise ConfigError(
+                f"model block: {key!r} is required to build a lattice"
+                if lattice else
+                f"model block: no lattice is built, so it takes no {key!r}")
     d = block["d"]
-    L = block["L"]
-    N = block["N"]
-    lengths = [float(L)] * d if isinstance(L, (int, float)) else [float(v) for v in L]
-    nodes = [int(N)] * d if isinstance(N, int) else [int(v) for v in N]
-    if len(lengths) != d or len(nodes) != d:
-        raise ConfigError("model block: L and N must have d entries")
     try:
-        lattice = MomentumLattice(lengths, nodes)
+        grid = None
+        if lattice:
+            L, N = block["L"], block["N"]
+            lengths = [L] * d if isinstance(L, (int, float)) else L
+            nodes = [N] * d if isinstance(N, int) else N
+            if len(lengths) != d or len(nodes) != d:
+                raise ValueError("L and N must have d entries")
+            grid = MomentumLattice(lengths, nodes)
+        params = ModelParams(mass=float(block["M"]),
+                             kappa=float(block.get("kappa", 1.0)),
+                             a=float(block.get("a", 0.0)))
     except ValueError as exc:
         raise ConfigError(f"model block: {exc}") from None
-    return lattice, _params_from_block(block), float(block.get("t0", 0.0))
+    return grid, params
 
 
-def _field_from_block(block: dict, lattice: MomentumLattice,
-                      params: ModelParams, t0: float):
+# ------------------------------------------------------------------ fields
+# Each builder takes (field block, model block, t0) and reads the model
+# block through _model_from_block, with a lattice only if it builds one.
+
+def _gaussian_packet(block, model, t0):
+    lattice, params = _model_from_block(model)
+    build = (schrodinger_packet if block.get("sector") == "schrodinger"
+             else positive_packet)
+    return build(lattice, params, block["sigma"],
+                 kcarrier=block.get("kcarrier"), center=block.get("center"),
+                 t0=t0)
+
+
+def _plane_waves(block, model, t0):
+    _, params = _model_from_block(model, lattice=False)
+    modes = [(m["epsilon"], m["k"], complex(*m["coeff"]))
+             for m in block["modes"]]
+    return PlaneWaveField(params, modes, dim=model["d"])
+
+
+def _localized_state(block, model, t0):
+    lattice, params = _model_from_block(model)
+    if len(block["node"]) != lattice.dim:
+        raise TaskError("localized-state: node must have model dimension")
+    axes = lattice.coordinate_axes()
+    try:
+        y = tuple(axes[i][idx] for i, idx in enumerate(block["node"]))
+    except IndexError:
+        raise TaskError("localized-state: node index out of range") from None
+    return localized_state(block["epsilon"], y, lattice, params).field
+
+
+def _from_file(block, model, t0):
+    field = load_state(block["path"])
+    if isinstance(field, LatticeField):
+        lattice, params = _model_from_block(model)
+        same = field.lattice == lattice
+    else:
+        _, params = _model_from_block(model, lattice=False)
+        same = field.dim == model["d"]
+    if not same or field.params != params:
+        raise TaskError("from-file: stored model does not match the model "
+                        "block")
+    return field
+
+
+# construction: (builder, schema properties besides "construction", the
+# required ones among them)
+_FIELDS = {
+    "gaussian-packet": (_gaussian_packet, {
+        "sigma": {"type": "number", "exclusiveMinimum": 0},
+        "kcarrier": _NUMS,
+        "center": _NUMS,
+        "sector": {"enum": ["positive", "schrodinger"]},
+    }, ("sigma",)),
+    "plane-waves": (_plane_waves, {
+        "modes": {"type": "array", "minItems": 1, "items": _closed({
+            "epsilon": _EPSILON,
+            "k": _NUMS,
+            "coeff": {"type": "array", "items": _NUM, "minItems": 2,
+                      "maxItems": 2},
+        }, "epsilon", "k", "coeff")},
+    }, ("modes",)),
+    "localized-state": (_localized_state, {"epsilon": _EPSILON, "node": _INTS},
+                        ("epsilon", "node")),
+    "from-file": (_from_file, {"path": {"type": "string"}}, ("path",)),
+}
+
+FIELD_SCHEMA = {"oneOf": [
+    _closed({"construction": {"const": kind}, **props}, "construction", *required)
+    for kind, (_, props, required) in _FIELDS.items()]}
+
+
+def _field_from_block(block: dict, model: dict):
+    """(field, t0) of the field and model blocks.  A library ValueError or
+    an unreadable state file is a TaskError naming the construction."""
     kind = block["construction"]
-    if kind == "gaussian-packet":
-        build = (schrodinger_packet if block.get("sector") == "schrodinger"
-                 else positive_packet)
-        try:
-            return build(lattice, params, block["sigma"],
-                         kcarrier=block.get("kcarrier"),
-                         center=block.get("center"), t0=t0)
-        except ValueError as exc:
-            raise TaskError(f"gaussian-packet: {exc}") from None
-    if kind == "plane-waves":
-        modes = [(m["epsilon"], np.array(m["k"], dtype=float),
-                  complex(m["coeff"][0], m["coeff"][1])) for m in block["modes"]]
-        if any(len(k) != lattice.dim for _, k, _ in modes):
-            raise TaskError("plane-waves: mode k must have model dimension")
-        return PlaneWaveField(params, modes, dim=lattice.dim)
-    if kind == "localized-state":
-        if len(block["node"]) != lattice.dim:
-            raise TaskError("localized-state: node must have model dimension")
-        axes = lattice.coordinate_axes()
-        try:
-            y = tuple(axes[i][idx] for i, idx in enumerate(block["node"]))
-        except IndexError:
-            raise TaskError("localized-state: node index out of range") from None
-        return localized_state(block["epsilon"], y, lattice, params).field
-    if kind == "from-file":
-        try:
-            field = load_state(block["path"])
-        except (OSError, ValueError) as exc:
-            raise TaskError(f"from-file: {exc}") from None
-        if isinstance(field, PlaneWaveField):
-            return field
-        if field.lattice != lattice or field.params != params:
-            raise TaskError("from-file: stored model does not match the "
-                            "model block")
-        return field
-    raise ConfigError(f"unknown construction {kind!r}")
+    t0 = float(model.get("t0", 0.0))
+    try:
+        return _FIELDS[kind][0](block, model, t0), t0
+    except (OSError, ValueError) as exc:
+        raise TaskError(f"{kind}: {exc}") from None
 
 
 def _resolve_outdir(cli_out: str | None, config: dict) -> Path:
@@ -465,10 +369,20 @@ def _resolve_outdir(cli_out: str | None, config: dict) -> Path:
     return path
 
 
-def _resolve_formats(cli_format: str | None, config: dict) -> tuple[str, ...]:
-    if cli_format:
-        return (cli_format,)
-    return tuple(config.get("output", {}).get("formats", ["csv", "json"]))
+def _emit(args, config: dict, artifacts, name: str, payload: dict) -> int:
+    """Write the CSV artifacts and the JSON report `name` in the formats
+    that --format or the config's output block ask for."""
+    outdir = _resolve_outdir(args.out, config)
+    formats = ((args.format,) if args.format
+               else config.get("output", {}).get("formats", ["csv", "json"]))
+    if "csv" in formats:
+        for fname, cols, rows, footer in artifacts:
+            write_csv(outdir / fname, cols, rows, config, footer)
+            print(f"wrote {outdir / fname}")
+    if "json" in formats:
+        write_json(outdir / name, payload, config)
+        print(f"wrote {outdir / name}")
+    return 0
 
 
 # ----------------------------------------------------------------- verify
@@ -499,15 +413,10 @@ def _cmd_verify(args) -> int:
 
 
 # --------------------------------------------------------------- scenario
+# Each task takes (field, t0, task block, config) and returns its CSV
+# artifacts, as (file name, columns, rows, footer), and its summary.
 
-def _require_lattice_field(field, task: str):
-    if isinstance(field, PlaneWaveField):
-        raise TaskError(f"task {task}: needs a lattice field, got plane waves")
-    return field
-
-
-def _task_total_probability(field, t0, task, config):
-    f = _require_lattice_field(field, "total_probability")
+def _task_total_probability(f, t0, task, config):
     rows = [(t, total_probability(f, t)) for t in task["times"]]
     vals = [v for _, v in rows]
     summary = {
@@ -518,8 +427,7 @@ def _task_total_probability(field, t0, task, config):
     return [("total_probability.csv", ("t", "total_probability"), rows, ())], summary
 
 
-def _task_rho_a(field, t0, task, config):
-    f = _require_lattice_field(field, "rho_a")
+def _task_rho_a(f, t0, task, config):
     axes = f.lattice.coordinate_axes()
     coords = np.meshgrid(*axes, indexing="ij")
     cols = tuple(f"x{j + 1}" for j in range(f.lattice.dim)) + ("rho_a",)
@@ -535,9 +443,10 @@ def _task_rho_a(field, t0, task, config):
     return artifacts, summary
 
 
-def _task_inner_products(field, t0, task, config):
-    f = _require_lattice_field(field, "inner_products")
+def _task_inner_products(f, t0, task, config):
     v = inner_a(f, f)
+    if v == 0:
+        raise TaskError("inner_products: the field has zero norm")
     split = inner_a_split(f, f, t0)
     summary = {
         "norm_sq": v.real,
@@ -547,8 +456,7 @@ def _task_inner_products(field, t0, task, config):
     return [], summary
 
 
-def _task_continuity(field, t0, task, config):
-    f = _require_lattice_field(field, "continuity")
+def _task_continuity(f, t0, task, config):
     which = task.get("which", "J_a")
     rows = [(t, continuity_residual(f, t, which)) for t in task["times"]]
     summary = {"which": which,
@@ -556,8 +464,7 @@ def _task_continuity(field, t0, task, config):
     return [("continuity.csv", ("t", "residual"), rows, ())], summary
 
 
-def _task_bessel_profile(field, t0, task, config):
-    f = _require_lattice_field(field, "bessel-profile")
+def _task_bessel_profile(f, t0, task, config):
     lat = f.lattice
     if lat.dim != 3:
         raise TaskError("bessel-profile: needs a 3-dimensional model")
@@ -591,18 +498,13 @@ def _task_bessel_profile(field, t0, task, config):
 
 
 def _task_current_oracle(field, t0, task, config):
-    if not isinstance(field, PlaneWaveField):
-        raise TaskError("current-oracle: needs a plane-waves field")
     rng = np.random.default_rng(config.get("seed", 0))
     events = np.column_stack(
         [rng.uniform(-2.0, 2.0, task["events"])]
         + [rng.uniform(-4.0, 4.0, task["events"]) for _ in range(field.dim)])
-    try:
-        records = [two_mode_oracle(field, ev) for ev in events]
-        demo = noncovariance_demo(
-            field, Boost((task["beta"],) + (0.0,) * (field.dim - 1)))
-    except ValueError as exc:
-        raise TaskError(f"current-oracle: {exc}") from None
+    records = [two_mode_oracle(field, ev) for ev in events]
+    demo = noncovariance_demo(
+        field, Boost((task["beta"],) + (0.0,) * (field.dim - 1)))
     rows = [tuple(ev) + tuple(np.real(rec["J"])) + tuple(rec["calJ"])
             + (rec["div_calJ"],) for ev, rec in zip(events, records)]
     cols = (tuple(f"x{i}" for i in range(field.dim + 1))
@@ -619,89 +521,127 @@ def _task_current_oracle(field, t0, task, config):
     return [("current_oracle.csv", cols, rows, footer)], summary
 
 
-def _task_gauge_orbit(field, t0, task, config):
-    f = _require_lattice_field(field, "gauge-orbit")
+def _task_gauge_orbit(f, t0, task, config):
     rows = [(theta, norm_drift(f, theta)) for theta in task["thetas"]]
     summary = {"max_norm_drift": float(np.max([v for _, v in rows]))}
     return [("gauge_orbit.csv", ("theta", "norm_rel_drift"), rows, ())], summary
 
 
+# task: (function, the field type it takes, schema properties besides
+# "task", the required ones among them)
 _TASKS = {
-    "total_probability": _task_total_probability,
-    "rho_a": _task_rho_a,
-    "inner_products": _task_inner_products,
-    "continuity": _task_continuity,
-    "bessel-profile": _task_bessel_profile,
-    "current-oracle": _task_current_oracle,
-    "gauge-orbit": _task_gauge_orbit,
+    "total_probability": (_task_total_probability, LatticeField,
+                          {"times": _TIMES}, ("times",)),
+    "rho_a": (_task_rho_a, LatticeField, {"times": _TIMES}, ("times",)),
+    "inner_products": (_task_inner_products, LatticeField, {}, ()),
+    "continuity": (_task_continuity, LatticeField, {
+        "times": _TIMES,
+        "which": {"enum": ["J_a", "calJ_a"]},
+    }, ("times",)),
+    "bessel-profile": (_task_bessel_profile, LatticeField, {
+        "rays": {"type": "array", "minItems": 1,
+                 "items": {"type": "array", "items": {"type": "integer"},
+                           "minItems": 3, "maxItems": 3}},
+        "steps": {"type": "integer", "minimum": 1},
+    }, ("rays", "steps")),
+    "current-oracle": (_task_current_oracle, PlaneWaveField, {
+        "events": {"type": "integer", "minimum": 1},
+        "beta": {"type": "number", "exclusiveMinimum": -1,
+                 "exclusiveMaximum": 1},
+    }, ("events", "beta")),
+    "gauge-orbit": (_task_gauge_orbit, LatticeField, {"thetas": _TIMES},
+                    ("thetas",)),
 }
+
+TASK_SCHEMA = {"oneOf": [
+    _closed({"task": {"const": name}, **props}, "task", *required)
+    for name, (_, _, props, required) in _TASKS.items()]}
+
+SCENARIO_SCHEMA = _closed({
+    "model": MODEL_SCHEMA,
+    "field": FIELD_SCHEMA,
+    "tasks": {"type": "array", "items": TASK_SCHEMA, "minItems": 1},
+    "output": OUTPUT_SCHEMA,
+    "seed": {"type": "integer", "minimum": 0},
+}, "model", "field", "tasks")
 
 
 def _cmd_scenario(args) -> int:
     config = _load_config(args.config, SCENARIO_SCHEMA)
-    lattice, params, t0 = _model_from_block(config["model"])
-    field = _field_from_block(config["field"], lattice, params, t0)
-    outdir = _resolve_outdir(args.out, config)
-    formats = _resolve_formats(args.format, config)
-    summary = {"tasks": {}}
+    field, t0 = _field_from_block(config["field"], config["model"])
+    artifacts, summary = [], {}
     for task in config["tasks"]:
         name = task["task"]
-        artifacts, task_summary = _TASKS[name](field, t0, task, config)
-        summary["tasks"][name] = task_summary
-        if "csv" in formats:
-            for fname, cols, rows, footer in artifacts:
-                write_csv(outdir / fname, cols, rows, config, footer)
-                print(f"wrote {outdir / fname}")
-    if "json" in formats:
-        write_json(outdir / "summary.json", summary, config)
-        print(f"wrote {outdir / 'summary.json'}")
-    return 0
+        run, kind = _TASKS[name][:2]
+        if not isinstance(field, kind):
+            raise TaskError(f"task {name}: needs a {kind.__name__}, got a "
+                            f"{type(field).__name__}")
+        try:
+            made, summary[name] = run(field, t0, task, config)
+        except ValueError as exc:
+            raise TaskError(f"{name}: {exc}") from None
+        artifacts += made
+    return _emit(args, config, artifacts, "summary.json", {"tasks": summary})
 
 
 # ------------------------------------------------------------------ sweep
 
-def _sweep_point(payload: dict) -> float:
-    """One sweep cell; top level so process pools can import it."""
-    config = payload["config"]
+AXIS_OBSERVABLES = {
+    "a": ("total_probability",),
+    "M": ("nonrel-density-deviation", "nonrel-current-deviation"),
+    "theta": ("gauge-norm-drift",),
+    "quadrature-order": ("frame-invariance-drift",),
+}
+
+SWEEP_SCHEMA = _closed({
+    "axis": {"enum": list(AXIS_OBSERVABLES)},
+    "grid": {"type": "array", "items": _NUM, "minItems": 2},
+    "observable": {"type": "string"},
+    "model": MODEL_SCHEMA,
+    "field": FIELD_SCHEMA,
+    "output": OUTPUT_SCHEMA,
+    "seed": {"type": "integer", "minimum": 0},
+}, "axis", "grid", "observable", "model")
+
+
+def _sweep_point(config: dict, value) -> float:
+    """The observable at one grid value; top level so process pools can
+    import it."""
     axis = config["axis"]
-    value = payload["value"]
-    observable = config["observable"]
-    model = dict(config["model"])
+    model, block = dict(config["model"]), config.get("field")
     if axis == "quadrature-order":
         # frame invariance of the continuum inner product: no lattice
-        order = int(value)
-        if order != value or order < 2:
+        if int(value) != value or value < 2:
             raise TaskError("axis quadrature-order: grid must be integers >= 2")
-        f1, f2 = reference_packets(_params_from_block(model))
+        f1, f2 = reference_packets(_model_from_block(model, lattice=False)[1])
         return invariance_check(f1, f2, Boost((0.35,)),
-                                orders=(order,))["rel_dev"][0]
-    if axis == "a":
-        model["a"] = value
-    elif axis == "M":
-        model["M"] = value
-    lattice, params, t0 = _model_from_block(model)
-
+                                orders=(int(value),))["rel_dev"][0]
     if axis == "M":
         # nonrelativistic deviation of the a-current from the Schrodinger
         # reference under the limit convention for kappa, at LIMIT_TIME
         # after the reference slice as in limits.limit_deviation
-        params = limit_params(params.mass, params.a)
-        block = config["field"]
         if block["construction"] != "gaussian-packet":
             raise TaskError("axis M: needs a gaussian-packet field")
-        field = _field_from_block(dict(block, sector="schrodinger"),
-                                  lattice, params, t0)
+        model.update(M=value, kappa=limit_kappa(float(model.get("a", 0.0))))
+        block = dict(block, sector="schrodinger")
+    elif axis == "a":
+        model["a"] = value
+    field, t0 = _field_from_block(block, model)
+    if not isinstance(field, LatticeField):
+        raise TaskError(f"axis {axis}: needs a LatticeField, got a "
+                        f"{type(field).__name__}")
+    if axis == "M":
         dev_rho, dev_j = schrodinger_deviation(field, "J_a", t0 + LIMIT_TIME)
-        return dev_rho if observable == "nonrel-density-deviation" else dev_j
-
-    field = _field_from_block(config["field"], lattice, params, t0)
-    f = _require_lattice_field(field, observable)
-    return total_probability(f, t0) if axis == "a" else norm_drift(f, value)
+        return (dev_rho if config["observable"] == "nonrel-density-deviation"
+                else dev_j)
+    return total_probability(field, t0) if axis == "a" else norm_drift(field, value)
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = _load_config(args.config, SWEEP_SCHEMA)
-    axis = config["axis"]
+    axis, grid = config["axis"], config["grid"]
     observable = config["observable"]
     if observable not in AXIS_OBSERVABLES[axis]:
         raise ConfigError(
@@ -709,64 +649,47 @@ def _cmd_sweep(args) -> int:
             f"{AXIS_OBSERVABLES[axis]}, got {observable!r}")
     if axis != "quadrature-order" and "field" not in config:
         raise ConfigError(f"axis {axis}: a field block is required")
-    if axis == "quadrature-order" and config["model"]["d"] != 1:
-        raise ConfigError("axis quadrature-order: the reference packets are "
-                          "1-D, so the model block needs d = 1")
-    lattice_keys = [k for k in ("L", "N") if k in config["model"]]
-    if axis == "quadrature-order" and lattice_keys:
-        raise ConfigError(f"axis quadrature-order: builds no lattice, so the "
-                          f"model block takes no {lattice_keys[0]!r}")
-    if axis == "a":
-        for v in config["grid"]:
-            if not -1.0 < v < 1.0:
-                raise ConfigError("axis a: grid values must lie in (-1, 1)")
-    if axis == "M" and any(v <= 0 for v in config["grid"]):
-        raise ConfigError("axis M: grid values must be positive")
-    if axis == "M" and len(config["grid"]) < 4:
+    if axis == "quadrature-order":
+        if config["model"]["d"] != 1:
+            raise ConfigError("axis quadrature-order: the reference packets "
+                              "are 1-D, so the model block needs d = 1")
+        _model_from_block(config["model"], lattice=False)   # before any point
+    if axis == "M" and len(grid) < 4:
         raise ConfigError("axis M: the slope fit needs at least 4 grid points")
 
-    payloads = [{"config": config, "value": v} for v in config["grid"]]
-    workers = max(1, args.workers)
-    if workers == 1:
-        values = [_sweep_point(p) for p in payloads]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    point = functools.partial(_sweep_point, config)
+    workers = min(args.workers, len(grid))
+    try:
+        if workers == 1:
+            values = [point(v) for v in grid]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_sweep_point, payloads))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                values = list(pool.map(point, grid))
+    except ValueError as exc:
+        raise TaskError(f"axis {axis}: {exc}") from None
 
-    rows = list(zip(config["grid"], values))
+    payload = {"axis": axis, "grid": list(grid), "values": values}
     footer = ()
     if axis == "M":
-        slope = fit_slope(config["grid"], values)
-        footer = (f"fitted-slope {slope!r}",)
-    outdir = _resolve_outdir(args.out, config)
-    formats = _resolve_formats(args.format, config)
-    if "csv" in formats:
-        write_csv(outdir / f"sweep_{axis}.csv", (axis, observable), rows,
-                  config, footer)
-        print(f"wrote {outdir / f'sweep_{axis}.csv'}")
-    if "json" in formats:
-        payload = {"axis": axis, "grid": list(config["grid"]),
-                   "values": values}
-        if axis == "M":
-            payload["fitted_slope"] = slope
-        write_json(outdir / f"sweep_{axis}.json", payload, config)
-        print(f"wrote {outdir / f'sweep_{axis}.json'}")
-    return 0
+        payload["fitted_slope"] = fit_slope(grid, values)
+        footer = (f"fitted-slope {payload['fitted_slope']!r}",)
+    artifact = (f"sweep_{axis}.csv", (axis, observable),
+                list(zip(grid, values)), footer)
+    return _emit(args, config, [artifact], f"sweep_{axis}.json", payload)
 
 
 # ------------------------------------------------------------------ state
 
 def _cmd_state(args) -> int:
-    if args.state_cmd == "inspect":
-        try:
-            info = inspect_state(args.file)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        print(json.dumps(info, indent=2, sort_keys=True))
-        return 0
-    raise ConfigError(f"unknown state subcommand {args.state_cmd!r}")
+    # argparse admits only the inspect subcommand
+    try:
+        info = inspect_state(args.file)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    print(json.dumps(info, indent=2, sort_keys=True))
+    return 0
 
 
 # ------------------------------------------------------------------- main
@@ -792,7 +715,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="scan one axis of a config")
     p_swp.add_argument("config")
-    p_swp.add_argument("--workers", type=int, default=1)
+    p_swp.add_argument("--workers", type=int, default=1,
+                       help="process pool size, at most the grid length")
     p_swp.set_defaults(func=_cmd_sweep)
 
     for p in (p_verify, p_scn, p_swp):

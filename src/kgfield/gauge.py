@@ -64,6 +64,9 @@ def gauge_transform(field: LatticeField, theta: float,
 def norm_drift(field: LatticeField, theta: float) -> float:
     """|norm_a(g psi)^2 - norm_a(psi)^2| / norm_a(psi)^2 for g at theta."""
     base = norm_a(field) ** 2
+    if base == 0.0:
+        raise ValueError("the field has zero norm, so its relative norm "
+                         "drift is undefined")
     return abs(norm_a(gauge_transform(field, theta)) ** 2 - base) / base
 
 

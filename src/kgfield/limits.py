@@ -37,10 +37,15 @@ def fit_slope(masses, deviations) -> float:
     return float(np.polyfit(np.log(masses), np.log(deviations), 1)[0])
 
 
+def limit_kappa(a: float) -> float:
+    """The limit convention kappa = 1/(1+a), the choice that sends the
+    currents to the Schrodinger pair."""
+    return 1.0 / (1.0 + a)
+
+
 def limit_params(mass: float, a: float) -> ModelParams:
-    """Model parameters under the limit convention kappa = 1/(1+a), the
-    choice that sends the currents to the Schrodinger pair."""
-    return ModelParams(mass=float(mass), kappa=1.0 / (1.0 + a), a=a)
+    """Model parameters under the limit convention (limit_kappa)."""
+    return ModelParams(mass=float(mass), kappa=limit_kappa(a), a=a)
 
 
 @dataclass(frozen=True)

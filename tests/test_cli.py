@@ -219,8 +219,7 @@ def test_sweep_mass_point_is_the_library_deviation():
     want = schrodinger_deviation(field, "J_a", 0.1 + 0.7)
     for observable, value in zip(("nonrel-density-deviation",
                                   "nonrel-current-deviation"), want):
-        got = cli._sweep_point({"config": dict(config, observable=observable),
-                                "value": 3.0})
+        got = cli._sweep_point(dict(config, observable=observable), 3.0)
         assert got == value
 
 
@@ -263,7 +262,7 @@ def test_sweep_mass_too_short_for_slope_is_config_error(tmp_path, capsys,
                                                        monkeypatch):
     from kgfield import cli
 
-    def no_point(payload):
+    def no_point(config, value):
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
@@ -323,7 +322,7 @@ def test_sweep_quadrature_order_rejects_lattice_keys(tmp_path, capsys,
     # that axis builds no lattice, so an L or N there would be ignored
     from kgfield import cli
 
-    def no_point(payload):
+    def no_point(config, value):
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
@@ -400,6 +399,211 @@ def test_sweep_observable_axis_mismatch(tmp_path):
     }
     cfg = write_config(tmp_path, "mis.json", doc)
     assert main(["sweep", cfg]) == 2
+
+
+def _shipped(name, path, value):
+    """A shipped config with value at path, as a dict."""
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("name, path, literal", [
+    ("scenario_packet", ("tasks", 1, "times", 1), "NaN"),
+    ("scenario_packet", ("tasks", 1), '{"task": "gauge-orbit", "thetas": [Infinity]}'),
+    ("scenario_two_modes", ("field", "modes", 0, "k", 0), "NaN"),
+    ("sweep_a", ("model", "kappa"), "1e400"),
+    ("sweep_mass", ("grid", 0), "-Infinity"),
+], ids=["nan-time", "infinite-theta", "nan-wave-vector", "overflow",
+        "minus-infinity"])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, name,
+                                                  path, literal):
+    # JSON has no NaN or infinity; Python's json module reads them, and
+    # 1e400 overflows to inf, so the loader refuses all of them
+    doc = _shipped(name, path, "@")
+    doc["output"]["directory"] = str(tmp_path / "out")
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', literal))
+    command = "sweep" if name.startswith("sweep") else "scenario"
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config {cfg}: ")
+    assert "is not a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _saved(tmp_path, field) -> str:
+    from kgfield.stateio import save_state
+
+    path = tmp_path / "field.kgs"
+    save_state(path, field)
+    return str(path)
+
+
+def _null_field():
+    from kgfield.core import LatticeField
+
+    zero = np.zeros(64, dtype=complex)
+    return LatticeField(MomentumLattice([16.0], [64]),
+                        ModelParams(mass=1.0, kappa=0.8, a=0.3), zero, zero)
+
+
+@pytest.mark.parametrize("task, ok", [
+    ({"task": "inner_products"}, False),
+    ({"task": "gauge-orbit", "thetas": [0.0, 1.3]}, False),
+    ({"task": "rho_a", "times": [0.0]}, True),
+    ({"task": "total_probability", "times": [0.0, 1.0]}, True),
+])
+def test_null_field_from_a_state_file(tmp_path, capsys, task, ok):
+    # the relative quantities divide by the norm; the densities do not
+    doc = packet_scenario(tmp_path / "out")
+    doc["field"] = {"construction": "from-file",
+                    "path": _saved(tmp_path, _null_field())}
+    doc["tasks"] = [task]
+    assert main(["scenario", write_config(tmp_path, "null.json", doc)]) == (
+        0 if ok else 1)
+    err = capsys.readouterr().err
+    if not ok:
+        assert err.startswith(f"task failed: {task['task']}: the field has "
+                              f"zero norm")
+        assert "Traceback" not in err
+
+
+def test_null_field_theta_sweep_fails_cleanly(tmp_path, capsys):
+    doc = {"axis": "theta", "grid": [0.0, 1.3],
+           "observable": "gauge-norm-drift",
+           "model": packet_scenario(tmp_path)["model"],
+           "field": {"construction": "from-file",
+                     "path": _saved(tmp_path, _null_field())},
+           "output": {"directory": str(tmp_path / "out")}}
+    assert main(["sweep", write_config(tmp_path, "null.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("task failed: axis theta: the field has zero norm")
+    assert not (tmp_path / "out").exists()
+
+
+def _two_mode_state(tmp_path, mass):
+    from kgfield.core import PlaneWaveField
+
+    doc = json.loads((CONFIGS / "scenario_two_modes.json").read_text())
+    model = doc["model"]
+    modes = [(m["epsilon"], m["k"], complex(*m["coeff"]))
+             for m in doc["field"]["modes"]]
+    params = ModelParams(mass=mass, kappa=model["kappa"], a=model["a"])
+    doc["field"] = {"construction": "from-file",
+                    "path": _saved(tmp_path, PlaneWaveField(params, modes, 1))}
+    doc["output"]["directory"] = str(tmp_path / "out")
+    return doc
+
+
+def test_plane_wave_state_must_match_the_model_block(tmp_path, capsys):
+    doc = _two_mode_state(tmp_path, mass=1.0)
+    assert main(["scenario", write_config(tmp_path, "same.json", doc)]) == 0
+    capsys.readouterr()
+    doc = _two_mode_state(tmp_path, mass=2.0)
+    assert main(["scenario", write_config(tmp_path, "m2.json", doc)]) == 1
+    assert capsys.readouterr().err == ("task failed: from-file: stored model "
+                                       "does not match the model block\n")
+
+
+@pytest.mark.parametrize("key", ["L", "N"])
+def test_plane_waves_take_no_lattice_keys(tmp_path, capsys, key):
+    # plane waves live on no lattice, whether built or read from a file
+    for doc in (_shipped("scenario_two_modes", ("model", key), 16),
+                _two_mode_state(tmp_path, mass=1.0)):
+        doc["model"][key] = 16
+        doc["output"]["directory"] = str(tmp_path / "out")
+        assert main(["scenario", write_config(tmp_path, "pw.json", doc)]) == 2
+        assert f"takes no {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_plane_wave_vector_of_the_wrong_dimension_fails_the_task(tmp_path,
+                                                                 capsys):
+    doc = _shipped("scenario_two_modes", ("field", "modes", 1, "k"), [1.0, 0.5])
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["scenario", write_config(tmp_path, "k2.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "task failed: plane-waves: mode wave vector has wrong dimension")
+
+
+@pytest.mark.parametrize("name, task", [
+    ("scenario_two_modes", {"task": "total_probability", "times": [0.0]}),
+    ("scenario_packet", {"task": "current-oracle", "events": 2, "beta": 0.5}),
+])
+def test_task_on_the_wrong_field_type_fails(tmp_path, capsys, name, task):
+    doc = _shipped(name, ("tasks",), [task])
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["scenario", write_config(tmp_path, "kind.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"task failed: task {task['task']}: needs a ")
+
+
+@pytest.mark.parametrize("name, value, reason", [
+    ("sweep_a", 1.0, "parameter a must lie in (-1, 1)"),
+    ("sweep_mass", -3.0, "mass must be positive and finite"),
+])
+def test_sweep_grid_value_outside_the_model_is_config_error(
+        tmp_path, capsys, name, value, reason):
+    # ModelParams rejects the value when its point builds the model
+    doc = _shipped(name, ("grid", 2), value)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["sweep", write_config(tmp_path, "grid.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: model block: ")
+    assert reason in err
+    assert not (tmp_path / "out").exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in
+    this process and starts none."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+def test_workers_pool_is_capped_at_the_grid_length(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = str(CONFIGS / "sweep_quadrature.json")
+    for workers, out in (("3", "three"), ("8", "eight")):
+        assert main(["sweep", cfg, "--workers", workers,
+                     "--out", str(tmp_path / out)]) == 0
+    assert _RecordingPool.sizes == [3, 5]
+    assert body_lines((tmp_path / "three" / "sweep_quadrature-order.csv")
+                      .read_text()) == body_lines(
+        (tmp_path / "eight" / "sweep_quadrature-order.csv").read_text())
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, monkeypatch,
+                                           workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    out = tmp_path / "out"
+    assert main(["sweep", str(CONFIGS / "sweep_a.json"), "--workers", workers,
+                 "--out", str(out)]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert _RecordingPool.sizes == [] and not out.exists()
 
 
 def test_state_inspect_roundtrip(tmp_path, capsys):

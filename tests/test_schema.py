@@ -18,14 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgfield.cli import (
+    AXIS_OBSERVABLES,
     FIELD_SCHEMA,
     MODEL_SCHEMA,
     OUTPUT_SCHEMA,
     SCENARIO_SCHEMA,
     SWEEP_SCHEMA,
     TASK_SCHEMA,
+    _FIELDS,
     _SCHEMA_KEYWORDS,
     _SCHEMA_TYPES,
+    _TASKS,
     _schema_violation,
 )
 
@@ -91,9 +94,7 @@ NAN = float("nan")
 # floats: planted at every node of every shipped config
 PLANTED = ["x", None, {}, [], True, False, 0, 1, -1, 2, 3, 4, -0.5, 0.5,
            0.0, 1.0, 2.0, -1.0, 1e9, -1e9, NAN, math.inf, -math.inf]
-CONSTS = ["gaussian-packet", "plane-waves", "localized-state", "from-file",
-          "total_probability", "rho_a", "inner_products", "continuity",
-          "bessel-profile", "current-oracle", "gauge-orbit", "bogus"]
+CONSTS = [*_FIELDS, *_TASKS, "bogus"]
 
 
 def _mutations(doc):
@@ -151,6 +152,28 @@ def test_unimplemented_keyword_raises():
     for kind in ("boolean", "null", ["number", "null"]):
         with pytest.raises(ValueError, match="schema type not implemented"):
             _schema_violation(True, {"type": kind})
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object"},
+    {"type": "object", "properties": {}},
+    {"type": "object", "additionalProperties": False},
+    {"properties": {}, "additionalProperties": False},
+    {"oneOf": [{"type": "number"}], "required": ["x"]},
+])
+def test_object_node_must_be_closed(schema):
+    # every object node is written by cli._closed; an open or partial one
+    # would let unknown keys through
+    with pytest.raises(ValueError, match="object node"):
+        _schema_violation({"x": 1}, schema)
+
+
+def test_schema_branches_come_from_the_dispatch_tables():
+    consts = lambda schema, key: [b["properties"][key]["const"]
+                                  for b in schema["oneOf"]]
+    assert consts(FIELD_SCHEMA, "construction") == list(_FIELDS)
+    assert consts(TASK_SCHEMA, "task") == list(_TASKS)
+    assert SWEEP_SCHEMA["properties"]["axis"]["enum"] == list(AXIS_OBSERVABLES)
 
 
 def test_one_of_needs_exactly_one_branch():
@@ -222,7 +245,8 @@ def test_violation_names_the_path_and_the_reason(doc, where, reason):
 
 
 def test_nan_passes_every_numeric_bound_as_in_jsonschema():
-    # ModelParams rejects the non-finite value later, at the boundary
+    # the validator does not see one from a file: cli._load_config rejects
+    # non-finite numbers while it parses (tests/test_cli.py)
     doc = _edited(SHIPPED["sweep_a"], ("model", "M"), NAN)
     doc = _edited(doc, ("model", "a"), NAN)
     assert _schema_violation(doc, SWEEP_SCHEMA) is None
