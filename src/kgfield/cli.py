@@ -306,7 +306,7 @@ def _localized_state(block, model, t0):
         y = tuple(axes[i][idx] for i, idx in enumerate(block["node"]))
     except IndexError:
         raise TaskError("localized-state: node index out of range") from None
-    return localized_state(block["epsilon"], y, lattice, params).field
+    return localized_state(block["epsilon"], y, lattice, params, t0).field
 
 
 def _from_file(block, model, t0):
@@ -647,13 +647,16 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(
             f"axis {axis}: observable must be one of "
             f"{AXIS_OBSERVABLES[axis]}, got {observable!r}")
-    if axis != "quadrature-order" and "field" not in config:
-        raise ConfigError(f"axis {axis}: a field block is required")
     if axis == "quadrature-order":
+        if "field" in config:
+            raise ConfigError("axis quadrature-order: the reference packets "
+                              "are fixed, so it takes no field block")
         if config["model"]["d"] != 1:
             raise ConfigError("axis quadrature-order: the reference packets "
                               "are 1-D, so the model block needs d = 1")
         _model_from_block(config["model"], lattice=False)   # before any point
+    elif "field" not in config:
+        raise ConfigError(f"axis {axis}: a field block is required")
     if axis == "M" and len(grid) < 4:
         raise ConfigError("axis M: the slope fit needs at least 4 grid points")
 

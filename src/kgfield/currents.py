@@ -92,9 +92,10 @@ def current_Ja(field: LatticeField, t: float) -> FourVectorGrid:
 def _calja_and_rate(field: LatticeField, t: float):
     """current_calJa and d_t of its time slot, from one set of padded grids.
 
-    The time slot is rho_a on the padded grid, so
+    The time slot is rho_a's _density on the padded grid (d^0 Q = i Pc and
+    d^0 Qc = i P reduce the Im-bracket to it), so
     d_t calJ^0 = (kappa/M) Re{P* P' + Pc* Pc' + a [P'* Pc + P* Pc']}.
-    Each component is assembled as soon as its two derivative grids exist.
+    Each spatial component is assembled as soon as its two grids exist.
     """
     lat = field.lattice
     params = field.params
@@ -111,17 +112,13 @@ def _calja_and_rate(field: LatticeField, t: float):
     Pc = lat.modes_to_grid(up * psic_m, PAD)
     pref = 0.5 * params.kappa / params.mass
     comps = np.empty((lat.dim + 1,) + P.shape, dtype=float)
-    for mu in range(lat.dim + 1):
-        if mu == 0:     # d^0 = -d_0
-            dQ = -lat.modes_to_grid(down * psidot_m, PAD)
-            dQc = -lat.modes_to_grid(down * psicdot_m, PAD)
-        else:
-            k = lat.k_grids[mu - 1]
-            dQ = lat.modes_to_grid(1j * k * Q_m, PAD)
-            dQc = lat.modes_to_grid(1j * k * Qc_m, PAD)
+    comps[0] = pref * _density(P, Pc, params.a)
+    for i, k in enumerate(lat.k_grids):
+        dQ = lat.modes_to_grid(1j * k * Q_m, PAD)
+        dQc = lat.modes_to_grid(1j * k * Qc_m, PAD)
         s = (np.conj(P) * dQc - Pc * np.conj(dQ)
              + params.a * (np.conj(P) * dQ - Pc * np.conj(dQc)))
-        comps[mu] = pref * np.imag(s)
+        comps[1 + i] = pref * np.imag(s)
 
     P_dot = lat.modes_to_grid(up * psidot_m, PAD)
     Pc_dot = lat.modes_to_grid(up * psicdot_m, PAD)
@@ -144,22 +141,23 @@ def current_calJa(field: LatticeField, t: float) -> FourVectorGrid:
     return _calja_and_rate(field, t)[0]
 
 
-def rho_a(field: LatticeField, t: float, pad: int = 1) -> np.ndarray:
-    """Probability density: (kappa/2M){|D^{1/4}psi|^2 + |D^{1/4}psi_c|^2
-    + 2a Re[(D^{1/4}psi)* D^{1/4}psi_c]}.
+def _density(P: np.ndarray, Pc: np.ndarray, a: float) -> np.ndarray:
+    """|P|^2 + |Pc|^2 + 2a Re(P* Pc) of P = D^{1/4}psi, Pc = D^{1/4}psi_c."""
+    return np.abs(P) ** 2 + np.abs(Pc) ** 2 + 2 * a * np.real(np.conj(P) * Pc)
+
+
+def rho_a(field: LatticeField, t: float) -> np.ndarray:
+    """Probability density (kappa/2M) _density(D^{1/4}psi, D^{1/4}psi_c, a),
+    calJ_a's time slot, on the native grid.
 
     Nonnegative by the arithmetic-geometric inequality with |a| < 1;
     rounding negatives below 1e-14 of the max are clipped, anything
     larger raises, and so does a non-finite value.
     """
-    lat = field.lattice
-    params = field.params
-    w = field.omega
+    lat, params, up = field.lattice, field.params, field.omega ** 0.5
     p, m = field.mode_pair(t)
-    P = lat.modes_to_grid(w ** 0.5 * (p + m), pad)
-    Pc = lat.modes_to_grid(w ** 0.5 * (p - m), pad)
-    dens = (np.abs(P) ** 2 + np.abs(Pc) ** 2
-            + 2.0 * params.a * np.real(np.conj(P) * Pc))
+    dens = _density(lat.modes_to_grid(up * (p + m)),
+                    lat.modes_to_grid(up * (p - m)), params.a)
     dens *= 0.5 * params.kappa / params.mass
     if not np.isfinite(dens).all():
         raise FloatingPointError("density is not finite")
@@ -182,11 +180,10 @@ def _divergence(field: LatticeField, t: float, which: str):
     """The current and its pointwise d_mu (current)^mu grid."""
     cur, dj0dt = _CURRENT_AND_RATE[which](field, t)
     lattice = cur.lattice
-    div = 0.0
+    div = 0.0      # sum_i i k_i FFT(J^i), synthesized once
     for k, comp in zip(lattice.k_grids, cur.components[1:]):
-        modes = lattice.grid_to_modes(np.asarray(comp, dtype=complex))
-        div = div + lattice.modes_to_grid(1j * k * modes)
-    return cur, dj0dt + div
+        div = div + 1j * k * lattice.grid_to_modes(np.asarray(comp, complex))
+    return cur, dj0dt + lattice.modes_to_grid(div)
 
 
 def continuity_residual(field: LatticeField, t: float,

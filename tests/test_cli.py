@@ -316,22 +316,56 @@ def test_sweep_quadrature_order_needs_one_dimension(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep_quadrature-order.csv").exists()
 
 
-@pytest.mark.parametrize("keys", [{"L": 4.0}, {"N": 16}, {"L": 4.0, "N": 16}])
-def test_sweep_quadrature_order_rejects_lattice_keys(tmp_path, capsys,
-                                                     monkeypatch, keys):
-    # that axis builds no lattice, so an L or N there would be ignored
+@pytest.fixture
+def no_sweep_point(monkeypatch):
+    """Make any sweep point fail: a rejected config must not reach one."""
     from kgfield import cli
 
     def no_point(config, value):
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
+
+
+@pytest.mark.parametrize("keys", [{"L": 4.0}, {"N": 16}, {"L": 4.0, "N": 16}])
+def test_sweep_quadrature_order_rejects_lattice_keys(tmp_path, capsys,
+                                                     no_sweep_point, keys):
+    # that axis builds no lattice, so an L or N there would be ignored
     doc = json.loads((CONFIGS / "sweep_quadrature.json").read_text())
     doc["model"].update(keys)
     doc["output"]["directory"] = str(tmp_path / "out")
     assert main(["sweep", write_config(tmp_path, "quad.json", doc)]) == 2
     assert f"takes no {next(iter(keys))!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_quadrature_order_rejects_a_field_block(tmp_path, capsys,
+                                                      no_sweep_point):
+    # that axis boosts its own reference packets, so a field block there
+    # would be ignored, even one naming a file that does not exist
+    doc = json.loads((CONFIGS / "sweep_quadrature.json").read_text())
+    doc["field"] = {"construction": "from-file", "path": "does-not-exist.kgs"}
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["sweep", write_config(tmp_path, "quad.json", doc)]) == 2
+    assert "takes no field block" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_localized_scenario_profiles_the_state_at_t0(tmp_path):
+    # the state is localized at the model's t0, where the profile is read,
+    # so moving t0 moves nothing
+    bodies = []
+    for t0 in (0.0, 0.5):
+        doc = json.loads((CONFIGS / "scenario_localized.json").read_text())
+        doc["model"].update(L=10.0, N=32, t0=t0)
+        doc["field"]["node"] = [16, 16, 16]
+        out = tmp_path / f"t0_{t0}"
+        doc["output"]["directory"] = str(out)
+        cfg = write_config(tmp_path, f"loc_{t0}.json", doc)
+        assert main(["scenario", cfg]) == 0
+        bodies.append(body_lines((out / "bessel_profile.csv").read_text()))
+    assert len(bodies[0]) > 1
+    assert bodies[0] == bodies[1]
 
 
 @pytest.mark.parametrize("key", ["L", "N"])

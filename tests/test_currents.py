@@ -101,12 +101,15 @@ def test_probability_time_slot_and_density_routes():
     params = ModelParams(mass=1.2, kappa=0.9, a=0.55)
     f = random_field(lat, params, seed=17)
     cur = current_calJa(f, 1.1)
-    dens = rho_a(f, 1.1, pad=2)
-    scale = dens.max()
-    assert np.abs(cur.components[0] - dens).max() < 1e-12 * scale
-    assert dens.min() >= 0.0
+    # the half-angle route on the padded grid, independent of _density
     alt = rho_a_symmetrized(f, 1.1, pad=2)
-    assert np.abs(alt - dens).max() < 1e-12 * scale
+    scale = alt.max()
+    assert np.abs(cur.components[0] - alt).max() < 1e-12 * scale
+    assert cur.components[0].min() >= 0.0
+    dens = rho_a(f, 1.1)
+    assert np.abs(rho_a_symmetrized(f, 1.1) - dens).max() < 1e-12 * scale
+    # the native grid is every other node of the padded one
+    assert np.abs(cur.components[0][::2] - dens).max() < 1e-12 * scale
     assert np.abs(cur.components.imag).max() == 0.0  # real dtype by construction
 
 
@@ -314,14 +317,16 @@ def test_noncovariance_demo_equal_frequencies_rejected():
         noncovariance_demo(o, Boost((0.3, 0.0)))
 
 
-def test_transform_counts_at_64_squared(monkeypatch):
+def _transform_counts(monkeypatch, nodes):
+    """fftn + ifftn calls of current_Ja, current_calJa, both continuity
+    residuals and divergence_grid of one random field at t = 0.3."""
     calls = [0]
     for name in ("fftn", "ifftn"):
         def counted(*args, _original=getattr(np.fft, name), **kwargs):
             calls[0] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    lat = MomentumLattice([16.0, 16.0], [64, 64])
+    lat = MomentumLattice([16.0] * len(nodes), nodes)
     f = random_field(lat, ModelParams(mass=1.2, kappa=0.9, a=0.3), seed=3)
 
     def count(fn, *args):
@@ -329,13 +334,21 @@ def test_transform_counts_at_64_squared(monkeypatch):
         fn(f, 0.3, *args)
         return calls[0]
 
-    # each family's padded grids are built once: value and gradient
-    # grids, d_t of the time slot, and two transforms per divergence axis
-    assert count(current_Ja) <= 10
-    assert count(current_calJa) <= 10
-    assert count(continuity_residual, "J_a") <= 14
-    assert count(continuity_residual, "calJ_a") <= 14
-    assert count(divergence_grid) <= 14
+    return (count(current_Ja), count(current_calJa),
+            count(continuity_residual, "J_a"),
+            count(continuity_residual, "calJ_a"), count(divergence_grid))
+
+
+# each family's padded grids are built once: value grids, d spatial
+# gradient pairs and d_t of the time slot (J_a: 4 + 2d + 2; calJ_a, whose
+# time slot is the density of its value grids: 2 + 2d + 2), and a
+# divergence takes d forward transforms and one synthesis
+def test_transform_counts_at_64_squared(monkeypatch):
+    assert _transform_counts(monkeypatch, [64, 64]) == (10, 8, 13, 11, 11)
+
+
+def test_transform_counts_at_16_cubed(monkeypatch):
+    assert _transform_counts(monkeypatch, [16] * 3) == (12, 10, 16, 14, 14)
 
 
 def test_divergence_grid_matches_continuity_residual():

@@ -169,11 +169,11 @@ def test_swapped_density_weights_fail_charge_equals_norm(monkeypatch):
     original = currents.rho_a
 
     # the a-density of the field read with -a: (1+a) and (1-a) trade places
-    def swapped(field, t, pad=1):
+    def swapped(field, t):
         p = ModelParams(field.params.mass, field.params.kappa, -field.params.a)
         flipped = LatticeField(field.lattice, p, field.phi_plus,
                                field.phi_minus, t0=field.t0)
-        return original(flipped, t, pad)
+        return original(flipped, t)
 
     monkeypatch.setattr(currents, "rho_a", swapped)
     bad = run_checks("currents")
