@@ -84,7 +84,6 @@ class MomentumLattice:
         k_axes = [2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
                   for L, n in zip(box_lengths, nodes)]
         self.k_grids = tuple(np.meshgrid(*k_axes, indexing="ij", sparse=True))
-        self.ksq = sum(k * k for k in self.k_grids)
         # e^{i k x0} with x0 = -L/2 on every axis: exact +-1 per axis
         self._phase0 = tuple(
             np.where(np.rint(k * L / (2.0 * np.pi)) % 2 == 0,
@@ -116,13 +115,23 @@ class MomentumLattice:
     def coordinate_grids(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.coordinate_axes(), indexing="ij"))
 
+    @property
+    def ksq(self) -> np.ndarray:
+        """|k|^2 on the full grid, a new grid on every read."""
+        return sum(k * k for k in self.k_grids)
+
     def omega(self, mass: float) -> np.ndarray:
-        """Mode frequencies sqrt(|k|^2 + mass^2)."""
+        """Mode frequencies sqrt(|k|^2 + mass^2), cached per mass."""
         w = self._omega_cache.get(mass)
         if w is None:
-            w = np.sqrt(self.ksq + mass * mass)
-            self._omega_cache[mass] = w
+            w = self._omega_cache[mass] = self._omega_grid(mass)
         return w
+
+    def _omega_grid(self, mass: float) -> np.ndarray:
+        """omega(mass) as a new grid the caller owns, built in place."""
+        w = self.ksq
+        w += mass * mass
+        return np.sqrt(w, out=w)
 
     def refined(self, factor: int) -> "MomentumLattice":
         """Lattice of the same box with factor-times the nodes per axis."""
@@ -406,8 +415,9 @@ def random_field(
     shape = tuple(lattice.nodes)
     kmax = min(np.pi * n / L for n, L in zip(lattice.nodes, lattice.box_lengths))
     kband = band_fraction * kmax
-    damp = np.exp(-(lattice.ksq / kband ** 2) ** 2)
-    damp[lattice.ksq > kband ** 2] = 0.0
+    ksq = lattice.ksq
+    damp = np.exp(-(ksq / kband ** 2) ** 2)
+    damp[ksq > kband ** 2] = 0.0
     draw = lambda: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     norm = scale / np.sqrt(lattice.total_nodes)
     return LatticeField(lattice, params,

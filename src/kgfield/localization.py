@@ -201,7 +201,8 @@ def localized_state(epsilon: int, y, lattice: MomentumLattice,
     idx = _node_index(lattice, y)
     shape = tuple(lattice.nodes)
     modes = lattice._analyze_delta(idx, 1.0 / np.sqrt(lattice.cell_volume))
-    winv = lattice.omega(params.mass) ** -0.5
+    winv = lattice._omega_grid(params.mass)
+    winv **= -0.5
     root = np.sqrt(params.mass / params.kappa)
     phi = np.multiply(np.multiply(root, winv, out=winv), modes, out=modes)
     zero = np.zeros(shape, dtype=complex)     # calloc: no pages until written

@@ -13,7 +13,9 @@ A sector that is zero in every byte is neither re-phased there nor
 reduced against another zero sector; the one-sector routes must still
 give the bytes of the two-grid expressions.  A localized state's delta
 is transformed only along the lines through its node; that must give
-the bytes of fftn on the dense delta.
+the bytes of fftn on the dense delta.  A lattice builds ksq anew on every
+read and keeps only its per-mass omega grids; localized_state takes a
+frequency grid of its own and leaves that cache alone.
 """
 
 import itertools
@@ -525,3 +527,64 @@ def test_psidot_grid_takes_no_more_memory_than_psi_grid():
     psi, psidot = (p / (16 * lat.total_nodes) for p in peaks)
     assert psidot <= psi + 0.1, \
         f"psidot_grid peaked {psidot:.2f} complex grids, psi_grid {psi:.2f}"
+
+
+# ------------------------------------------- frequency grids built on demand
+
+# SHAPES, the Bluestein length 202 and 1-D
+GRID_SHAPES = {**SHAPES, "202x36": ((7.0, 3.0), (202, 36)),
+               "50": ((5.0,), (50,))}
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_ksq_and_omega_keep_their_bytes(shape):
+    lat = MomentumLattice(*GRID_SHAPES[shape])
+    ksq = sum(k * k for k in lat.k_grids)
+    assert_same_bytes(lat.ksq, ksq)
+    for m in (PARAMS.mass, 0.5):
+        assert_same_bytes(lat.omega(m), np.sqrt(ksq + m * m))
+        assert lat.omega(m) is lat.omega(m)
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_each_ksq_read_is_a_new_grid(shape):
+    lat = MomentumLattice(*GRID_SHAPES[shape])
+    first = lat.ksq
+    kept = first.copy()
+    first += 1.0
+    assert_same_bytes(lat.ksq, kept)
+
+
+def _traced(run):
+    """(held, peak) bytes that run adds to what is traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()         # alive while the held bytes are read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - before, peak - before
+
+
+def test_a_lattice_holds_no_frequency_grid():
+    nodes = (48,) * 3
+    floats = 8 * np.prod(nodes)
+    held, _ = _traced(lambda: MomentumLattice([6.0] * 3, nodes))
+    assert held / floats < 0.25, \
+        f"a fresh lattice holds {held / floats:.2f} float grids"
+    lat = MomentumLattice([6.0] * 3, nodes)
+    held, peak = (b / floats for b in _traced(lambda: lat.omega(PARAMS.mass)))
+    assert held <= 1.05 and peak <= 1.25, \
+        f"omega holds {held:.2f} and peaks {peak:.2f} float grids"
+
+
+def test_localized_state_takes_an_uncached_frequency_grid():
+    # tracemalloc counts the calloc'd zero sector: one complex grid of the two
+    lat = MomentumLattice([6.0] * 3, [48] * 3)
+    lat._centering_sign()       # a lattice cache that any transform fills
+    held, peak = _traced(lambda: localized_state(1, [0.0] * 3, lat, PARAMS))
+    held, peak = (b / (16 * lat.total_nodes) for b in (held, peak))
+    assert peak <= 2.75, f"localized_state peaked {peak:.2f} complex grids"
+    assert held <= 2.01, f"localized_state keeps {held:.2f} complex grids"
+    assert lat._omega_cache == {}
