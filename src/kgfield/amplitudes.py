@@ -16,12 +16,23 @@ shrink as the rule is refined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import Boost, ModelParams
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's leggauss(order) nodes and weights on [-1, 1], built once
+    per order and process and returned read-only."""
+    y, w = leggauss(order)
+    y.flags.writeable = False
+    w.flags.writeable = False
+    return y, w
 
 
 @dataclass(frozen=True)
@@ -46,7 +57,7 @@ class QuadratureRule:
                        stretch: float | None = None) -> "QuadratureRule":
         if radius <= 0 or order < 2:
             raise ValueError("need radius > 0 and order >= 2")
-        y, w = leggauss(order)
+        y, w = gauss_legendre_nodes(order)
         if stretch is not None:
             if stretch <= 0:
                 raise ValueError("stretch scale must be positive")

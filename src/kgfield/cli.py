@@ -18,6 +18,12 @@ failed, 2 configuration error.  KGFIELD_OUT overrides --out.  The
 environment variable KGFIELD_CORRUPT_DISPERSION (a float, default 1)
 rescales the dispersion relation inside the wave-equation check; it
 exists so the negative-control test can watch a corrupted constant fail.
+
+Importing this module loads only kgfield.core besides numpy.  Every other
+library module is imported inside the function that calls it, so a cold
+process loads, and compiles when it has no bytecode cache, only the
+modules its command runs.  verify loads every computational module,
+since its registry imports them all.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .amplitudes import invariance_check, reference_packets
 from .core import (
     Boost,
     LatticeField,
@@ -45,20 +50,6 @@ from .core import (
     positive_packet,
     schrodinger_packet,
 )
-from .currents import (
-    continuity_residual,
-    noncovariance_demo,
-    rho_a,
-    total_probability,
-    two_mode_oracle,
-)
-from .gauge import norm_drift
-from .inner import inner_a, inner_a_split, norm_a
-from .limits import LIMIT_TIME, fit_slope, limit_kappa, schrodinger_deviation
-from .localization import besselK_profile, localized_state
-from .reporting import write_csv, write_json
-from .stateio import inspect_state, load_state
-from .verify import VerifyContext, available_suites, run_checks
 
 
 class ConfigError(Exception):
@@ -298,6 +289,8 @@ def _plane_waves(block, model, t0):
 
 
 def _localized_state(block, model, t0):
+    from .localization import localized_state
+
     lattice, params = _model_from_block(model)
     if len(block["node"]) != lattice.dim:
         raise TaskError("localized-state: node must have model dimension")
@@ -310,6 +303,8 @@ def _localized_state(block, model, t0):
 
 
 def _from_file(block, model, t0):
+    from .stateio import load_state
+
     field = load_state(block["path"])
     if isinstance(field, LatticeField):
         lattice, params = _model_from_block(model)
@@ -372,6 +367,8 @@ def _resolve_outdir(cli_out: str | None, config: dict) -> Path:
 def _emit(args, config: dict, artifacts, name: str, payload: dict) -> int:
     """Write the CSV artifacts and the JSON report `name` in the formats
     that --format or the config's output block ask for."""
+    from .reporting import write_csv, write_json
+
     outdir = _resolve_outdir(args.out, config)
     formats = ((args.format,) if args.format
                else config.get("output", {}).get("formats", ["csv", "json"]))
@@ -388,6 +385,8 @@ def _emit(args, config: dict, artifacts, name: str, payload: dict) -> int:
 # ----------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
+    from .verify import VerifyContext, run_checks
+
     try:
         scale = float(os.environ.get("KGFIELD_CORRUPT_DISPERSION", "1.0"))
     except ValueError:
@@ -405,6 +404,8 @@ def _cmd_verify(args) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     config = {"suite": args.suite or "all", "seed": args.seed}
     if args.out or os.environ.get("KGFIELD_OUT"):
+        from .reporting import write_json
+
         outdir = _resolve_outdir(args.out, {})
         payload = {"checks": [asdict(r) for r in results],
                    "passed": not failed}
@@ -417,6 +418,9 @@ def _cmd_verify(args) -> int:
 # artifacts, as (file name, columns, rows, footer), and its summary.
 
 def _task_total_probability(f, t0, task, config):
+    from .currents import total_probability
+    from .inner import norm_a
+
     rows = [(t, total_probability(f, t)) for t in task["times"]]
     vals = [v for _, v in rows]
     summary = {
@@ -428,6 +432,8 @@ def _task_total_probability(f, t0, task, config):
 
 
 def _task_rho_a(f, t0, task, config):
+    from .currents import rho_a
+
     axes = f.lattice.coordinate_axes()
     coords = np.meshgrid(*axes, indexing="ij")
     cols = tuple(f"x{j + 1}" for j in range(f.lattice.dim)) + ("rho_a",)
@@ -444,6 +450,8 @@ def _task_rho_a(f, t0, task, config):
 
 
 def _task_inner_products(f, t0, task, config):
+    from .inner import inner_a, inner_a_split
+
     v = inner_a(f, f)
     if v == 0:
         raise TaskError("inner_products: the field has zero norm")
@@ -457,6 +465,8 @@ def _task_inner_products(f, t0, task, config):
 
 
 def _task_continuity(f, t0, task, config):
+    from .currents import continuity_residual
+
     which = task.get("which", "J_a")
     rows = [(t, continuity_residual(f, t, which)) for t in task["times"]]
     summary = {"which": which,
@@ -465,6 +475,8 @@ def _task_continuity(f, t0, task, config):
 
 
 def _task_bessel_profile(f, t0, task, config):
+    from .localization import besselK_profile
+
     lat = f.lattice
     if lat.dim != 3:
         raise TaskError("bessel-profile: needs a 3-dimensional model")
@@ -498,6 +510,8 @@ def _task_bessel_profile(f, t0, task, config):
 
 
 def _task_current_oracle(field, t0, task, config):
+    from .currents import noncovariance_demo, two_mode_oracle
+
     rng = np.random.default_rng(config.get("seed", 0))
     events = np.column_stack(
         [rng.uniform(-2.0, 2.0, task["events"])]
@@ -522,6 +536,8 @@ def _task_current_oracle(field, t0, task, config):
 
 
 def _task_gauge_orbit(f, t0, task, config):
+    from .gauge import norm_drift
+
     rows = [(theta, norm_drift(f, theta)) for theta in task["thetas"]]
     summary = {"max_norm_drift": float(np.max([v for _, v in rows]))}
     return [("gauge_orbit.csv", ("theta", "norm_rel_drift"), rows, ())], summary
@@ -610,6 +626,8 @@ def _sweep_point(config: dict, value) -> float:
     axis = config["axis"]
     model, block = dict(config["model"]), config.get("field")
     if axis == "quadrature-order":
+        from .amplitudes import invariance_check, reference_packets
+
         # frame invariance of the continuum inner product: no lattice
         if int(value) != value or value < 2:
             raise TaskError("axis quadrature-order: grid must be integers >= 2")
@@ -617,6 +635,8 @@ def _sweep_point(config: dict, value) -> float:
         return invariance_check(f1, f2, Boost((0.35,)),
                                 orders=(int(value),))["rel_dev"][0]
     if axis == "M":
+        from .limits import LIMIT_TIME, limit_kappa, schrodinger_deviation
+
         # nonrelativistic deviation of the a-current from the Schrodinger
         # reference under the limit convention for kappa, at LIMIT_TIME
         # after the reference slice as in limits.limit_deviation
@@ -634,7 +654,13 @@ def _sweep_point(config: dict, value) -> float:
         dev_rho, dev_j = schrodinger_deviation(field, "J_a", t0 + LIMIT_TIME)
         return (dev_rho if config["observable"] == "nonrel-density-deviation"
                 else dev_j)
-    return total_probability(field, t0) if axis == "a" else norm_drift(field, value)
+    if axis == "a":
+        from .currents import total_probability
+
+        return total_probability(field, t0)
+    from .gauge import norm_drift
+
+    return norm_drift(field, value)
 
 
 def _cmd_sweep(args) -> int:
@@ -676,6 +702,8 @@ def _cmd_sweep(args) -> int:
     payload = {"axis": axis, "grid": list(grid), "values": values}
     footer = ()
     if axis == "M":
+        from .limits import fit_slope
+
         payload["fitted_slope"] = fit_slope(grid, values)
         footer = (f"fitted-slope {payload['fitted_slope']!r}",)
     artifact = (f"sweep_{axis}.csv", (axis, observable),
@@ -686,6 +714,8 @@ def _cmd_sweep(args) -> int:
 # ------------------------------------------------------------------ state
 
 def _cmd_state(args) -> int:
+    from .stateio import inspect_state
+
     # argparse admits only the inspect subcommand
     try:
         info = inspect_state(args.file)
@@ -708,7 +738,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run registered invariant checks")
     p_verify.add_argument("--suite", default=None,
-                          help=f"one of {available_suites()}")
+                          help="run one registered suite (default: all)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 

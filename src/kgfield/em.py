@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
 
+from .amplitudes import gauss_legendre_nodes
 from .core import ModelParams, MomentumLattice
 
 MAX_NODES = 32
@@ -242,7 +243,7 @@ def _along(profile, events: np.ndarray, axis: int) -> _Jet:
 def _phase_integral(phi, events: np.ndarray, t0: float) -> np.ndarray:
     """Int_{t0}^{x0} phi(tau, x1, x2) dtau at every event."""
     x0, x1, x2 = events.T
-    nodes, weights = np.polynomial.legendre.leggauss(_PHASE_NODES)
+    nodes, weights = gauss_legendre_nodes(_PHASE_NODES)
     half = 0.5 * (x0 - t0)
     tau = t0 + half * (1.0 + nodes[:, None])
     return half * (weights @ np.broadcast_to(phi(tau, x1, x2), tau.shape))

@@ -8,6 +8,7 @@ from kgfield.amplitudes import (
     GaussianAmplitude,
     QuadratureRule,
     boost_amplitude,
+    gauss_legendre_nodes,
     inner_amplitude,
     invariance_check,
     truncation_mass_check,
@@ -16,6 +17,19 @@ from kgfield.core import Boost, ModelParams, MomentumLattice, LatticeField
 from kgfield.inner import inner_a
 
 from oracles import evaluate_at, kg_inner_amplitude, with_quad
+
+
+def test_gauss_legendre_nodes_are_numpy_rule_built_once():
+    from numpy.polynomial.legendre import leggauss
+
+    y, w = gauss_legendre_nodes(24)
+    assert gauss_legendre_nodes(24)[0] is y
+    for got, want in zip((y, w), leggauss(24)):
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    rule = QuadratureRule.gauss_legendre(1, radius=1.0, order=24)
+    assert rule.nodes[:, 0].tobytes() == y.tobytes()
 
 
 def packet_pair(a=0.0, kappa=1.0):

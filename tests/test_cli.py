@@ -171,15 +171,16 @@ def test_sweep_a_affine_column(tmp_path, monkeypatch):
 
 
 def test_sweep_mass_slope_footer(tmp_path, monkeypatch):
-    from kgfield import cli
+    from kgfield import limits
 
     fits = []
 
-    def counted(*args, _real=cli.fit_slope):
+    def counted(*args, _real=limits.fit_slope):
         fits.append(args)
         return _real(*args)
 
-    monkeypatch.setattr(cli, "fit_slope", counted)
+    # the CLI imports fit_slope from kgfield.limits when the fit runs
+    monkeypatch.setattr(limits, "fit_slope", counted)
     monkeypatch.delenv("KGFIELD_OUT", raising=False)
     out = tmp_path / "swm"
     doc = {
@@ -224,10 +225,10 @@ def test_sweep_mass_point_is_the_library_deviation():
 
 
 def test_nan_residual_reaches_summary_as_nan(tmp_path, monkeypatch):
-    from kgfield import cli
+    from kgfield import currents
 
     residuals = iter([1e-15, float("nan")])
-    monkeypatch.setattr(cli, "continuity_residual",
+    monkeypatch.setattr(currents, "continuity_residual",
                         lambda *args: next(residuals))
     out = tmp_path / "run"
     doc = packet_scenario(out)
@@ -730,6 +731,63 @@ def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _config_argv(name: str) -> list[str]:
+    command = "sweep" if name.startswith("sweep_") else "scenario"
+    return [command, str(CONFIGS / f"{name}.json"), "--out", name]
+
+
+# label: (argv, or None for the bare import; the kgfield modules a cold
+# process holds after it besides kgfield, kgfield.core and kgfield.cli).
+# A command loads what it runs and nothing else; verify, with no report to
+# write, loads every module but stateio and reporting.
+_COMMANDS = {
+    "import": (None, set()),
+    "--version": (["--version"], set()),
+    "state inspect": (["state", "inspect", "f.kgs"], {"stateio"}),
+    "scenario_localized": (_config_argv("scenario_localized"),
+                           {"localization", "inner", "_qags", "reporting"}),
+    "scenario_packet": (_config_argv("scenario_packet"),
+                        {"currents", "inner", "reporting"}),
+    "scenario_two_modes": (_config_argv("scenario_two_modes"),
+                           {"currents", "reporting"}),
+    "sweep_a": (_config_argv("sweep_a"), {"currents", "reporting"}),
+    "sweep_mass": (_config_argv("sweep_mass"),
+                   {"limits", "currents", "reporting"}),
+    "sweep_quadrature": (_config_argv("sweep_quadrature"),
+                         {"amplitudes", "reporting"}),
+    "verify": (["verify"], {"verify", "amplitudes", "currents", "em", "gauge",
+                            "inner", "limits", "localization", "_qags"}),
+}
+
+
+@pytest.mark.parametrize("label", list(_COMMANDS))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, label):
+    from kgfield.core import random_field
+    from kgfield.stateio import save_state
+
+    argv, extra = _COMMANDS[label]
+    save_state(tmp_path / "f.kgs", random_field(
+        MomentumLattice([8.0], [16]), ModelParams(mass=1.0), seed=1))
+    code = ("import json, sys\n"
+            "from kgfield.cli import main\n"
+            f"if {argv!r} is not None:\n"
+            "    try:\n"
+            f"        rc = main({argv!r})\n"
+            "    except SystemExit as exc:    # --version\n"
+            "        rc = exc.code\n"
+            "    assert rc == 0, rc\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'kgfield')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    want = {"kgfield", "kgfield.core", "kgfield.cli"} | {
+        f"kgfield.{m}" for m in extra}
+    assert loaded == want, (f"{label}: loads {sorted(loaded - want)} that it "
+                            f"does not run, lacks {sorted(want - loaded)}")
 
 
 def test_config_commands_never_import_jsonschema(tmp_path):
