@@ -91,6 +91,7 @@ class MomentumLattice:
             for k, L in zip(self.k_grids, box_lengths))
         self._sign: np.ndarray | None = None
         self._omega_cache: dict[float, np.ndarray] = {}
+        self._phase_memo: tuple | None = None
         self._refinements: dict[int, tuple] = {}
 
     def __eq__(self, other):
@@ -132,6 +133,20 @@ class MomentumLattice:
         w = self.ksq
         w += mass * mass
         return np.sqrt(w, out=w)
+
+    def _phase(self, mass: float, dt: float) -> np.ndarray:
+        """exp(-1j * omega(mass) * dt) as a read-only grid.
+
+        Only the last (mass, dt) is kept: every route that re-phases fields
+        of one lattice to one time shares it, and a new key replaces it."""
+        key = (mass, dt)
+        if self._phase_memo is not None and self._phase_memo[0] == key:
+            return self._phase_memo[1]
+        ph = -1j * self.omega(mass) * dt
+        np.exp(ph, out=ph)
+        ph.flags.writeable = False
+        self._phase_memo = (key, ph)
+        return ph
 
     def refined(self, factor: int) -> "MomentumLattice":
         """Lattice of the same box with factor-times the nodes per axis."""
@@ -286,12 +301,12 @@ class LatticeField:
                 p = np.zeros(self.phi_plus.shape, dtype=complex)
             return p, m
         # away from t0 a zero sector takes signed zeros from the phase
-        ph = -1j * self.omega * (t - self.t0)
-        np.exp(ph, out=ph)
-        # left an expression: numpy's temporary elision picks the operand
-        # order, and complex products round differently in each order
-        m = self.phi_minus * np.conj(ph)
-        return np.multiply(self.phi_plus, ph, out=ph), m
+        ph = self.lattice._phase(self.params.mass, t - self.t0)
+        # the shared grid is read-only, so phi+ * ph takes a new output with
+        # phi+ first; phi- * conj(ph) stays an expression, whose operand
+        # order numpy's temporary elision picks: complex products round
+        # differently in each order
+        return np.multiply(self.phi_plus, ph), self.phi_minus * np.conj(ph)
 
     def mode_pair(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Re-phased (phi+, phi-) coefficient grids at time t, both new."""
@@ -374,7 +389,7 @@ def energy_split(field: LatticeField) -> tuple[LatticeField, LatticeField]:
 
 def evolve(field: LatticeField, dt: float) -> LatticeField:
     """Shift the reference time by dt via exact mode re-phasing."""
-    ph = np.exp(-1j * field.omega * dt)
+    ph = field.lattice._phase(field.params.mass, dt)
     return field.copy_with(phi_plus=field.phi_plus * ph,
                            phi_minus=field.phi_minus * np.conj(ph),
                            t0=field.t0 + dt)

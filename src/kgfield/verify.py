@@ -13,6 +13,7 @@ and must trip the core suite.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,6 +61,7 @@ class CheckResult:
     measured: float
     tolerance: float
     passed: bool
+    elapsed_s: float = 0.0      # wall time of the check, perf_counter
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,12 @@ def run_checks(suite: str | None = None, ctx: VerifyContext | None = None) -> li
     for name_suite, name, at_least, fn in _REGISTRY:
         if suite is not None and name_suite != suite:
             continue
+        start = time.perf_counter()
         measured, tol = fn(ctx)
+        elapsed = time.perf_counter() - start
         ok = measured >= tol if at_least else measured <= tol
-        results.append(CheckResult(name_suite, name, float(measured), float(tol), bool(ok)))
+        results.append(CheckResult(name_suite, name, float(measured), float(tol),
+                                   bool(ok), elapsed))
     return results
 
 
@@ -401,7 +406,7 @@ def _chk_kappa(ctx):
 
 # ------------------------------------------------------------------ em
 
-def _em_setup(ctx):
+def _em_setup():
     lat = MomentumLattice([6.0, 6.0], [10, 10])
     params = ModelParams(mass=1.1, kappa=0.9, a=0.2)
     x = lat.coordinate_grids()
@@ -410,9 +415,20 @@ def _em_setup(ctx):
     return lat, params, EMBackground(avec, q=0.7)
 
 
+@lru_cache(maxsize=1)
+def _em_operator() -> tuple:
+    """(lattice, params, D_q) of the standard background, shared by the
+    floor and conservation checks.
+
+    The background has no seed, so one build per process serves every run.
+    """
+    lat, params, bg = _em_setup()
+    return lat, params, build_Dq(bg, lat, params)
+
+
 @_check("em", "free-spectrum")
 def _chk_em_free(ctx):
-    lat, params, bg = _em_setup(ctx)
+    lat, params, bg = _em_setup()
     op = build_Dq(EMBackground(np.zeros_like(bg.avec), q=0.5), lat, params)
     want = np.sort((lat.ksq + params.mass ** 2).ravel())
     return float(np.abs(op.eigenvalues - want).max() / want.max()), 1e-12
@@ -420,15 +436,13 @@ def _chk_em_free(ctx):
 
 @_check("em", "magnetic-floor")
 def _chk_em_floor(ctx):
-    lat, params, bg = _em_setup(ctx)
-    op = build_Dq(bg, lat, params)
+    _, params, op = _em_operator()
     return float((params.mass ** 2 - op.eigenvalues[0]) / params.mass ** 2), 1e-9
 
 
 @_check("em", "inner-conservation")
 def _chk_em_inner(ctx):
-    lat, params, bg = _em_setup(ctx)
-    op = build_Dq(bg, lat, params)
+    lat, _, op = _em_operator()
     rng = np.random.default_rng(ctx.seed + 18)
     psi0 = rng.standard_normal(lat.nodes) + 1j * rng.standard_normal(lat.nodes)
     psidot0 = rng.standard_normal(lat.nodes) + 1j * rng.standard_normal(lat.nodes)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,8 @@ def test_verify_report_written(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["passed"] is True
     assert {c["suite"] for c in report["checks"]} == {"gauge"}
+    for c in report["checks"]:
+        assert math.isfinite(c["elapsed_s"]) and c["elapsed_s"] >= 0.0
 
 
 def test_scenario_constant_total_and_summary(tmp_path, capsys):

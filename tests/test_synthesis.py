@@ -14,8 +14,12 @@ reduced against another zero sector; the one-sector routes must still
 give the bytes of the two-grid expressions.  A localized state's delta
 is transformed only along the lines through its node; that must give
 the bytes of fftn on the dense delta.  A lattice builds ksq anew on every
-read and keeps only its per-mass omega grids; localized_state takes a
-frequency grid of its own and leaves that cache alone.
+read and keeps only its per-mass omega grids and its last re-phasing grid
+exp(-i omega dt); localized_state takes a frequency grid of its own and
+leaves the omega cache alone.  Every route away from t0, evolve included,
+reads the one read-only phase grid per (mass, dt): the routes must give
+the plain expressions' bytes whether the grid was built for them or
+found, and no output may share its memory.
 """
 
 import itertools
@@ -29,12 +33,19 @@ from kgfield.core import (
     MomentumLattice,
     apply_C,
     energy_split,
+    evolve,
     positive_packet,
     random_field,
 )
-from kgfield.currents import current_calJa, current_Ja, rho_a
+from kgfield.currents import (
+    continuity_residual,
+    current_calJa,
+    current_Ja,
+    rho_a,
+    total_probability,
+)
 from kgfield.gauge import gauge_transform
-from kgfield.inner import inner_0, inner_a
+from kgfield.inner import inner_0, inner_a, inner_a_split
 from kgfield.localization import localized_state, map_Ua
 
 PARAMS = ModelParams(mass=1.3, kappa=0.8, a=0.35)
@@ -588,3 +599,119 @@ def test_localized_state_takes_an_uncached_frequency_grid():
     assert peak <= 2.75, f"localized_state peaked {peak:.2f} complex grids"
     assert held <= 2.01, f"localized_state keeps {held:.2f} complex grids"
     assert lat._omega_cache == {}
+
+
+# ------------------------------------------- one re-phasing grid per time
+
+def old_evolve(f, dt):
+    ph = np.exp(-1j * f.omega * dt)
+    return f.phi_plus * ph, f.phi_minus * np.conj(ph)
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_evolve_keeps_the_plain_exp_bytes(shape):
+    lat = MomentumLattice(*GRID_SHAPES[shape])
+    f = _with_signed_zeros(random_field(lat, PARAMS, seed=5, t0=T0))
+    f.psi_grid(T)               # leaves the phase of dt = T - T0
+    hits = []
+    for dt in (T - T0, 0.83, 0.83, -0.83, 0.0, -0.0):
+        held = lat._phase_memo[1]
+        g = evolve(f, dt)
+        hits.append(lat._phase_memo[1] is held)
+        for new, old in zip((g.phi_plus, g.phi_minus), old_evolve(f, dt)):
+            assert_same_bytes(new, old)
+    # 0.0 and -0.0 share a key: their phases are the same bytes
+    assert hits == [True, False, True, False, False, True]
+
+
+_ROUTES = {"mode_pair": lambda f, t: f.mode_pair(t),
+           "mode_psi": lambda f, t: (f.mode_psi(t),),
+           "mode_psidot": lambda f, t: (f.mode_psidot(t),),
+           "psi_grid": lambda f, t: (f.psi_grid(t),),
+           "psidot_grid": lambda f, t: (f.psidot_grid(t),)}
+_OLD_ROUTES = {
+    "mode_pair": old_pair,
+    "mode_psi": lambda f, t: (old_psi(f, t),),
+    "mode_psidot": lambda f, t: (old_psidot(f, t),),
+    "psi_grid": lambda f, t: (old_modes_to_grid(f.lattice, old_psi(f, t)),),
+    "psidot_grid": lambda f, t: (old_modes_to_grid(f.lattice,
+                                                   old_psidot(f, t)),)}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("route", _ROUTES)
+def test_routes_keep_their_bytes_on_a_memo_hit_and_miss(shape, route):
+    lat, fields = _fields(shape)
+    for f in fields.values():
+        f = _with_signed_zeros(f)
+        lat._phase(PARAMS.mass, 0.123)          # a phase of another time
+        for memo in ("miss", "hit"):
+            held = lat._phase_memo[1]
+            outs = _ROUTES[route](f, T)
+            assert (lat._phase_memo[1] is held) == (memo == "hit"), memo
+            for new, old in zip(outs, _OLD_ROUTES[route](f, T)):
+                assert_same_bytes(new, old)
+
+
+def test_the_phase_grid_is_read_only_and_never_an_output():
+    lat, fields = _fields("32x32x32")
+    f = fields["both"]
+    outs = [*f.mode_pair(T), f.mode_psi(T), f.mode_psidot(T), f.psi_grid(T),
+            f.psidot_grid(T), current_Ja(f, T).components, rho_a(f, T)]
+    ph = lat._phase(PARAMS.mass, T - f.t0)
+    assert not ph.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ph[0, 0, 0] = 1.0
+    g = evolve(f, T - f.t0)
+    assert lat._phase_memo[1] is ph
+    for out in (*outs, g.phi_plus, g.phi_minus):
+        assert not np.shares_memory(out, ph)
+
+
+def _spectral_bundle(f, g, t):
+    """The observables of one spectral-2d op: both continuity residuals,
+    the total probability and the split inner product, all at time t."""
+    continuity_residual(f, t, "J_a")
+    continuity_residual(f, t, "calJ_a")
+    total_probability(f, t)
+    inner_a_split(f, g, t)
+
+
+def test_one_grid_sized_exp_per_mass_and_time(monkeypatch):
+    lat = MomentumLattice([16.0] * 2, [64] * 2)
+    f, g = (random_field(lat, PARAMS, seed=s) for s in (1, 2))
+    heavy = ModelParams(2.0, PARAMS.kappa, PARAMS.a)
+    h, k = (random_field(lat, heavy, seed=s) for s in (3, 4))
+    sizes = []
+    real_exp = np.exp
+
+    def exp(x, *args, **kw):
+        sizes.append(np.size(x))
+        return real_exp(x, *args, **kw)
+
+    monkeypatch.setattr(np, "exp", exp)
+    grids = lambda: sum(n == lat.total_nodes for n in sizes)
+    _spectral_bundle(f, g, 0.05)
+    assert grids() == 1
+    _spectral_bundle(f, g, 0.05)        # the same time again
+    assert grids() == 1
+    _spectral_bundle(g, f, 0.42)        # a new time
+    assert grids() == 2
+    _spectral_bundle(h, k, 0.42)        # a new mass at that time
+    assert grids() == 3
+
+
+def test_a_lattice_holds_one_phase_grid_after_three_times():
+    lat = MomentumLattice([6.0] * 3, [48] * 3)
+    f = random_field(lat, PARAMS, seed=7, t0=T0)
+    lat.omega(PARAMS.mass)
+    lat._centering_sign()
+    grids = 16 * lat.total_nodes
+
+    def three_times():
+        for t in (T, T + 0.1, T + 0.2):
+            f.psi_grid(t)
+
+    held, peak = (b / grids for b in _traced(three_times))
+    assert held <= 1.05, f"the lattice holds {held:.2f} complex grids"
+    assert peak <= 3.05, f"a miss peaked {peak:.2f} complex grids"

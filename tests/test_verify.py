@@ -108,6 +108,25 @@ def test_limit_slopes_share_one_limit_evaluation(monkeypatch):
     assert res["current-limit-slope"].passed
 
 
+def test_em_checks_share_one_magnetic_operator(monkeypatch):
+    calls = []
+    original = verify.build_Dq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_Dq", counting)
+    verify._em_operator.cache_clear()
+    try:
+        res = run_checks("em")
+    finally:
+        verify._em_operator.cache_clear()
+    # one free operator and one magnetic one, which two checks read
+    assert len(calls) == 2
+    assert all(r.passed for r in res)
+
+
 def test_nan_sector_deviation_fails_generator_check(monkeypatch):
     # fields reject NaN at construction, so the NaN goes in place into the
     # finite field that apply_C builds inside generator_check
