@@ -125,12 +125,30 @@ class MomentumLattice:
         """Mode frequencies sqrt(|k|^2 + mass^2), cached per mass."""
         w = self._omega_cache.get(mass)
         if w is None:
-            w = self._omega_cache[mass] = self._omega_grid(mass)
+            w = self._omega_span(mass, 0, self.total_nodes).reshape(self.nodes)
+            self._omega_cache[mass] = w
         return w
 
-    def _omega_grid(self, mass: float) -> np.ndarray:
-        """omega(mass) as a new grid the caller owns, built in place."""
-        w = self.ksq
+    def _omega_span(self, mass: float, start: int, stop: int) -> np.ndarray:
+        """omega(mass).reshape(-1)[start:stop], 0 <= start, as a new array,
+        bit for bit.
+
+        Only the grid lines (last-axis rows) that the flat C-order span
+        touches are built, from the open meshes, with ksq's order of sums
+        ((0 + k0^2) + k1^2) + k2^2, then + mass^2 and sqrt in place.  The
+        omega cache is neither read nor filled."""
+        n, stop = self.nodes[-1], min(stop, self.total_nodes)
+        first, last = start // n, -(-stop // n)
+        lead = 0                        # ((0 + k0^2) + k1^2) per line
+        if self.dim > 1:
+            per = self.total_nodes // (self.nodes[0] * n)  # lines per k0 row
+            a = first // per
+            rows = (self.k_grids[0][a:-(-last // per)], *self.k_grids[1:-1])
+            lead = sum(k * k for k in rows).reshape(-1)
+            lead = lead[first - a * per:last - a * per]
+        k = self.k_grids[-1].reshape(-1)
+        w = np.reshape(lead, (-1, 1)) + k * k
+        w = w.reshape(-1)[start - first * n:stop - first * n]
         w += mass * mass
         return np.sqrt(w, out=w)
 
@@ -212,9 +230,14 @@ class MomentumLattice:
 
     def _analyze(self, spectrum: np.ndarray) -> np.ndarray:
         """Scale an fftn spectrum in place by 1/N times the centering phase."""
-        # sign * (1/N) holds +-(1/N) exactly, as the float table always did
-        table = self._centering_sign() * (1.0 / self.total_nodes)
-        return np.multiply(spectrum, table, out=spectrum)
+        # sign * (1/N) holds +-(1/N) exactly, as the float table always did;
+        # it is built a block at a time: no float grid
+        flat, sign = spectrum.reshape(-1), self._centering_sign().reshape(-1)
+        scale = 1.0 / self.total_nodes
+        for i in range(0, flat.size, _BLOCK):
+            np.multiply(flat[i:i + _BLOCK], sign[i:i + _BLOCK] * scale,
+                        out=flat[i:i + _BLOCK])
+        return spectrum
 
     def _centering_sign(self) -> np.ndarray:
         """The centering phase e^{i k x0} as a cached read-only int8 +-1 grid."""

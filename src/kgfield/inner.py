@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LatticeField, energy_split
+from .core import _BLOCK, LatticeField, energy_split
 
 
 def _check_pair(f1: LatticeField, f2: LatticeField):
@@ -30,12 +30,19 @@ def _check_pair(f1: LatticeField, f2: LatticeField):
         raise ValueError("fields carry different model parameters")
 
 
-def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
-    """np.vdot summed in order over blocks of 8192 entries: threaded BLAS
-    splits longer dot products by thread count, which moves their rounding."""
+def _vdot(x: np.ndarray, y: np.ndarray, weights=None) -> complex:
+    """np.vdot summed in order over blocks of _BLOCK entries: threaded BLAS
+    splits longer dot products by thread count, which moves their rounding.
+
+    weights(i, j), if given, is a real array that scales y[i:j] in place
+    before its block is reduced, so y must be a grid the caller gives up."""
     x, y = x.reshape(-1), y.reshape(-1)
-    parts = [np.vdot(x[i:i + 8192], y[i:i + 8192])
-             for i in range(0, x.size, 8192)]
+    parts = []
+    for i in range(0, x.size, _BLOCK):
+        yb = y[i:i + _BLOCK]
+        if weights is not None:
+            np.multiply(weights(i, i + yb.size), yb, out=yb)
+        parts.append(np.vdot(x[i:i + _BLOCK], yb))
     return sum(parts[1:], parts[0])
 
 
@@ -69,21 +76,22 @@ def _sector_form(f1: LatticeField, f2: LatticeField, a: float) -> complex:
     """
     _check_pair(f1, f2)
     p = f1.params
-    w = f1.omega
     p2, m2 = f2._rephased(f1.t0)
+    w = lambda i, j: f1.lattice._omega_span(p.mass, i, j)
     acc = ((1.0 + a) * _weighted_vdot(f1.phi_plus, f1.zero_sectors[0], w, p2)
            + (1.0 - a) * _weighted_vdot(f1.phi_minus, f1.zero_sectors[1], w, m2))
     return complex(acc) * f1.lattice.volume * (p.kappa / p.mass)
 
 
-def _weighted_vdot(phi1: np.ndarray, zero1: bool, w: np.ndarray, phi2):
-    """_vdot(phi1, w * phi2), where phi2 is a re-phased grid or the scalar
-    +0 that stands for a zero grid; np.vdot of two +0 grids is +0."""
+def _weighted_vdot(phi1: np.ndarray, zero1: bool, weights, phi2):
+    """_vdot(phi1, w * phi2) with w taken a block at a time from weights,
+    where phi2 is a re-phased grid or the scalar +0 that stands for a zero
+    grid; np.vdot of two +0 grids is +0, and w * (+0) is +0 for w > 0."""
     if np.ndim(phi2) == 0:
         if zero1:
             return np.complex128(0.0)
-        phi2 = np.zeros(phi1.shape, dtype=complex)
-    return _vdot(phi1, np.multiply(w, phi2, out=phi2))
+        return _vdot(phi1, np.zeros(phi1.shape, dtype=complex))
+    return _vdot(phi1, phi2, weights)
 
 
 def inner_a(f1: LatticeField, f2: LatticeField,

@@ -62,6 +62,7 @@ class CheckResult:
     tolerance: float
     passed: bool
     elapsed_s: float = 0.0      # wall time of the check, perf_counter
+    margin: float = float("nan")    # see _margin; passed is margin <= 1
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class VerifyContext:
 # registry rows: (suite, name, at_least, fn(ctx) -> (measured, tolerance));
 # pass rule is measured <= tolerance, or measured >= tolerance when
 # at_least is set (used for quantities that must stay large, like the
-# noncovariance gap).
+# noncovariance gap); a measurement that is not finite fails either way.
 _REGISTRY: list[tuple[str, str, bool, object]] = []
 
 
@@ -104,10 +105,25 @@ def run_checks(suite: str | None = None, ctx: VerifyContext | None = None) -> li
         start = time.perf_counter()
         measured, tol = fn(ctx)
         elapsed = time.perf_counter() - start
-        ok = measured >= tol if at_least else measured <= tol
-        results.append(CheckResult(name_suite, name, float(measured), float(tol),
-                                   bool(ok), elapsed))
+        measured, tol = float(measured), float(tol)
+        ok = np.isfinite(measured) and (measured >= tol if at_least
+                                        else measured <= tol)
+        results.append(CheckResult(name_suite, name, measured, tol, bool(ok),
+                                   elapsed, _margin(measured, tol, at_least)))
     return results
+
+
+def _margin(measured: float, tol: float, at_least: bool) -> float:
+    """How much of its bound a check uses: measured / bound for an upper
+    bound, bound / measured for an at_least check (inf when measured is
+    not positive), nan when measured is not finite.  A check passes when
+    its margin is at most 1; a signed measurement on the passing side of
+    zero, such as em:magnetic-floor's, has a negative margin."""
+    if not np.isfinite(measured):
+        return float("nan")
+    if at_least:
+        return tol / measured if measured > 0.0 else float("inf")
+    return measured / tol
 
 
 def _worst(values) -> float:

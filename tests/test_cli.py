@@ -88,6 +88,7 @@ def test_verify_report_written(tmp_path, monkeypatch):
     assert {c["suite"] for c in report["checks"]} == {"gauge"}
     for c in report["checks"]:
         assert math.isfinite(c["elapsed_s"]) and c["elapsed_s"] >= 0.0
+        assert c["margin"] == c["measured"] / c["tolerance"] <= 1.0
 
 
 def test_scenario_constant_total_and_summary(tmp_path, capsys):

@@ -15,11 +15,13 @@ give the bytes of the two-grid expressions.  A localized state's delta
 is transformed only along the lines through its node; that must give
 the bytes of fftn on the dense delta.  A lattice builds ksq anew on every
 read and keeps only its per-mass omega grids and its last re-phasing grid
-exp(-i omega dt); localized_state takes a frequency grid of its own and
-leaves the omega cache alone.  Every route away from t0, evolve included,
-reads the one read-only phase grid per (mass, dt): the routes must give
-the plain expressions' bytes whether the grid was built for them or
-found, and no output may share its memory.
+exp(-i omega dt).  localized_state, grid_to_modes and the inner products
+build omega and the 1/N centering scale in flat blocks, so no float grid,
+and leave the omega cache alone; each block must give the grid's bytes.
+Every route away from t0, evolve included, reads the one read-only phase
+grid per (mass, dt): the routes must give the plain expressions' bytes
+whether the grid was built for them or found, and no output may share
+its memory.
 """
 
 import itertools
@@ -29,6 +31,7 @@ import numpy as np
 import pytest
 
 from kgfield.core import (
+    _BLOCK,
     ModelParams,
     MomentumLattice,
     apply_C,
@@ -175,6 +178,19 @@ def test_inner_0_is_bitwise_unchanged(shape):
         for f1, f2 in ((f, g), (g, f), (f, f)):
             assert_same_bytes(np.complex128(inner_0(f1, f2)),
                               np.complex128(old_inner(f1, f2)))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("a", [-0.4, 0.3])
+def test_inner_a_is_bitwise_unchanged(shape, a):
+    _, fields = _fields(shape)
+    params = ModelParams(PARAMS.mass, PARAMS.kappa, a)
+    fields = {k: f.copy_with(params=params) for k, f in fields.items()}
+    g = fields["both"].copy_with(t0=-0.4)
+    for f in fields.values():
+        for f1, f2 in ((f, g), (g, f), (f, f)):
+            assert_same_bytes(np.complex128(inner_a(f1, f2)),
+                              np.complex128(old_inner(f1, f2, a)))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -590,15 +606,57 @@ def test_a_lattice_holds_no_frequency_grid():
         f"omega holds {held:.2f} and peaks {peak:.2f} float grids"
 
 
-def test_localized_state_takes_an_uncached_frequency_grid():
+def _spans(lat):
+    """Flat spans that start and end mid-line and mid-slab, empty ones,
+    the whole range, one running past the end and every _BLOCK block, the
+    last one partial unless the grid is whole blocks."""
+    n, total = lat.nodes[-1], lat.total_nodes
+    slab = total // lat.nodes[0]
+    spans = [(0, total), (0, 0), (total, total), (n + 1, n + 1),
+             (3, n - 2), (n // 2, 3 * n + 5), (slab + 7, 2 * slab + n // 2),
+             (slab - 1, total - 3), (total - 3, total + _BLOCK)]
+    spans += [(i, i + _BLOCK) for i in range(0, total, _BLOCK)]
+    return spans
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_omega_span_keeps_the_omega_bytes(shape):
+    lat = MomentumLattice(*GRID_SHAPES[shape])
+    for m in (PARAMS.mass, 0.5):
+        flat = np.sqrt(sum(k * k for k in lat.k_grids) + m * m).reshape(-1)
+        for i, j in _spans(lat):
+            assert_same_bytes(lat._omega_span(m, i, j), flat[i:j])
+    assert lat._omega_cache == {}
+
+
+def test_localized_state_takes_no_frequency_grid():
     # tracemalloc counts the calloc'd zero sector: one complex grid of the two
     lat = MomentumLattice([6.0] * 3, [48] * 3)
     lat._centering_sign()       # a lattice cache that any transform fills
     held, peak = _traced(lambda: localized_state(1, [0.0] * 3, lat, PARAMS))
     held, peak = (b / (16 * lat.total_nodes) for b in (held, peak))
-    assert peak <= 2.75, f"localized_state peaked {peak:.2f} complex grids"
+    assert peak <= 2.25, f"localized_state peaked {peak:.2f} complex grids"
     assert held <= 2.01, f"localized_state keeps {held:.2f} complex grids"
     assert lat._omega_cache == {}
+
+
+def test_inner_0_of_a_localized_state_takes_no_frequency_grid():
+    lat = MomentumLattice([6.0] * 3, [48] * 3)
+    f = localized_state(1, [0.0] * 3, lat, PARAMS, t0=T0).field
+    held, peak = _traced(lambda: inner_0(f, f))
+    held, peak = (b / (16 * lat.total_nodes) for b in (held, peak))
+    assert peak <= 1.25, f"inner_0 peaked {peak:.2f} complex grids"
+    assert held <= 0.01, f"inner_0 keeps {held:.2f} complex grids"
+    assert lat._omega_cache == {}
+
+
+def test_grid_to_modes_takes_no_float_table():
+    lat = MomentumLattice([6.0] * 3, [48] * 3)
+    grid = random_field(lat, PARAMS, seed=7).psi_grid(T)
+    lat._centering_sign()
+    _, peak = _traced(lambda: lat.grid_to_modes(grid))
+    peak /= 16 * lat.total_nodes
+    assert peak <= 1.15, f"grid_to_modes peaked {peak:.2f} complex grids"
 
 
 # ------------------------------------------- one re-phasing grid per time

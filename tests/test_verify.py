@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kgfield import amplitudes, currents, em, gauge, inner, verify
 from kgfield.core import LatticeField, ModelParams, MomentumLattice, apply_C
@@ -38,10 +39,40 @@ def _baseline_breaches(results):
     return breaches
 
 
-def test_verify_stays_near_its_measured_baseline():
-    results = run_checks(ctx=verify.VerifyContext(seed=0))
-    assert sorted(f"{r.suite}:{r.name}" for r in results) == sorted(BASELINE)
-    assert _baseline_breaches(results) == []
+@pytest.fixture(scope="module")
+def seed0_results():
+    return run_checks(ctx=verify.VerifyContext(seed=0))
+
+
+def test_verify_stays_near_its_measured_baseline(seed0_results):
+    assert sorted(f"{r.suite}:{r.name}" for r in seed0_results) == \
+        sorted(BASELINE)
+    assert _baseline_breaches(seed0_results) == []
+
+
+def test_a_check_passes_exactly_when_its_margin_is_at_most_one(seed0_results):
+    assert len(seed0_results) == 31
+    at_least = {(s, n) for s, n, flag, _ in verify._REGISTRY if flag}
+    assert at_least == {("inner", "positivity"),
+                        ("currents", "probability-noncovariance")}
+    for r in seed0_results:
+        assert r.passed == (r.margin <= 1.0), f"{r.suite}:{r.name}"
+        assert r.margin == (r.tolerance / r.measured
+                            if (r.suite, r.name) in at_least
+                            else r.measured / r.tolerance)
+    # the floor's violation is negative: a margin below zero still passes
+    floor = _by_name(seed0_results)["magnetic-floor"]
+    assert floor.margin < 0.0 and floor.passed
+
+
+def test_a_nan_measurement_fails_with_a_nan_margin(monkeypatch):
+    monkeypatch.setattr(verify, "kg_residual", lambda *a, **k: float("nan"))
+    res = _by_name(run_checks("core"))["wave-equation-residual"]
+    assert math.isnan(res.measured) and math.isnan(res.margin)
+    assert not res.passed
+    assert math.isnan(verify._margin(math.inf, 1e-12, True))
+    assert verify._margin(0.0, 1e-12, True) == math.inf
+    assert verify._margin(2e-12, 1e-12, False) == 2.0
 
 
 def test_baseline_catches_what_the_verify_bound_lets_pass(monkeypatch):
