@@ -404,11 +404,11 @@ def _cmd_verify(args) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     config = {"suite": args.suite or "all", "seed": args.seed}
     if args.out or os.environ.get("KGFIELD_OUT"):
-        from .reporting import write_json
+        from .reporting import run_environment, write_json
 
         outdir = _resolve_outdir(args.out, {})
         payload = {"checks": [asdict(r) for r in results],
-                   "passed": not failed}
+                   "passed": not failed, "environment": run_environment()}
         write_json(outdir / "verify_report.json", payload, config)
     return 1 if failed else 0
 

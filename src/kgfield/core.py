@@ -183,15 +183,27 @@ class MomentumLattice:
             pair = self._refinements[factor] = (fine, dest)
         return pair
 
-    def modes_to_grid(self, modes: np.ndarray, pad: int = 1) -> np.ndarray:
+    def modes_to_grid(self, modes: np.ndarray, pad: int = 1,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """Evaluate sum_k modes(k) e^{i k.x} on the grid, or with pad > 1
-        on the pad-refined grid of the same box (modes zero-padded)."""
-        if pad == 1:
-            return self._synthesize(np.array(modes, dtype=complex))
-        lat, dest = self._refinement(pad)
-        padded = np.zeros(lat.nodes, dtype=complex)
-        padded[dest] = modes
-        return lat._synthesize(padded)
+        on the pad-refined grid of the same box (modes zero-padded).
+
+        out, if given, is a C-contiguous complex grid of the (refined)
+        lattice's shape that the caller gives up: it is zeroed, takes the
+        modes and is transformed in place, and is what is returned."""
+        lat, dest = (self, ...) if pad == 1 else self._refinement(pad)
+        if out is None:
+            if pad == 1:
+                return self._synthesize(np.array(modes, dtype=complex))
+            out = np.zeros(lat.nodes, dtype=complex)
+        elif (not isinstance(out, np.ndarray) or out.shape != lat.nodes
+              or out.dtype != complex or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous complex128 grid "
+                             f"of shape {lat.nodes}")
+        else:
+            out.fill(0)
+        out[dest] = modes
+        return lat._synthesize(out)
 
     def _synthesize(self, buf: np.ndarray) -> np.ndarray:
         """modes_to_grid in place on a complex mode grid the caller gives up."""

@@ -57,26 +57,30 @@ def _ja_and_rate(field: LatticeField, t: float):
     tp, tm = (1.0 + params.a) * pm_p, -(1.0 - params.a) * pm_m
     til_modes = tp + tm
     w = field.omega
+    fine = lat.refined(PAD)
+    # slots 0-3: psi, til, psidot, tildot; 4-5: each axis's derivatives,
+    # then the second time derivatives
+    ws = np.empty((6,) + fine.nodes, dtype=complex)
 
-    psi = lat.modes_to_grid(psi_modes, PAD)
-    til = lat.modes_to_grid(til_modes, PAD)
-    psidot = lat.modes_to_grid(-1j * w * (pm_p - pm_m), PAD)
-    tildot = lat.modes_to_grid(-1j * w * (tp - tm), PAD)
+    psi = lat.modes_to_grid(psi_modes, PAD, ws[0])
+    til = lat.modes_to_grid(til_modes, PAD, ws[1])
+    psidot = lat.modes_to_grid(-1j * w * (pm_p - pm_m), PAD, ws[2])
+    tildot = lat.modes_to_grid(-1j * w * (tp - tm), PAD, ws[3])
 
     pref = -0.5j * params.kappa / params.mass
     comps = np.empty((lat.dim + 1,) + psi.shape, dtype=complex)
     # d^0 = -d_0: both derivative hits flip sign
     comps[0] = pref * (-np.conj(psi) * tildot + np.conj(psidot) * til)
     for i, k in enumerate(lat.k_grids):
-        dpsi = lat.modes_to_grid(1j * k * psi_modes, PAD)
-        dtil = lat.modes_to_grid(1j * k * til_modes, PAD)
+        dpsi = lat.modes_to_grid(1j * k * psi_modes, PAD, ws[4])
+        dtil = lat.modes_to_grid(1j * k * til_modes, PAD, ws[5])
         comps[1 + i] = pref * (np.conj(psi) * dtil - np.conj(dpsi) * til)
     w2 = w ** 2
-    psidd = lat.modes_to_grid(-w2 * psi_modes, PAD)
-    tildd = lat.modes_to_grid(-w2 * til_modes, PAD)
+    psidd = lat.modes_to_grid(-w2 * psi_modes, PAD, ws[4])
+    tildd = lat.modes_to_grid(-w2 * til_modes, PAD, ws[5])
     dj0dt = (0.5j * params.kappa / params.mass
              * (np.conj(psi) * tildd - np.conj(psidd) * til))
-    cur = FourVectorGrid(comps, lat.refined(PAD))
+    cur = FourVectorGrid(comps, fine)
     return cur, dj0dt
 
 
@@ -108,25 +112,28 @@ def _calja_and_rate(field: LatticeField, t: float):
     up, down = w ** 0.5, w ** -0.5  # D^{+-1/4} as omega^{+-1/2}
     Q_m, Qc_m = down * psi_m, down * psic_m
 
-    P = lat.modes_to_grid(up * psi_m, PAD)
-    Pc = lat.modes_to_grid(up * psic_m, PAD)
+    fine = lat.refined(PAD)
+    # slots 0-1: P, Pc; 2-3: each axis's derivatives, then the time ones
+    ws = np.empty((4,) + fine.nodes, dtype=complex)
+    P = lat.modes_to_grid(up * psi_m, PAD, ws[0])
+    Pc = lat.modes_to_grid(up * psic_m, PAD, ws[1])
     pref = 0.5 * params.kappa / params.mass
     comps = np.empty((lat.dim + 1,) + P.shape, dtype=float)
     comps[0] = pref * _density(P, Pc, params.a)
     for i, k in enumerate(lat.k_grids):
-        dQ = lat.modes_to_grid(1j * k * Q_m, PAD)
-        dQc = lat.modes_to_grid(1j * k * Qc_m, PAD)
+        dQ = lat.modes_to_grid(1j * k * Q_m, PAD, ws[2])
+        dQc = lat.modes_to_grid(1j * k * Qc_m, PAD, ws[3])
         s = (np.conj(P) * dQc - Pc * np.conj(dQ)
              + params.a * (np.conj(P) * dQ - Pc * np.conj(dQc)))
         comps[1 + i] = pref * np.imag(s)
 
-    P_dot = lat.modes_to_grid(up * psidot_m, PAD)
-    Pc_dot = lat.modes_to_grid(up * psicdot_m, PAD)
+    P_dot = lat.modes_to_grid(up * psidot_m, PAD, ws[2])
+    Pc_dot = lat.modes_to_grid(up * psicdot_m, PAD, ws[3])
     s = (np.conj(P_dot) * Pc + np.conj(P) * Pc_dot)
     dj0dt = pref * (2.0 * np.real(np.conj(P) * P_dot)
                     + 2.0 * np.real(np.conj(Pc) * Pc_dot)
                     + 2.0 * params.a * np.real(s))
-    cur = FourVectorGrid(comps, lat.refined(PAD))
+    cur = FourVectorGrid(comps, fine)
     return cur, dj0dt
 
 

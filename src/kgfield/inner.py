@@ -30,20 +30,24 @@ def _check_pair(f1: LatticeField, f2: LatticeField):
         raise ValueError("fields carry different model parameters")
 
 
-def _vdot(x: np.ndarray, y: np.ndarray, weights=None) -> complex:
-    """np.vdot summed in order over blocks of _BLOCK entries: threaded BLAS
-    splits longer dot products by thread count, which moves their rounding.
+def _vdots(pairs, weights=None) -> list:
+    """[np.vdot(x, y) for x, y in pairs], each summed in order over blocks
+    of _BLOCK entries: threaded BLAS splits longer dot products by thread
+    count, which moves their rounding.
 
-    weights(i, j), if given, is a real array that scales y[i:j] in place
-    before its block is reduced, so y must be a grid the caller gives up."""
-    x, y = x.reshape(-1), y.reshape(-1)
-    parts = []
-    for i in range(0, x.size, _BLOCK):
-        yb = y[i:i + _BLOCK]
-        if weights is not None:
-            np.multiply(weights(i, i + yb.size), yb, out=yb)
-        parts.append(np.vdot(x[i:i + _BLOCK], yb))
-    return sum(parts[1:], parts[0])
+    weights(i, j), if given, is a real array that scales every y[i:j] in
+    place before its block is reduced; it is built once per block for all
+    pairs, so each y must be a grid the caller gives up."""
+    pairs = [(x.reshape(-1), y.reshape(-1)) for x, y in pairs]
+    parts = [[] for _ in pairs]
+    for i in range(0, pairs[0][0].size, _BLOCK):
+        w = None if weights is None else weights(i, i + _BLOCK)
+        for (x, y), acc in zip(pairs, parts):
+            yb = y[i:i + _BLOCK]
+            if w is not None:
+                np.multiply(w, yb, out=yb)
+            acc.append(np.vdot(x[i:i + _BLOCK], yb))
+    return [sum(acc[1:], acc[0]) for acc in parts]
 
 
 def kg_inner(f1: LatticeField, f2: LatticeField, g: float,
@@ -62,8 +66,8 @@ def kg_inner(f1: LatticeField, f2: LatticeField, g: float,
     psi1, psidot1 = f1.psi_grid(t), f1.psidot_grid(t)
     psi2, psidot2 = f2.psi_grid(t), f2.psidot_grid(t)
     cell = f1.lattice.cell_volume
-    bra_ket = _vdot(psi1, psidot2) * cell
-    ket_bra = _vdot(psidot1, psi2) * cell
+    bra_ket, ket_bra = (v * cell for v in _vdots([(psi1, psidot2),
+                                                  (psidot1, psi2)]))
     return 1j * g * (bra_ket - ket_bra)
 
 
@@ -71,27 +75,30 @@ def _sector_form(f1: LatticeField, f2: LatticeField, a: float) -> complex:
     """(kappa/M) V sum_k w [(1+a) conj(phi1+) phi2+ + (1-a) conj(phi1-) phi2-].
 
     f2 is re-phased to f1's reference time; the common phase of the two
-    fields cancels, so only a difference of their t0 survives.  A sector
-    that is zero in both fields at a shared t0 reduces to exactly +0.
+    fields cancels, so only a difference of their t0 survives.  Both
+    sectors are reduced in one pass over the blocks, against one span of
+    w = omega per block.  A sector that is zero in both fields at a shared
+    t0 reduces to exactly +0.
     """
     _check_pair(f1, f2)
-    p = f1.params
-    p2, m2 = f2._rephased(f1.t0)
-    w = lambda i, j: f1.lattice._omega_span(p.mass, i, j)
-    acc = ((1.0 + a) * _weighted_vdot(f1.phi_plus, f1.zero_sectors[0], w, p2)
-           + (1.0 - a) * _weighted_vdot(f1.phi_minus, f1.zero_sectors[1], w, m2))
-    return complex(acc) * f1.lattice.volume * (p.kappa / p.mass)
-
-
-def _weighted_vdot(phi1: np.ndarray, zero1: bool, weights, phi2):
-    """_vdot(phi1, w * phi2) with w taken a block at a time from weights,
-    where phi2 is a re-phased grid or the scalar +0 that stands for a zero
-    grid; np.vdot of two +0 grids is +0, and w * (+0) is +0 for w > 0."""
-    if np.ndim(phi2) == 0:
-        if zero1:
-            return np.complex128(0.0)
-        return _vdot(phi1, np.zeros(phi1.shape, dtype=complex))
-    return _vdot(phi1, phi2, weights)
+    p, lat = f1.params, f1.lattice
+    sectors = []
+    for phi1, zero1, phi2 in zip((f1.phi_plus, f1.phi_minus), f1.zero_sectors,
+                                 f2._rephased(f1.t0)):
+        if np.ndim(phi2) == 0:
+            # the scalar +0 stands for a zero grid: w * (+0) is +0 for
+            # w > 0, and np.vdot of two +0 grids is +0
+            if zero1:
+                sectors.append(None)
+                continue
+            phi2 = np.zeros(phi1.shape, dtype=complex)
+        sectors.append((phi1, phi2))
+    sums = iter(_vdots([s for s in sectors if s is not None],
+                       lambda i, j: lat._omega_span(p.mass, i, j)))
+    plus, minus = (np.complex128(0.0) if s is None else next(sums)
+                   for s in sectors)
+    acc = (1.0 + a) * plus + (1.0 - a) * minus
+    return complex(acc) * lat.volume * (p.kappa / p.mass)
 
 
 def inner_a(f1: LatticeField, f2: LatticeField,

@@ -101,11 +101,13 @@ def schrodinger_reference(field: LatticeField, t: float) -> tuple:
     lat = field.lattice
     mass = field.params.mass
     psi_m = field.mode_psi(t)
-    psi = lat.modes_to_grid(psi_m, PAD)
+    # slot 0: psi; slot 1: each axis's gradient in turn
+    ws = np.empty((2,) + lat.refined(PAD).nodes, dtype=complex)
+    psi = lat.modes_to_grid(psi_m, PAD, ws[0])
     rho = np.abs(psi) ** 2
     jvec = np.empty((lat.dim,) + psi.shape, dtype=float)
     for i, k in enumerate(lat.k_grids):
-        cross = np.conj(psi) * lat.modes_to_grid(1j * k * psi_m, PAD)
+        cross = np.conj(psi) * lat.modes_to_grid(1j * k * psi_m, PAD, ws[1])
         jvec[i] = np.imag(cross) * (1.0 / mass)   # rounds as -(i/2M)(c - c*)
     return rho, jvec
 

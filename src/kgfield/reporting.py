@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import platform
 from datetime import datetime, timezone
 
 import numpy as np
@@ -82,6 +83,15 @@ def write_csv(path, columns, rows, config, footer: tuple[str, ...] = ()) -> None
             writer.writerow([format_value(v) for v in row])
         for line in footer:
             fh.write(f"# {line}\n")
+
+
+def run_environment() -> dict:
+    """Python and numpy versions, the machine type and the BLAS library
+    numpy was built against, as numpy's build configuration names it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 
 def write_json(path, payload, config) -> None:

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,13 @@ def test_verify_report_written(tmp_path, monkeypatch):
     for c in report["checks"]:
         assert math.isfinite(c["elapsed_s"]) and c["elapsed_s"] >= 0.0
         assert c["margin"] == c["measured"] / c["tolerance"] <= 1.0
+    env = report["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["machine"] == platform.machine()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert all(env["blas"].values())
 
 
 def test_scenario_constant_total_and_summary(tmp_path, capsys):

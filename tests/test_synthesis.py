@@ -21,10 +21,13 @@ and leave the omega cache alone; each block must give the grid's bytes.
 Every route away from t0, evolve included, reads the one read-only phase
 grid per (mass, dt): the routes must give the plain expressions' bytes
 whether the grid was built for them or found, and no output may share
-its memory.
+its memory.  The currents and the Schrodinger reference synthesize into
+the slots of one workspace per call; they must give the bytes of one new
+grid per synthesis, and return no view of the workspace.
 """
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +44,8 @@ from kgfield.core import (
     random_field,
 )
 from kgfield.currents import (
+    _CURRENT_AND_RATE,
+    PAD,
     continuity_residual,
     current_calJa,
     current_Ja,
@@ -49,6 +54,7 @@ from kgfield.currents import (
 )
 from kgfield.gauge import gauge_transform
 from kgfield.inner import inner_0, inner_a, inner_a_split
+from kgfield.limits import schrodinger_reference
 from kgfield.localization import localized_state, map_Ua
 
 PARAMS = ModelParams(mass=1.3, kappa=0.8, a=0.35)
@@ -773,3 +779,181 @@ def test_a_lattice_holds_one_phase_grid_after_three_times():
     held, peak = (b / grids for b in _traced(three_times))
     assert held <= 1.05, f"the lattice holds {held:.2f} complex grids"
     assert peak <= 3.05, f"a miss peaked {peak:.2f} complex grids"
+
+
+# ------------------------------------------- one workspace per current
+
+def old_ja_and_rate(field, t):
+    """current_Ja's components and rate with a new grid per synthesis."""
+    lat, params = field.lattice, field.params
+    pm_p, pm_m = field.mode_pair(t)
+    psi_modes = pm_p + pm_m
+    tp, tm = (1.0 + params.a) * pm_p, -(1.0 - params.a) * pm_m
+    til_modes = tp + tm
+    w = field.omega
+    psi = lat.modes_to_grid(psi_modes, PAD)
+    til = lat.modes_to_grid(til_modes, PAD)
+    psidot = lat.modes_to_grid(-1j * w * (pm_p - pm_m), PAD)
+    tildot = lat.modes_to_grid(-1j * w * (tp - tm), PAD)
+    pref = -0.5j * params.kappa / params.mass
+    comps = np.empty((lat.dim + 1,) + psi.shape, dtype=complex)
+    comps[0] = pref * (-np.conj(psi) * tildot + np.conj(psidot) * til)
+    for i, k in enumerate(lat.k_grids):
+        dpsi = lat.modes_to_grid(1j * k * psi_modes, PAD)
+        dtil = lat.modes_to_grid(1j * k * til_modes, PAD)
+        comps[1 + i] = pref * (np.conj(psi) * dtil - np.conj(dpsi) * til)
+    w2 = w ** 2
+    psidd = lat.modes_to_grid(-w2 * psi_modes, PAD)
+    tildd = lat.modes_to_grid(-w2 * til_modes, PAD)
+    dj0dt = (0.5j * params.kappa / params.mass
+             * (np.conj(psi) * tildd - np.conj(psidd) * til))
+    return comps, dj0dt
+
+
+def old_calja_and_rate(field, t):
+    """current_calJa's components and rate with a new grid per synthesis."""
+    lat, params, w = field.lattice, field.params, field.omega
+    p, m = field.mode_pair(t)
+    psi_m, psic_m = p + m, p - m
+    psidot_m = -1j * w * (p - m)
+    psicdot_m = -1j * w * (p + m)
+    up, down = w ** 0.5, w ** -0.5
+    Q_m, Qc_m = down * psi_m, down * psic_m
+    P = lat.modes_to_grid(up * psi_m, PAD)
+    Pc = lat.modes_to_grid(up * psic_m, PAD)
+    pref = 0.5 * params.kappa / params.mass
+    comps = np.empty((lat.dim + 1,) + P.shape, dtype=float)
+    comps[0] = pref * (np.abs(P) ** 2 + np.abs(Pc) ** 2
+                       + 2 * params.a * np.real(np.conj(P) * Pc))
+    for i, k in enumerate(lat.k_grids):
+        dQ = lat.modes_to_grid(1j * k * Q_m, PAD)
+        dQc = lat.modes_to_grid(1j * k * Qc_m, PAD)
+        s = (np.conj(P) * dQc - Pc * np.conj(dQ)
+             + params.a * (np.conj(P) * dQ - Pc * np.conj(dQc)))
+        comps[1 + i] = pref * np.imag(s)
+    P_dot = lat.modes_to_grid(up * psidot_m, PAD)
+    Pc_dot = lat.modes_to_grid(up * psicdot_m, PAD)
+    s = (np.conj(P_dot) * Pc + np.conj(P) * Pc_dot)
+    dj0dt = pref * (2.0 * np.real(np.conj(P) * P_dot)
+                    + 2.0 * np.real(np.conj(Pc) * Pc_dot)
+                    + 2.0 * params.a * np.real(s))
+    return comps, dj0dt
+
+
+OLD_CURRENTS = {"J_a": old_ja_and_rate, "calJ_a": old_calja_and_rate}
+
+
+def old_continuity_residual(field, t, which):
+    comps, dj0dt = OLD_CURRENTS[which](field, t)
+    fine = field.lattice.refined(PAD)
+    div = 0.0
+    for k, comp in zip(fine.k_grids, comps[1:]):
+        div = div + 1j * k * fine.grid_to_modes(np.asarray(comp, complex))
+    div = dj0dt + fine.modes_to_grid(div)
+    return float(np.abs(div).max() / max(np.abs(comps).max(), 1e-300))
+
+
+def old_schrodinger_reference(field, t):
+    lat = field.lattice
+    psi_m = field.mode_psi(t)
+    psi = lat.modes_to_grid(psi_m, PAD)
+    rho = np.abs(psi) ** 2
+    jvec = np.empty((lat.dim,) + psi.shape, dtype=float)
+    for i, k in enumerate(lat.k_grids):
+        cross = np.conj(psi) * lat.modes_to_grid(1j * k * psi_m, PAD)
+        jvec[i] = np.imag(cross) * (1.0 / field.params.mass)
+    return rho, jvec
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+@pytest.mark.parametrize("t", ["t0", "T"])
+def test_currents_in_one_workspace_keep_their_bytes(shape, t):
+    lat = MomentumLattice(*GRID_SHAPES[shape])
+    f = _with_signed_zeros(random_field(lat, PARAMS, seed=5, t0=T0))
+    plus, _ = energy_split(f)
+    t = T0 if t == "t0" else T
+    for g in (f, plus):
+        for which, old in OLD_CURRENTS.items():
+            cur, rate = _CURRENT_AND_RATE[which](g, t)
+            old_comps, old_rate = old(g, t)
+            assert cur.lattice is lat.refined(PAD)
+            assert_same_bytes(cur.components, old_comps)
+            assert_same_bytes(rate, old_rate)
+            # each output owns its memory: none is a view of a workspace
+            assert cur.components.flags.owndata and rate.flags.owndata
+            assert_same_bytes(np.float64(continuity_residual(g, t, which)),
+                              np.float64(old_continuity_residual(g, t, which)))
+        for new, old in zip(schrodinger_reference(g, t),
+                            old_schrodinger_reference(g, t)):
+            assert_same_bytes(new, old)
+            assert new.flags.owndata
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_modes_to_grid_synthesizes_into_the_given_grid(shape):
+    lat = MomentumLattice(*GRID_SHAPES[shape])
+    modes = _with_signed_zeros(random_field(lat, PARAMS, seed=5)).phi_plus
+    for pad in (1, 2):
+        nodes = lat.refined(pad).nodes
+        out = np.full(nodes, complex(-0.0, np.nan))     # stale content
+        assert lat.modes_to_grid(modes, pad, out=out) is out
+        assert_same_bytes(out, old_modes_to_grid(lat, modes, pad))
+        slots = np.full((2,) + nodes, np.inf, dtype=complex)
+        view = slots[1]
+        assert lat.modes_to_grid(modes, pad, view) is view
+        assert_same_bytes(view, out)
+        assert np.isinf(slots[0]).all()
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_modes_to_grid_rejects_a_grid_it_cannot_fill(shape):
+    lat = MomentumLattice(*GRID_SHAPES[shape])
+    modes = random_field(lat, PARAMS, seed=5).phi_plus
+    for pad in (1, 2):
+        nodes = lat.refined(pad).nodes
+        wide = np.zeros(nodes[:-1] + (2 * nodes[-1],), dtype=complex)
+        bad = {"shape": np.zeros(nodes[:-1] + (nodes[-1] + 2,), dtype=complex),
+               "dtype": np.zeros(nodes, dtype=np.complex64),
+               "real": np.zeros(nodes),
+               "strided": wide[..., ::2],
+               "list": np.zeros(nodes, dtype=complex).tolist()}
+        for label, out in bad.items():
+            with pytest.raises(ValueError, match=re.escape(str(nodes))):
+                lat.modes_to_grid(modes, pad, out=out)
+
+
+# padded complex grids above held memory at 16^3 (padded 32^3); one grid
+# per synthesis peaked at 14.8 (J_a) and 12.1 (calJ_a)
+CONTINUITY_BUDGETS = {"J_a": 13.0, "calJ_a": 11.5}
+
+
+@pytest.mark.parametrize("which", CONTINUITY_BUDGETS)
+def test_continuity_residual_stays_within_its_memory_budget(which):
+    lat = MomentumLattice([6.0] * 3, [16] * 3)
+    f = random_field(lat, PARAMS, seed=7, t0=T0)
+    run = lambda: continuity_residual(f, T, which)
+    run()           # the lattices cache frequencies, signs and the phase
+    _, peak = _traced(run)
+    grids = peak / (16 * lat.refined(PAD).total_nodes)
+    assert grids <= CONTINUITY_BUDGETS[which], \
+        f"{which} peaked {grids:.2f} padded complex grids above held"
+
+
+def test_inner_a_builds_one_omega_span_per_block(monkeypatch):
+    lat = MomentumLattice([6.0] * 3, [32] * 3)         # four whole blocks
+    f, g = (random_field(lat, PARAMS, seed=s, t0=T0) for s in (1, 2))
+    one = _one_sector_fields(lat, T0)[1]
+    lat.omega(PARAMS.mass)      # the re-phase away from t0 reads this cache
+    spans = []
+    real = lat._omega_span
+
+    def span(mass, i, j):
+        spans.append((i, j))
+        return real(mass, i, j)
+
+    monkeypatch.setattr(lat, "_omega_span", span)
+    blocks = [(i, i + _BLOCK) for i in range(0, lat.total_nodes, _BLOCK)]
+    for f1, f2 in ((f, g), (f, g.copy_with(t0=-0.4)), (f, one), (one, one)):
+        spans.clear()
+        inner_a(f1, f2)
+        assert spans == blocks
