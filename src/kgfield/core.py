@@ -152,6 +152,16 @@ class MomentumLattice:
         w += mass * mass
         return np.sqrt(w, out=w)
 
+    def _omega_block(self, mass: float, start: int, stop: int) -> np.ndarray:
+        """omega(mass).reshape(-1)[start:stop], bit for bit and read-only:
+        a view of the cached grid when there is one, else _omega_span's
+        new array.  The cache is never filled."""
+        w = self._omega_cache.get(mass)
+        w = (self._omega_span(mass, start, stop) if w is None
+             else w.reshape(-1)[start:stop])
+        w.flags.writeable = False
+        return w
+
     def _phase(self, mass: float, dt: float) -> np.ndarray:
         """exp(-1j * omega(mass) * dt) as a read-only grid.
 
@@ -217,7 +227,8 @@ class MomentumLattice:
         return self._analyze(
             np.fft.fftn(grid, out=np.empty(self.nodes, dtype=complex)))
 
-    def _analyze_delta(self, idx: tuple[int, ...], value: float) -> np.ndarray:
+    def _analyze_delta(self, idx: tuple[int, ...], value: float,
+                       weights=None) -> np.ndarray:
         """grid_to_modes of the grid that holds value at node idx and zero
         elsewhere, without transforming the whole grid on every axis.
 
@@ -227,7 +238,11 @@ class MomentumLattice:
         the full grid along axis 0.  Every other line holds the transform
         of zeros, which is +0 for most lengths but carries signed zeros
         for some (Bluestein lengths such as 202); it is transformed once
-        per axis and broadcast, which keeps fftn's bytes."""
+        per axis and broadcast, which keeps fftn's bytes.
+
+        weights(start, stop), if given, is a real array over the flat span
+        [start, stop) of whole axis-0 planes, even in k0 as omega is:
+        every mode is then multiplied by it in _analyze's pass."""
         part = np.asarray(value, dtype=complex)
         zero = np.zeros((), dtype=complex)
         for axis in reversed(range(self.dim)):
@@ -238,17 +253,41 @@ class MomentumLattice:
                 zero = np.fft.fft(buf, axis=0)
             buf[idx[axis]] = part
             part = np.fft.fft(buf, axis=0, out=buf)
-        return self._analyze(part)
+        return self._analyze(part, weights)
 
-    def _analyze(self, spectrum: np.ndarray) -> np.ndarray:
-        """Scale an fftn spectrum in place by 1/N times the centering phase."""
-        # sign * (1/N) holds +-(1/N) exactly, as the float table always did;
-        # it is built a block at a time: no float grid
-        flat, sign = spectrum.reshape(-1), self._centering_sign().reshape(-1)
-        scale = 1.0 / self.total_nodes
-        for i in range(0, flat.size, _BLOCK):
-            np.multiply(flat[i:i + _BLOCK], sign[i:i + _BLOCK] * scale,
-                        out=flat[i:i + _BLOCK])
+    def _analyze(self, spectrum: np.ndarray, weights=None) -> np.ndarray:
+        """Scale an fftn spectrum in place by 1/N times the centering phase,
+        then by weights if given, in one pass over pairs of axis-0 planes.
+
+        fftfreq gives k0[N0 - i] = -k0[i] exactly, and the centering sign
+        (-1)^n and the weights are even in k0, so plane N0 - i takes the
+        factors built for plane i: they are built for planes 0..N0/2 only,
+        whole planes at a time, at least _BLOCK entries per span, so no
+        float grid.  sign * (1/N) holds +-(1/N) exactly.  Each mode takes
+        spectrum * (sign * (1/N)) and then weights * spectrum: complex
+        products round differently in each operand order."""
+        n0, half = self.nodes[0], self.nodes[0] // 2
+        planes = spectrum.reshape(n0, -1)
+        sign = self._centering_sign().reshape(n0, -1)
+        per = planes.shape[1]
+        step = -(-_BLOCK // per)
+        for a in range(0, half + 1, step):
+            b = min(a + step, half + 1)
+            scale = sign[a:b] * (1.0 / self.total_nodes)
+            w = (None if weights is None
+                 else weights(a * per, b * per).reshape(b - a, per))
+            parts = [(planes[a:b], scale, w)]
+            lo, hi = max(a, 1), min(b, half)    # planes 0, N0/2: no mirror
+            if lo < hi:
+                # planes N0-hi+1 .. N0-lo, ascending, mirror hi-1 .. lo
+                mirror = slice(lo - a, hi - a)
+                parts.append((planes[n0 - hi + 1:n0 - lo + 1],
+                              scale[mirror][::-1],
+                              None if w is None else w[mirror][::-1]))
+            for block, sc, wt in parts:
+                np.multiply(block, sc, out=block)
+                if wt is not None:
+                    np.multiply(wt, block, out=block)
         return spectrum
 
     def _centering_sign(self) -> np.ndarray:
@@ -312,8 +351,11 @@ class LatticeField:
             if zero[-1]:
                 phi = phi.view()
                 phi.flags.writeable = False
-            elif not np.isfinite(phi).all():
-                raise ValueError(f"{name} holds a non-finite coefficient")
+            else:
+                # max and min propagate nan and show +-inf: no bool grid
+                parts = phi.reshape(-1).view(float)
+                if not np.isfinite(parts.max()) or not np.isfinite(parts.min()):
+                    raise ValueError(f"{name} holds a non-finite coefficient")
             setattr(self, name, phi)
         self.zero_sectors = tuple(zero)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _BLOCK, LatticeField, ModelParams, MomentumLattice
+from .core import LatticeField, ModelParams, MomentumLattice
 from .inner import inner_0
 
 # Gamma(1/4) to 25 significant digits (computed once with mpmath at
@@ -200,15 +200,16 @@ def localized_state(epsilon: int, y, lattice: MomentumLattice,
         raise ValueError("sector label must be +1 or -1")
     idx = _node_index(lattice, y)
     shape = tuple(lattice.nodes)
-    phi = lattice._analyze_delta(idx, 1.0 / np.sqrt(lattice.cell_volume))
     root = np.sqrt(params.mass / params.kappa)
-    # root * omega^{-1/2} a block at a time: no float grid
-    flat = phi.reshape(-1)
-    for i in range(0, flat.size, _BLOCK):
-        winv = lattice._omega_span(params.mass, i, i + _BLOCK)
+
+    def weights(start, stop):
+        # root * omega^{-1/2} over a span of planes: no float grid
+        winv = lattice._omega_span(params.mass, start, stop)
         winv **= -0.5
-        np.multiply(np.multiply(root, winv, out=winv), flat[i:i + _BLOCK],
-                    out=flat[i:i + _BLOCK])
+        return np.multiply(root, winv, out=winv)
+
+    phi = lattice._analyze_delta(idx, 1.0 / np.sqrt(lattice.cell_volume),
+                                 weights)
     zero = np.zeros(shape, dtype=complex)     # calloc: no pages until written
     if epsilon > 0:
         f = LatticeField(lattice, params, phi, zero, t0=t0)

@@ -84,6 +84,42 @@ def test_lattice_field_rejects_non_finite_minus_sector():
         LatticeField(f.lattice, f.params, f.phi_plus, phi_minus)
 
 
+NON_FINITE = [complex(np.nan, 0.0), complex(np.inf, 0.0),
+              complex(-np.inf, 0.0), complex(0.0, np.nan),
+              complex(0.0, np.inf), complex(0.0, -np.inf)]
+
+
+@pytest.mark.parametrize("name", ["phi_plus", "phi_minus"])
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_lattice_field_rejects_each_non_finite_part(name, bad):
+    f = random_field(make_lattice(d=2, N=8), ModelParams(mass=1.0), seed=4)
+    for where in (0, 31, 63):           # first, middle and last entry
+        for base in (getattr(f, name), np.zeros(f.lattice.nodes, complex)):
+            phi = base.copy()
+            phi.reshape(-1)[where] = bad
+            with pytest.raises(ValueError,
+                               match=f"^{name} holds a non-finite "
+                                     f"coefficient$"):
+                f.copy_with(**{name: phi})
+
+
+def test_lattice_field_accepts_extreme_finite_parts():
+    f = random_field(make_lattice(d=2, N=8), ModelParams(mass=1.0), seed=4)
+    big, tiny = np.finfo(float).max, np.finfo(float).smallest_subnormal
+    extremes = [complex(big, -big), complex(-big, big), complex(tiny, -tiny),
+                complex(-tiny, 2 * tiny), complex(-0.0, -0.0),
+                complex(-0.0, 1.0), complex(1.0, -0.0)]
+    for name in ("phi_plus", "phi_minus"):
+        for base in (getattr(f, name), np.zeros(f.lattice.nodes, complex)):
+            phi = base.copy()
+            phi.reshape(-1)[[0, 9, 31, 40, 52, 60, 63]] = extremes
+            g = f.copy_with(**{name: phi})
+            assert getattr(g, name).tobytes() == phi.tobytes()
+    only_signed_zeros = np.full(f.lattice.nodes, complex(-0.0, -0.0))
+    g = f.copy_with(phi_minus=only_signed_zeros)
+    assert g.zero_sectors == (False, False)
+
+
 def test_lattice_field_rejects_non_finite_start_time():
     f = random_field(make_lattice(), ModelParams(mass=1.0), seed=4)
     for t0 in (np.nan, np.inf, -np.inf):

@@ -15,9 +15,11 @@ give the bytes of the two-grid expressions.  A localized state's delta
 is transformed only along the lines through its node; that must give
 the bytes of fftn on the dense delta.  A lattice builds ksq anew on every
 read and keeps only its per-mass omega grids and its last re-phasing grid
-exp(-i omega dt).  localized_state, grid_to_modes and the inner products
-build omega and the 1/N centering scale in flat blocks, so no float grid,
-and leave the omega cache alone; each block must give the grid's bytes.
+exp(-i omega dt).  localized_state and grid_to_modes build omega and the
+1/N centering scale for the planes k0 >= 0 and apply them to the planes
+of k0 and -k0; the inner products read omega's flat blocks from the cache
+or build them; so no float grid, and the omega cache is never filled by
+them.  Each plane and block must give the grid's bytes.
 Every route away from t0, evolve included, reads the one read-only phase
 grid per (mass, dt): the routes must give the plain expressions' bytes
 whether the grid was built for them or found, and no output may share
@@ -199,22 +201,47 @@ def test_inner_a_is_bitwise_unchanged(shape, a):
                               np.complex128(old_inner(f1, f2, a)))
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+# 96x40x24 has a partial last block in mode_psidot; 202 and 254 take
+# pocketfft's Bluestein route, where a line of zeros transforms to signed
+# zeros that the other lines must carry; 202x12 pairs Bluestein planes
+DELTA_SHAPES = [(16,), (202,), (64, 64), (48, 80), (8, 254), (4, 202),
+                (202, 12), (32, 32, 32), (96, 40, 24), (6, 6, 202)]
+
+
+def _delta_nodes(nodes, seed=11):
+    """Every corner node (0 or N-1 on each axis) and four seeded ones."""
+    rng = np.random.default_rng(seed)
+    drawn = [tuple(int(rng.integers(n)) for n in nodes) for _ in range(4)]
+    return [*itertools.product(*[(0, n - 1) for n in nodes]), *drawn]
+
+
+def _delta_lattice(nodes):
+    """Box lengths 3, 4, 5 on axes 0, 1, 2, and the nodes."""
+    return [3.0 + i for i in range(len(nodes))], nodes
+
+
+LOCALIZED_SHAPES = {**SHAPES, **{str(n): _delta_lattice(n)
+                                  for n in DELTA_SHAPES}}
+
+
+@pytest.mark.parametrize("shape", LOCALIZED_SHAPES)
 @pytest.mark.parametrize("eps", [1, -1])
 def test_localized_state_is_bitwise_unchanged(shape, eps):
-    L, N = SHAPES[shape]
+    L, N = LOCALIZED_SHAPES[shape]
     lat = MomentumLattice(L, N)
-    idx = tuple(n // 3 for n in N)
     axes = lat.coordinate_axes()
-    y = [axes[d][idx[d]] for d in range(len(N))]
-    f = localized_state(eps, y, lat, PARAMS, t0=T0).field
-    modes = old_localized_modes(lat, PARAMS, idx)
-    zero = np.zeros_like(modes)
-    old = f.copy_with(phi_plus=modes if eps > 0 else zero,
-                      phi_minus=zero if eps > 0 else modes)
-    assert_same_bytes(f.phi_plus, old.phi_plus)
-    assert_same_bytes(f.phi_minus, old.phi_minus)
-    assert_same_bytes(f.psi_grid(T), old_modes_to_grid(lat, old_psi(old, T)))
+    for idx in _delta_nodes(N):
+        y = [axes[d][idx[d]] for d in range(len(N))]
+        f = localized_state(eps, y, lat, PARAMS, t0=T0).field
+        modes = old_localized_modes(lat, PARAMS, idx)
+        zero = np.zeros_like(modes)
+        old = f.copy_with(phi_plus=modes if eps > 0 else zero,
+                          phi_minus=zero if eps > 0 else modes)
+        assert_same_bytes(f.phi_plus, old.phi_plus)
+        assert_same_bytes(f.phi_minus, old.phi_minus)
+        for t in (T0, T):
+            assert_same_bytes(f.psi_grid(t),
+                              old_modes_to_grid(lat, old_psi(old, t)))
 
 
 def _planted(phi):
@@ -457,29 +484,16 @@ def test_sector_maps_of_one_sector_fields_keep_their_bytes(eps):
 
 # ------------------------------------------- localized states without fftn
 
-# 96x40x24 has a partial last block in mode_psidot; 202 and 254 take
-# pocketfft's Bluestein route, where a line of zeros transforms to signed
-# zeros that the other lines must carry
-DELTA_SHAPES = [(16,), (202,), (64, 64), (48, 80), (8, 254), (4, 202),
-                (32, 32, 32), (96, 40, 24), (6, 6, 202)]
-
-
-def _delta_nodes(nodes, seed=11):
-    """Every corner node (0 or N-1 on each axis) and four seeded ones."""
-    rng = np.random.default_rng(seed)
-    drawn = [tuple(int(rng.integers(n)) for n in nodes) for _ in range(4)]
-    return [*itertools.product(*[(0, n - 1) for n in nodes]), *drawn]
-
-
 @pytest.mark.parametrize("nodes", DELTA_SHAPES, ids=str)
 def test_delta_transform_gives_the_dense_fftn_bytes(nodes):
-    lat = MomentumLattice([3.0 + i for i in range(len(nodes))], nodes)
+    lat = MomentumLattice(*_delta_lattice(nodes))
     value = 1.0 / np.sqrt(lat.cell_volume)
     for idx in _delta_nodes(nodes):
         delta = np.zeros(nodes, dtype=complex)
         delta[idx] = value
-        assert_same_bytes(lat._analyze_delta(idx, value),
-                          old_grid_to_modes(lat, delta))
+        old = old_grid_to_modes(lat, delta)
+        assert_same_bytes(lat._analyze_delta(idx, value), old)
+        assert_same_bytes(lat.grid_to_modes(delta), old)
 
 
 def test_localized_state_makes_no_fftn_call(monkeypatch):
@@ -562,6 +576,22 @@ def test_psidot_grid_takes_no_more_memory_than_psi_grid():
         f"psidot_grid peaked {psidot:.2f} complex grids, psi_grid {psi:.2f}"
 
 
+# complex grids above held at 48^3: the modes live + 0, transformed in
+# place, and pocketfft's buffers (measured 1.07)
+ONE_SECTOR_PSI_T0_BUDGET = 1.1
+
+
+def test_one_sector_psi_grid_at_t0_stays_within_its_memory_budget():
+    lat = MomentumLattice([6.0] * 3, [48] * 3)
+    for eps in (1, -1):
+        f = localized_state(eps, [0.0] * 3, lat, PARAMS, t0=T0).field
+        f.psi_grid(T0)          # the lattice caches its sign
+        _, peak = _traced(lambda: f.psi_grid(T0))
+        grids = peak / (16 * lat.total_nodes)
+        assert grids <= ONE_SECTOR_PSI_T0_BUDGET, \
+            f"psi_grid(t0) peaked {grids:.2f} complex grids above held"
+
+
 # ------------------------------------------- frequency grids built on demand
 
 # SHAPES, the Bluestein length 202 and 1-D
@@ -633,6 +663,24 @@ def test_omega_span_keeps_the_omega_bytes(shape):
         for i, j in _spans(lat):
             assert_same_bytes(lat._omega_span(m, i, j), flat[i:j])
     assert lat._omega_cache == {}
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_omega_block_keeps_the_omega_bytes_cold_and_warm(shape):
+    lat = MomentumLattice(*GRID_SHAPES[shape])
+    flat = lat.omega(PARAMS.mass).copy().reshape(-1)
+    lat._omega_cache.clear()
+    cold = [lat._omega_block(PARAMS.mass, i, j) for i, j in _spans(lat)]
+    assert lat._omega_cache == {}
+    grid = lat.omega(PARAMS.mass)
+    warm = [lat._omega_block(PARAMS.mass, i, j) for i, j in _spans(lat)]
+    for (i, j), c, w in zip(_spans(lat), cold, warm):
+        assert_same_bytes(c, flat[i:j])
+        assert_same_bytes(w, flat[i:j])
+        assert not c.flags.writeable and not w.flags.writeable
+        assert not np.shares_memory(c, grid)
+        assert np.shares_memory(w, grid) == (min(j, lat.total_nodes) > i)
+    assert grid.flags.writeable         # the cached grid itself is untouched
 
 
 def test_localized_state_takes_no_frequency_grid():
@@ -939,11 +987,8 @@ def test_continuity_residual_stays_within_its_memory_budget(which):
         f"{which} peaked {grids:.2f} padded complex grids above held"
 
 
-def test_inner_a_builds_one_omega_span_per_block(monkeypatch):
-    lat = MomentumLattice([6.0] * 3, [32] * 3)         # four whole blocks
-    f, g = (random_field(lat, PARAMS, seed=s, t0=T0) for s in (1, 2))
-    one = _one_sector_fields(lat, T0)[1]
-    lat.omega(PARAMS.mass)      # the re-phase away from t0 reads this cache
+def _span_spy(monkeypatch, lat):
+    """The (start, stop) of every _omega_span call on lat, as a list."""
     spans = []
     real = lat._omega_span
 
@@ -952,8 +997,62 @@ def test_inner_a_builds_one_omega_span_per_block(monkeypatch):
         return real(mass, i, j)
 
     monkeypatch.setattr(lat, "_omega_span", span)
+    return spans
+
+
+def _inner_pairs(lat):
+    f, g = (random_field(lat, PARAMS, seed=s, t0=T0) for s in (1, 2))
+    one = _one_sector_fields(lat, T0)[1]
+    return f, g, one
+
+
+def test_inner_a_builds_one_omega_span_per_block(monkeypatch):
+    lat = MomentumLattice([6.0] * 3, [32] * 3)         # four whole blocks
+    f, g, one = _inner_pairs(lat)
+    spans = _span_spy(monkeypatch, lat)
     blocks = [(i, i + _BLOCK) for i in range(0, lat.total_nodes, _BLOCK)]
-    for f1, f2 in ((f, g), (f, g.copy_with(t0=-0.4)), (f, one), (one, one)):
+    for f1, f2 in ((f, g), (f, one), (one, one)):
         spans.clear()
         inner_a(f1, f2)
         assert spans == blocks
+    assert lat._omega_cache == {}
+
+
+def test_inner_a_reads_a_cached_omega_grid(monkeypatch):
+    lat = MomentumLattice([6.0] * 3, [32] * 3)
+    f, g, one = _inner_pairs(lat)
+    pairs = ((f, g), (f, one), (one, one))
+    cold = [inner_a(f1, f2) for f1, f2 in pairs]
+    assert lat._omega_cache == {}
+    lat.omega(PARAMS.mass)
+    spans = _span_spy(monkeypatch, lat)
+    for (f1, f2), value in zip(pairs, cold):
+        assert_same_bytes(np.complex128(inner_a(f1, f2)),
+                          np.complex128(value))
+    # a re-phase away from t0 fills the cache before the reduction reads it
+    g_moved = g.copy_with(t0=-0.4)
+    assert_same_bytes(np.complex128(inner_a(f, g_moved)),
+                      np.complex128(old_inner(f, g_moved, PARAMS.a)))
+    assert spans == []
+
+
+@pytest.mark.parametrize("nodes", DELTA_SHAPES, ids=str)
+def test_localized_state_builds_omega_for_half_the_planes(monkeypatch,
+                                                          nodes):
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    spans = _span_spy(monkeypatch, lat)
+    calls = []
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(a))
+    idx = _delta_nodes(nodes)[-1]
+    y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
+    localized_state(1, y, lat, PARAMS)
+    per = lat.total_nodes // nodes[0]
+    span = -(-_BLOCK // per)                # whole planes per span
+    planes = nodes[0] // 2 + 1              # k0 >= 0: 0 .. N0/2
+    whole = -(-planes // span) * span
+    built = sum(min(j, lat.total_nodes) - i for i, j in spans)
+    assert built <= whole * per, \
+        f"omega built for {built / per:.1f} of {nodes[0]} planes"
+    assert len(spans) == -(-planes // span)
+    assert calls == []
+    assert lat._omega_cache == {}
