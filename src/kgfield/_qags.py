@@ -12,11 +12,12 @@ weights, breakpoints or infinite limits.
 
 Integrand contract: each rule calls f once, on a float64 array of its 21
 nodes, and sums the returned values as Python floats in QUADPACK's
-order.  The result is bitwise QUADPACK's only if every element of
-f(array) is finite and equals f at that node alone.  numpy ufuncs (exp,
-cosh, log, sqrt, power, ...) and the four arithmetic operators meet it;
-Python-float ** does not, since libm pow and numpy's array power differ
-in the last bit at some points.
+order.  A value that is not finite raises ValueError naming its node.
+The result is bitwise QUADPACK's only if every element of f(array)
+equals f at that node alone.  numpy ufuncs (exp, cosh, log, sqrt,
+power, ...) and the four arithmetic operators meet it; Python-float **
+does not, since libm pow and numpy's array power differ in the last bit
+at some points.
 
 Arrays are 1-based as in the Fortran (slot 0 unused), so every index
 reads as in the source.
@@ -24,6 +25,7 @@ reads as in the source.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -72,7 +74,14 @@ def _qk21(f, a, b):
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
     absc = hlgth * _XGK
-    fv = f(np.concatenate(((centr,), centr - absc, centr + absc))).tolist()
+    x = np.concatenate(((centr,), centr - absc, centr + absc))
+    fv = f(x).tolist()
+    # the plain sum is finite unless a value is not (or the sum overflows)
+    if not math.isfinite(sum(fv)):
+        for xi, v in zip(x.tolist(), fv):
+            if not math.isfinite(v):
+                raise ValueError(f"the integrand is {v!r} at the node "
+                                 f"x = {xi!r}; qags needs finite values")
     fc, fv1, fv2 = fv[0], fv[1:11], fv[11:]
     resg = 0.0
     resk = wgk[10] * fc

@@ -11,8 +11,8 @@ Configs are JSON documents validated against the published schemas
 (SCENARIO_SCHEMA, SWEEP_SCHEMA below) by the in-package validator
 _schema_violation; unknown keys and non-finite numbers are rejected before
 any computation.  The schemas are built from the dispatch tables _FIELDS,
-_TASKS and AXIS_OBSERVABLES, so a construction, task or axis is declared
-once.  Physics parameters never appear as positional
+_TASKS and _AXES, so a construction, task or axis, with every rule on its
+config, is declared once.  Physics parameters never appear as positional
 arguments.  Exit codes: 0 all checks/tasks passed, 1 a check or task
 failed, 2 configuration error.  KGFIELD_OUT overrides --out.  The
 environment variable KGFIELD_CORRUPT_DISPERSION (a float, default 1)
@@ -97,11 +97,6 @@ OUTPUT_SCHEMA = _closed({
 
 # ------------------------------------------------------- config plumbing
 
-_SCHEMA_KEYWORDS = frozenset({
-    "type", "properties", "required", "additionalProperties", "items",
-    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
-    "exclusiveMaximum", "oneOf", "const", "enum"})
-
 # (keyword, fails(value, bound), message) for the numeric bounds; a NaN
 # fails none of them
 _BOUNDS = (
@@ -130,54 +125,47 @@ def _same(value, want) -> bool:
     return value == want
 
 
-def _selects(branch: dict, value) -> bool:
-    """True if value carries every const property of the oneOf branch."""
-    consts = {k: s["const"] for k, s in branch.get("properties", {}).items()
-              if "const" in s}
-    return bool(consts) and isinstance(value, dict) and all(
-        k in value and _same(value[k], c) for k, c in consts.items())
-
-
 def _schema_violation(value, schema: dict, path: tuple = ()):
     """The first violation of schema by the JSON value, as (path, message),
     or None.
 
-    Implements the JSON Schema keywords in _SCHEMA_KEYWORDS and the types
-    in _SCHEMA_TYPES, the ones the schemas above use, with jsonschema's
-    meaning.  Every object node must have the shape _closed writes:
-    type "object", properties, and additionalProperties false.  Any other
-    keyword, type or object shape in a schema node that the value
-    reaches raises ValueError, so that a schema edit cannot be skipped
-    silently.  Nodes the value does not reach, such as an optional
-    property it leaves out, are not checked here; tests/test_schema.py
-    walks every node of every schema.  One deliberate departure: "integer"
-    means a Python int that is not a bool, where JSON Schema also counts an
-    integral float such as 2.0, which the model and task builders cannot
-    use.  A NaN passes every numeric bound, as in jsonschema; configs
-    never hold one, because _load_config rejects non-finite numbers while
-    parsing.  A oneOf that does not
-    match exactly one branch reports the error of the branch whose const
-    properties the value carries, if there is one.
+    Implements the JSON Schema keywords the schemas above use, with
+    jsonschema's meaning: type (the names in _SCHEMA_TYPES), properties,
+    required, additionalProperties false, items, minItems, maxItems,
+    minimum, maximum, exclusiveMinimum, exclusiveMaximum, oneOf, const and
+    enum.  Every object node has the shape _closed writes;
+    tests/test_schema.py walks every node of every schema to hold them to
+    that.  One deliberate departure: "integer" means a Python int that is
+    not a bool, where JSON Schema also counts an integral float such as
+    2.0, which the model and task builders cannot use.  A NaN passes every
+    numeric bound, as in jsonschema; configs never hold one, because
+    _load_config rejects non-finite numbers while parsing.  A oneOf whose
+    branches all fix one property with a const (axis, construction, task)
+    is decided by that property: an object without it lacks a required
+    property, one naming no branch fails at that property, and one naming
+    a branch gets that branch's error.  Any other oneOf that does not
+    match exactly one branch says so.
     """
-    unknown = schema.keys() - _SCHEMA_KEYWORDS
-    if unknown:
-        raise ValueError(f"schema keywords not implemented: {sorted(unknown)}")
-    closed = schema.get("type") == "object"
-    if (closed and (schema.get("additionalProperties") is not False
-                    or "properties" not in schema)) or (not closed and (
-            schema.keys() & {"properties", "required", "additionalProperties"})):
-        raise ValueError("an object node needs properties and "
-                         "additionalProperties false, as _closed writes it")
-    # a list, not the dict: a list of type names is unhashable
-    if schema.get("type", "object") not in list(_SCHEMA_TYPES):
-        raise ValueError(f"schema type not implemented: {schema['type']!r}")
     if "oneOf" in schema:
-        errors = [_schema_violation(value, s, path) for s in schema["oneOf"]]
-        if errors.count(None) != 1:
-            return next((e for s, e in zip(schema["oneOf"], errors)
-                         if e and _selects(s, value)),
-                        (path, f"{value!r} is not valid under exactly one "
-                               f"of the given schemas"))
+        branches = schema["oneOf"]
+        keys = set.intersection(*({k for k, s in b.get("properties", {}).items()
+                                   if "const" in s} for b in branches))
+        if keys and isinstance(value, dict):
+            (key,) = keys
+            names = [b["properties"][key]["const"] for b in branches]
+            if key not in value:
+                return path, f"{key!r} is a required property"
+            picked = [b for b, n in zip(branches, names) if _same(value[key], n)]
+            if not picked:
+                return path + (key,), f"{value[key]!r} is not one of {names!r}"
+            error = _schema_violation(value, picked[0], path)
+        else:
+            errors = [_schema_violation(value, s, path) for s in branches]
+            error = None if errors.count(None) == 1 else (
+                path, f"{value!r} is not valid under exactly one of the "
+                      f"given schemas")
+        if error:
+            return error
     if "type" in schema and not _is_type(value, schema["type"]):
         return path, f"{value!r} is not of type {schema['type']!r}"
     if "const" in schema and not _same(value, schema["const"]):
@@ -196,7 +184,7 @@ def _schema_violation(value, schema: dict, path: tuple = ()):
             return path, f"{value!r} is too long"
         if "items" in schema:
             children = ((i, v, schema["items"]) for i, v in enumerate(value))
-    elif closed:
+    elif schema.get("type") == "object":
         props = schema["properties"]
         missing = [k for k in schema.get("required", ()) if k not in value]
         if missing:
@@ -340,9 +328,17 @@ _FIELDS = {
     "from-file": (_from_file, {"path": {"type": "string"}}, ("path",)),
 }
 
-FIELD_SCHEMA = {"oneOf": [
-    _closed({"construction": {"const": kind}, **props}, "construction", *required)
-    for kind, (_, props, required) in _FIELDS.items()]}
+
+def _field_schema(*kinds: str, drop: tuple = ()) -> dict:
+    """The schema of a field block of these constructions, less drop."""
+    return {"oneOf": [
+        _closed({"construction": {"const": kind},
+                 **{k: s for k, s in _FIELDS[kind][1].items() if k not in drop}},
+                "construction", *_FIELDS[kind][2])
+        for kind in kinds]}
+
+
+FIELD_SCHEMA = _field_schema(*_FIELDS)
 
 
 def _field_from_block(block: dict, model: dict):
@@ -399,7 +395,8 @@ def _cmd_verify(args) -> int:
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         print(f"{mark} {r.suite}:{r.name} measured={r.measured:.6e} "
-              f"tolerance={r.tolerance:.1e}")
+              f"tolerance={r.tolerance:.1e}"
+              + (f" error={r.error}" if r.error else ""))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     config = {"suite": args.suite or "all", "seed": args.seed}
@@ -602,22 +599,34 @@ def _cmd_scenario(args) -> int:
 
 # ------------------------------------------------------------------ sweep
 
-AXIS_OBSERVABLES = {
-    "a": ("total_probability",),
-    "M": ("nonrel-density-deviation", "nonrel-current-deviation"),
-    "theta": ("gauge-norm-drift",),
-    "quadrature-order": ("frame-invariance-drift",),
+# axis: (observables, grid item schema, fewest grid points, model schema,
+# field schema or None where the axis builds its own packets)
+_LATTICE_FIELD = _field_schema(*(k for k in _FIELDS if k != "plane-waves"))
+_AXES = {
+    "a": (("total_probability",), _NUM, 2, MODEL_SCHEMA, _LATTICE_FIELD),
+    # the axis sets the sector itself; its slope fit needs 4 points
+    "M": (("nonrel-density-deviation", "nonrel-current-deviation"), _NUM, 4,
+          MODEL_SCHEMA, _field_schema("gaussian-packet", drop=("sector",))),
+    "theta": (("gauge-norm-drift",), _NUM, 2, MODEL_SCHEMA, _LATTICE_FIELD),
+    # the reference packets of amplitudes.reference_packets are 1-D
+    "quadrature-order": (
+        ("frame-invariance-drift",), {"type": "integer", "minimum": 2}, 2,
+        dict(MODEL_SCHEMA, properties={**MODEL_SCHEMA["properties"],
+                                       "d": {"type": "integer", "const": 1}}),
+        None),
 }
 
-SWEEP_SCHEMA = _closed({
-    "axis": {"enum": list(AXIS_OBSERVABLES)},
-    "grid": {"type": "array", "items": _NUM, "minItems": 2},
-    "observable": {"type": "string"},
-    "model": MODEL_SCHEMA,
-    "field": FIELD_SCHEMA,
-    "output": OUTPUT_SCHEMA,
-    "seed": {"type": "integer", "minimum": 0},
-}, "axis", "grid", "observable", "model")
+SWEEP_SCHEMA = {"oneOf": [
+    _closed({
+        "axis": {"const": axis},
+        "grid": {"type": "array", "items": item, "minItems": fewest},
+        "observable": {"enum": list(observables)},
+        "model": model,
+        **({"field": field} if field else {}),
+        "output": OUTPUT_SCHEMA,
+        "seed": {"type": "integer", "minimum": 0},
+    }, "axis", "grid", "observable", "model", *(("field",) if field else ()))
+    for axis, (observables, item, fewest, model, field) in _AXES.items()]}
 
 
 def _sweep_point(config: dict, value) -> float:
@@ -629,19 +638,15 @@ def _sweep_point(config: dict, value) -> float:
         from .amplitudes import invariance_check, reference_packets
 
         # frame invariance of the continuum inner product: no lattice
-        if int(value) != value or value < 2:
-            raise TaskError("axis quadrature-order: grid must be integers >= 2")
         f1, f2 = reference_packets(_model_from_block(model, lattice=False)[1])
         return invariance_check(f1, f2, Boost((0.35,)),
-                                orders=(int(value),))["rel_dev"][0]
+                                orders=(value,))["rel_dev"][0]
     if axis == "M":
         from .limits import LIMIT_TIME, limit_kappa, schrodinger_deviation
 
         # nonrelativistic deviation of the a-current from the Schrodinger
         # reference under the limit convention for kappa, at LIMIT_TIME
         # after the reference slice as in limits.limit_deviation
-        if block["construction"] != "gaussian-packet":
-            raise TaskError("axis M: needs a gaussian-packet field")
         model.update(M=value, kappa=limit_kappa(float(model.get("a", 0.0))))
         block = dict(block, sector="schrodinger")
     elif axis == "a":
@@ -668,23 +673,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = _load_config(args.config, SWEEP_SCHEMA)
     axis, grid = config["axis"], config["grid"]
-    observable = config["observable"]
-    if observable not in AXIS_OBSERVABLES[axis]:
-        raise ConfigError(
-            f"axis {axis}: observable must be one of "
-            f"{AXIS_OBSERVABLES[axis]}, got {observable!r}")
     if axis == "quadrature-order":
-        if "field" in config:
-            raise ConfigError("axis quadrature-order: the reference packets "
-                              "are fixed, so it takes no field block")
-        if config["model"]["d"] != 1:
-            raise ConfigError("axis quadrature-order: the reference packets "
-                              "are 1-D, so the model block needs d = 1")
         _model_from_block(config["model"], lattice=False)   # before any point
-    elif "field" not in config:
-        raise ConfigError(f"axis {axis}: a field block is required")
-    if axis == "M" and len(grid) < 4:
-        raise ConfigError("axis M: the slope fit needs at least 4 grid points")
 
     point = functools.partial(_sweep_point, config)
     workers = min(args.workers, len(grid))
@@ -706,7 +696,7 @@ def _cmd_sweep(args) -> int:
 
         payload["fitted_slope"] = fit_slope(grid, values)
         footer = (f"fitted-slope {payload['fitted_slope']!r}",)
-    artifact = (f"sweep_{axis}.csv", (axis, observable),
+    artifact = (f"sweep_{axis}.csv", (axis, config["observable"]),
                 list(zip(grid, values)), footer)
     return _emit(args, config, [artifact], f"sweep_{axis}.json", payload)
 

@@ -495,7 +495,6 @@ def random_field(
     seed: int,
     t0: float = 0.0,
     band_fraction: float = 0.5,
-    scale: float = 1.0,
 ) -> LatticeField:
     """Random band-limited field, deterministic in the seed.
 
@@ -511,7 +510,7 @@ def random_field(
     damp = np.exp(-(ksq / kband ** 2) ** 2)
     damp[ksq > kband ** 2] = 0.0
     draw = lambda: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    norm = scale / np.sqrt(lattice.total_nodes)
+    norm = 1.0 / np.sqrt(lattice.total_nodes)
     return LatticeField(lattice, params,
                         draw() * damp * norm, draw() * damp * norm, t0)
 

@@ -324,7 +324,9 @@ def besselK_profile(r: float, params: ModelParams) -> float:
     scipy.integrate.quad on this integrand without importing
     scipy.integrate.  Raises FloatingPointError, naming the radius, the
     flag, the integral and its error estimate, when QUADPACK flags a
-    failure (ier != 0) or the profile is not finite.
+    failure (ier != 0) or the profile is not finite, and naming the
+    radius and the node when the integrand is not finite there (below
+    M r of about 1e-243, where cosh(5t/4) overflows).
     """
     from ._qags import qags
 
@@ -332,7 +334,11 @@ def besselK_profile(r: float, params: ModelParams) -> float:
         raise ValueError(f"radius must be positive and finite, got {r!r}")
     M = params.mass
     f, tmax = _cosh_quadrature(M * r)
-    val, err, ier, _ = qags(f, 0.0, tmax, 1e-14, 1e-13, 200)
+    try:
+        val, err, ier, _ = qags(f, 0.0, tmax, 1e-14, 1e-13, 200)
+    except ValueError as exc:           # a non-finite integrand value
+        raise FloatingPointError(
+            f"Bessel-profile quadrature failed at r={r!r}: {exc}") from exc
     const = 2.0 ** 0.75 * np.pi ** 1.5 * GAMMA_QUARTER
     out = float(np.sqrt(M / params.kappa) / const * (M / r) ** 1.25 * val)
     if ier != 0 or not np.isfinite(out):

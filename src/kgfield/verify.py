@@ -63,6 +63,7 @@ class CheckResult:
     passed: bool
     elapsed_s: float = 0.0      # wall time of the check, perf_counter
     margin: float = float("nan")    # see _margin; passed is margin <= 1
+    error: str | None = None    # "ValueError: ..." when the check raised
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,9 @@ def available_suites() -> list[str]:
 
 
 def run_checks(suite: str | None = None, ctx: VerifyContext | None = None) -> list[CheckResult]:
-    """Run every registered check, or only one suite."""
+    """Run every registered check, or only one suite.  A check that raises
+    fails with a nan measurement, tolerance and margin and the exception in
+    its error; the next check still runs."""
     ctx = ctx or VerifyContext()
     if suite is not None and suite not in available_suites():
         raise ValueError(f"unknown suite {suite!r}; have {available_suites()}")
@@ -103,13 +106,18 @@ def run_checks(suite: str | None = None, ctx: VerifyContext | None = None) -> li
         if suite is not None and name_suite != suite:
             continue
         start = time.perf_counter()
-        measured, tol = fn(ctx)
+        error = None
+        try:
+            measured, tol = map(float, fn(ctx))
+        except Exception as exc:    # a defect in one check fails that check
+            measured = tol = float("nan")
+            error = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
-        measured, tol = float(measured), float(tol)
         ok = np.isfinite(measured) and (measured >= tol if at_least
                                         else measured <= tol)
         results.append(CheckResult(name_suite, name, measured, tol, bool(ok),
-                                   elapsed, _margin(measured, tol, at_least)))
+                                   elapsed, _margin(measured, tol, at_least),
+                                   error))
     return results
 
 

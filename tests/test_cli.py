@@ -99,6 +99,45 @@ def test_verify_report_written(tmp_path, monkeypatch):
     assert all(env["blas"].values())
 
 
+def _raises(exc):
+    def check(ctx):
+        raise exc
+    return check
+
+
+@pytest.mark.parametrize("check, line", [
+    (_raises(ValueError("operands could not be broadcast")),
+     "FAIL probe:bad measured=nan tolerance=nan "
+     "error=ValueError: operands could not be broadcast"),
+    (_raises(FloatingPointError("overflow")),
+     "FAIL probe:bad measured=nan tolerance=nan "
+     "error=FloatingPointError: overflow"),
+    (lambda ctx: (float("nan"), 1e-12),
+     "FAIL probe:bad measured=nan tolerance=1.0e-12"),
+], ids=["value-error", "floating-point-error", "nan"])
+def test_a_broken_check_fails_by_name_and_the_rest_still_run(
+        tmp_path, capsys, monkeypatch, check, line):
+    from kgfield import verify
+
+    monkeypatch.delenv("KGFIELD_OUT", raising=False)
+    rows = list(verify._REGISTRY)
+    rows.insert(len(rows) // 2, ("probe", "bad", False, check))
+    monkeypatch.setattr(verify, "_REGISTRY", rows)
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert line in out
+    assert out[-1] == f"{len(rows) - 1}/{len(rows)} checks passed"
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["passed"] is False
+    checks = report["checks"]
+    assert [(c["suite"], c["name"]) for c in checks] == [r[:2] for r in rows]
+    bad = next(c for c in checks if c["suite"] == "probe")
+    assert not bad["passed"] and math.isnan(bad["margin"])
+    assert bad["error"] == (line.split("error=")[1] if "error=" in line
+                            else None)
+    assert all(c["error"] is None for c in checks if c is not bad)
+
+
 def test_scenario_constant_total_and_summary(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "scn.json", packet_scenario(out))
@@ -283,7 +322,8 @@ def test_sweep_mass_too_short_for_slope_is_config_error(tmp_path, capsys,
     doc["grid"] = doc["grid"][:3]
     cfg = write_config(tmp_path, "m3.json", doc)
     assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "at least 4 grid points" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "violates the schema at grid: [1.5, 3.0, 6.0] is too short\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -319,16 +359,6 @@ def test_current_oracle_rejections_exit_one(tmp_path, capsys, modes, reason):
     assert "Traceback" not in err
 
 
-def test_sweep_quadrature_order_needs_one_dimension(tmp_path, capsys):
-    # the reference packets are 1-D; a 2-D model block must not pass for one
-    doc = json.loads((CONFIGS / "sweep_quadrature.json").read_text())
-    doc["model"].update(d=2, N=16)
-    doc["output"]["directory"] = str(tmp_path / "out")
-    assert main(["sweep", write_config(tmp_path, "quad2d.json", doc)]) == 2
-    assert "d = 1" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "sweep_quadrature-order.csv").exists()
-
-
 @pytest.fixture
 def no_sweep_point(monkeypatch):
     """Make any sweep point fail: a rejected config must not reach one."""
@@ -338,6 +368,18 @@ def no_sweep_point(monkeypatch):
         raise AssertionError("a sweep point ran")
 
     monkeypatch.setattr(cli, "_sweep_point", no_point)
+
+
+def test_sweep_quadrature_order_needs_one_dimension(tmp_path, capsys,
+                                                   no_sweep_point):
+    # the reference packets are 1-D; a 2-D model block must not pass for one
+    doc = json.loads((CONFIGS / "sweep_quadrature.json").read_text())
+    doc["model"].update(d=2, N=16)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["sweep", write_config(tmp_path, "quad2d.json", doc)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "violates the schema at model/d: 1 was expected\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("keys", [{"L": 4.0}, {"N": 16}, {"L": 4.0, "N": 16}])
@@ -360,7 +402,9 @@ def test_sweep_quadrature_order_rejects_a_field_block(tmp_path, capsys,
     doc["field"] = {"construction": "from-file", "path": "does-not-exist.kgs"}
     doc["output"]["directory"] = str(tmp_path / "out")
     assert main(["sweep", write_config(tmp_path, "quad.json", doc)]) == 2
-    assert "takes no field block" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "violates the schema at <root>: Additional properties are not "
+        "allowed ('field' was unexpected)\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -409,6 +453,7 @@ def test_lattice_sweep_without_N_is_config_error(tmp_path, capsys, config):
     ("scenario_two_modes", ("tasks", 0, "events")),
     ("scenario_packet", ("seed",)),
     ("scenario_localized", ("field", "node", 0)),
+    ("sweep_quadrature", ("grid", 0)),
 ])
 def test_integral_float_at_an_integer_position_is_config_error(
         tmp_path, capsys, config, path):
@@ -482,6 +527,45 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, name,
     assert not (tmp_path / "out").exists()
 
 
+_PLANE_WAVES = {"construction": "plane-waves",
+                "modes": [{"epsilon": 1, "k": [0.0], "coeff": [1.0, 0.0]}]}
+
+
+@pytest.mark.parametrize("name, path, value, where, reason", [
+    ("sweep_quadrature", ("grid", 1), 16.5, "grid/1",
+     "16.5 is not of type 'integer'"),
+    ("sweep_quadrature", ("grid", 0), 1, "grid/0",
+     "1 is less than the minimum of 2"),
+    ("sweep_mass", ("field",), {"construction": "from-file", "path": "m.kgs"},
+     "field/construction", "'from-file' is not one of ['gaussian-packet']"),
+    ("sweep_mass", ("field", "sector"), "positive", "field",
+     "Additional properties are not allowed ('sector' was unexpected)"),
+    ("sweep_a", ("field",), _PLANE_WAVES, "field/construction",
+     "'plane-waves' is not one of ['gaussian-packet', 'localized-state', "
+     "'from-file']"),
+    ("sweep_a", ("observable",), "gauge-norm-drift", "observable",
+     "'gauge-norm-drift' is not one of ['total_probability']"),
+    ("sweep_a", ("field",), None, "<root>", "'field' is a required property"),
+    ("sweep_a", ("axis",), "b", "axis",
+     "'b' is not one of ['a', 'M', 'theta', 'quadrature-order']"),
+], ids=["fractional-order", "order-below-two", "M-from-file", "M-sector",
+        "a-plane-waves", "observable-of-theta", "no-field", "unknown-axis"])
+def test_sweep_axis_rule_is_a_schema_violation(tmp_path, capsys,
+                                               no_sweep_point, name, path,
+                                               value, where, reason):
+    # each axis rule is part of SWEEP_SCHEMA, so it fails before any point
+    doc = _shipped(name, path, value)
+    if value is None:
+        del doc[path[-1]]
+    doc["output"]["directory"] = str(tmp_path / "out")
+    cfg = write_config(tmp_path, "rule.json", doc)
+    assert main(["sweep", cfg]) == 2
+    assert capsys.readouterr().err == (f"configuration error: config {cfg} "
+                                       f"violates the schema at {where}: "
+                                       f"{reason}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _saved(tmp_path, field) -> str:
     from kgfield.stateio import save_state
 
@@ -544,6 +628,20 @@ def _two_mode_state(tmp_path, mass):
                     "path": _saved(tmp_path, PlaneWaveField(params, modes, 1))}
     doc["output"]["directory"] = str(tmp_path / "out")
     return doc
+
+
+def test_plane_wave_state_on_a_lattice_axis_fails_its_first_point(
+        tmp_path, capsys):
+    # the schema cannot see what a state file holds; the point reads it
+    scenario = _two_mode_state(tmp_path, mass=1.0)
+    doc = {"axis": "theta", "grid": [0.0, 1.3],
+           "observable": "gauge-norm-drift", "model": scenario["model"],
+           "field": scenario["field"],
+           "output": {"directory": str(tmp_path / "out")}}
+    assert main(["sweep", write_config(tmp_path, "pw.json", doc)]) == 1
+    assert capsys.readouterr().err == ("task failed: axis theta: needs a "
+                                       "LatticeField, got a PlaneWaveField\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_plane_wave_state_must_match_the_model_block(tmp_path, capsys):

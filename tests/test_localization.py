@@ -609,6 +609,20 @@ def test_qags_is_scipy_quad_on_singular_integrands(name):
             _scipy_qags(f, a, b, *tol)), tol
 
 
+def test_qags_rejects_a_value_that_is_not_finite():
+    # the centre of [0, 1] is a node of the first rule, where the first
+    # integrand is 0 * inf; QUADPACK's sums would carry the NaN on
+    signed = lambda x: np.sign(x - 0.5) * np.power(np.abs(x - 0.5), -0.5)
+    pole = lambda x: np.reciprocal(np.square(x - 0.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for tol in _TOLERANCES:
+            with pytest.raises(ValueError, match=r"integrand is nan at the "
+                                                 r"node x = 0\.5;"):
+                qags(signed, 0.0, 1.0, *tol)
+        with pytest.raises(ValueError, match=r"is inf at the node x = 0\.5;"):
+            qags(pole, 0.0, 1.0, *_TOLERANCES[0])
+
+
 def test_singular_integrands_reach_every_quadpack_flag():
     flags = {qags(f, a, b, *tol)[2]
              for f, a, b in _SINGULAR.values() for tol in _TOLERANCES}
@@ -646,3 +660,12 @@ def test_profile_raises_when_quadpack_flags_a_failure(monkeypatch):
                         (float("nan"), 0.0, 0, 1))
     with pytest.raises(FloatingPointError, match="ier 0, value nan"):
         besselK_profile(1.3, params)
+
+
+def test_profile_raises_when_the_integrand_is_not_finite():
+    # below M r of about 1e-243 cosh(5t/4) overflows inside the range
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=r"r=1e-250: the integrand is inf at the "
+                                 r"node x = "):
+            besselK_profile(1e-250, ModelParams(mass=1.0))

@@ -1,15 +1,16 @@
 """The in-package config validator against jsonschema, the test-only oracle.
 
 kgfield.cli validates scenario and sweep configs with its own small
-validator.  jsonschema stays the reference: on the shipped configs and on
-mutated copies of them, both must accept and reject the same documents,
-except that the validator's "integer" is a Python int and JSON Schema's
-also admits an integral float such as 2.0.
+validator.  jsonschema stays the reference: on the shipped configs, a
+theta sweep and mutated copies of them, both must accept and reject the
+same documents, except that the validator's "integer" is a Python int
+and JSON Schema's also admits an integral float such as 2.0.
 """
 
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -18,15 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgfield.cli import (
-    AXIS_OBSERVABLES,
     FIELD_SCHEMA,
     MODEL_SCHEMA,
     OUTPUT_SCHEMA,
     SCENARIO_SCHEMA,
     SWEEP_SCHEMA,
     TASK_SCHEMA,
+    _AXES,
     _FIELDS,
-    _SCHEMA_KEYWORDS,
     _SCHEMA_TYPES,
     _TASKS,
     _schema_violation,
@@ -35,6 +35,24 @@ from kgfield.cli import (
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = {p.stem: json.loads(p.read_text())
            for p in sorted(CONFIGS.glob("*.json"))}
+# the shipped configs and a theta sweep, an axis no shipped config uses:
+# the documents the agreement tests mutate
+DOCS = {**SHIPPED, "sweep_theta": {
+    "axis": "theta",
+    "grid": [0.0, 1.3, 2.6],
+    "observable": "gauge-norm-drift",
+    "model": {"d": 2, "L": [8.0, 8.0], "N": [16, 16], "M": 1.0, "a": 0.3},
+    "field": {"construction": "localized-state", "epsilon": -1,
+              "node": [8, 8]},
+    "output": {"directory": "out_sweep_theta", "formats": ["json"]},
+    "seed": 0,
+}}
+
+# the keywords cli._schema_violation implements
+SCHEMA_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+    "exclusiveMaximum", "oneOf", "const", "enum"})
 
 
 def _schema_for(name):
@@ -91,10 +109,10 @@ def _edited(doc, path, value=None, delete=False):
 
 NAN = float("nan")
 # wrong types, bools, bound edges on either side, non-finite and integral
-# floats: planted at every node of every shipped config
+# floats: planted at every node of every document in DOCS
 PLANTED = ["x", None, {}, [], True, False, 0, 1, -1, 2, 3, 4, -0.5, 0.5,
            0.0, 1.0, 2.0, -1.0, 1e9, -1e9, NAN, math.inf, -math.inf]
-CONSTS = [*_FIELDS, *_TASKS, "bogus"]
+CONSTS = [*_FIELDS, *_TASKS, *_AXES, "bogus"]
 
 
 def _mutations(doc):
@@ -107,7 +125,7 @@ def _mutations(doc):
                 yield _edited(doc, path, value), value
             if isinstance(node, (int, float)) and not isinstance(node, bool):
                 yield _edited(doc, path, float(node)), float(node)
-            if path[-1] in ("construction", "task"):
+            if path[-1] in ("construction", "task", "axis"):
                 for value in CONSTS:
                     yield _edited(doc, path, value), value
         if isinstance(node, dict):
@@ -135,23 +153,50 @@ def _assert_agrees(doc, schema, planted=None):
     return error
 
 
+def _check_node(node):
+    """Assert that cli._schema_violation implements the schema node as
+    written: its keywords and type, an object node closed as cli._closed
+    writes it, and a const-keyed oneOf decided by one key."""
+    assert node.keys() <= SCHEMA_KEYWORDS, (
+        f"keywords not implemented: {sorted(node.keys() - SCHEMA_KEYWORDS)}")
+    # a list, not the dict: a list of type names is unhashable
+    assert node.get("type", "object") in list(_SCHEMA_TYPES), (
+        f"type not implemented: {node['type']!r}")
+    if node.get("type") == "object" or node.keys() & {
+            "properties", "required", "additionalProperties"}:
+        assert (node.get("type") == "object" and "properties" in node
+                and node.get("additionalProperties") is False), (
+            f"an object node not closed as _closed writes it: {node}")
+    consts = [{k for k, sub in b.get("properties", {}).items() if "const" in sub}
+              for b in node.get("oneOf", ())]
+    if any(consts):
+        keys = set.intersection(*consts)
+        assert len(keys) == 1, f"a oneOf keyed by {sorted(keys)}"
+        (key,) = keys
+        names = [b["properties"][key]["const"] for b in node["oneOf"]]
+        assert len(set(names)) == len(names), f"repeated const in {names}"
+        # a missing key is reported as the key's own required-property error
+        assert all(key in b.get("required", ()) for b in node["oneOf"]), (
+            f"a branch leaves {key!r} optional")
+
+
 def test_every_schema_keyword_is_implemented():
     for schema in (SCENARIO_SCHEMA, SWEEP_SCHEMA, MODEL_SCHEMA, FIELD_SCHEMA,
                    TASK_SCHEMA, OUTPUT_SCHEMA):
         for sub in _schemas(schema):
-            assert sub.keys() <= _SCHEMA_KEYWORDS, sub.keys() - _SCHEMA_KEYWORDS
-            assert sub.get("additionalProperties", False) is False
-            assert sub.get("type", "object") in _SCHEMA_TYPES
+            _check_node(sub)
 
 
 def test_unimplemented_keyword_raises():
-    with pytest.raises(ValueError, match="pattern"):
-        _schema_violation("x", {"type": "string", "pattern": "^x$"})
-    with pytest.raises(ValueError, match="additionalProperties"):
-        _schema_violation({}, {"type": "object", "additionalProperties": True})
+    # the static walk above stops a keyword or type the validator lacks
+    with pytest.raises(AssertionError, match="pattern"):
+        _check_node({"type": "string", "pattern": "^x$"})
+    with pytest.raises(AssertionError, match="not closed"):
+        _check_node({"type": "object", "properties": {},
+                     "additionalProperties": True})
     for kind in ("boolean", "null", ["number", "null"]):
-        with pytest.raises(ValueError, match="schema type not implemented"):
-            _schema_violation(True, {"type": kind})
+        with pytest.raises(AssertionError, match="type not implemented"):
+            _check_node({"type": kind})
 
 
 @pytest.mark.parametrize("schema", [
@@ -163,9 +208,28 @@ def test_unimplemented_keyword_raises():
 ])
 def test_object_node_must_be_closed(schema):
     # every object node is written by cli._closed; an open or partial one
-    # would let unknown keys through
-    with pytest.raises(ValueError, match="object node"):
-        _schema_violation({"x": 1}, schema)
+    # would let unknown keys through, and the static walk stops it
+    with pytest.raises(AssertionError, match="object node"):
+        _check_node(schema)
+
+
+@pytest.mark.parametrize("branches, words", [
+    ([{"k": "x", "j": "y"}, {"k": "z", "j": "w"}], "keyed by ['j', 'k']"),
+    ([{"k": "x"}, {"j": "y"}], "keyed by []"),
+    ([{"k": "x"}, {"k": "x"}], "repeated const"),
+    ([{"k": "x"}, {"k": "z", "required": []}], "leaves 'k' optional"),
+])
+def test_const_keyed_one_of_has_one_key_and_distinct_names(branches, words):
+    # the validator picks a branch by one const property, which every
+    # branch requires
+    node = {"oneOf": [
+        {"type": "object", "additionalProperties": False,
+         "properties": {k: {"const": v} for k, v in b.items()
+                        if k != "required"},
+         "required": b.get("required", sorted(b))}
+        for b in branches]}
+    with pytest.raises(AssertionError, match=re.escape(words)):
+        _check_node(node)
 
 
 def test_schema_branches_come_from_the_dispatch_tables():
@@ -173,7 +237,23 @@ def test_schema_branches_come_from_the_dispatch_tables():
                                   for b in schema["oneOf"]]
     assert consts(FIELD_SCHEMA, "construction") == list(_FIELDS)
     assert consts(TASK_SCHEMA, "task") == list(_TASKS)
-    assert SWEEP_SCHEMA["properties"]["axis"]["enum"] == list(AXIS_OBSERVABLES)
+    assert consts(SWEEP_SCHEMA, "axis") == list(_AXES)
+    for branch, (observables, item, fewest, model, field) in zip(
+            SWEEP_SCHEMA["oneOf"], _AXES.values()):
+        props = branch["properties"]
+        assert props["observable"] == {"enum": list(observables)}
+        assert props["grid"] == {"type": "array", "items": item,
+                                 "minItems": fewest}
+        assert props["model"] is model and props.get("field") is field
+        assert ("field" in branch["required"]) == (field is not None)
+    # the lattice axes take every construction but plane-waves; M only a
+    # gaussian packet, whose sector the axis sets
+    lattice = [k for k in _FIELDS if k != "plane-waves"]
+    for axis in ("a", "theta"):
+        assert consts(_AXES[axis][4], "construction") == lattice
+    (packet,) = _AXES["M"][4]["oneOf"]
+    assert packet["properties"].keys() == (
+        FIELD_SCHEMA["oneOf"][0]["properties"].keys() - {"sector"})
 
 
 def test_one_of_needs_exactly_one_branch():
@@ -185,9 +265,9 @@ def test_one_of_needs_exactly_one_branch():
     assert "exactly one" in _schema_violation(1, schema)[1]
 
 
-@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("name", DOCS)
 def test_shipped_configs_and_mutations_agree_with_jsonschema(name):
-    doc, schema = SHIPPED[name], _schema_for(name)
+    doc, schema = DOCS[name], _schema_for(name)
     assert _schema_violation(doc, schema) is None
     verdicts = set()
     departures = 0
@@ -206,16 +286,17 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5)
     | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(CONSTS),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["task", "d", "extra", "times", "k"]),
+    | st.dictionaries(st.sampled_from(["task", "axis", "construction", "d",
+                                       "extra", "times", "k"]),
                       inner, max_size=3),
     max_leaves=6)
 
 
 @settings(max_examples=200, deadline=None)
-@given(name=st.sampled_from(sorted(SHIPPED)), pick=st.integers(0, 10 ** 6),
+@given(name=st.sampled_from(sorted(DOCS)), pick=st.integers(0, 10 ** 6),
        value=JSON_VALUES)
 def test_random_values_at_random_nodes_agree_with_jsonschema(name, pick, value):
-    doc = SHIPPED[name]
+    doc = DOCS[name]
     paths = [p for p, _ in _nodes(doc) if p]
     mutated = _edited(doc, paths[pick % len(paths)], value)
     _assert_agrees(mutated, _schema_for(name), value)
@@ -228,7 +309,7 @@ def test_random_values_at_random_nodes_agree_with_jsonschema(name, pick, value):
      ("field", "sigma"), "less than or equal to the minimum of 0"),
     (_edited(SHIPPED["scenario_packet"], ("tasks", 3, "which"), "J"),
      ("tasks", 3, "which"), "is not one of ['J_a', 'calJ_a']"),
-    (_edited(SHIPPED["scenario_packet"], ("tasks", 2, "task"), "bogus"),
+    (_edited(SHIPPED["scenario_packet"], ("tasks", 2), "bogus"),
      ("tasks", 2), "is not valid under exactly one of the given schemas"),
     (_edited(SHIPPED["scenario_two_modes"], ("field", "modes", 0, "epsilon"),
              True), ("field", "modes", 0, "epsilon"), "is not one of [1, -1]"),
@@ -236,6 +317,11 @@ def test_random_values_at_random_nodes_agree_with_jsonschema(name, pick, value):
      ("model",), "('extra' was unexpected)"),
     (_edited(SHIPPED["sweep_a"], ("model", "M"), None, delete=True),
      ("model",), "'M' is a required property"),
+    # a const-keyed oneOf reports by its key
+    (_edited(SHIPPED["scenario_packet"], ("tasks", 2, "task"), "bogus"),
+     ("tasks", 2, "task"), "'bogus' is not one of ['total_probability', "),
+    (_edited(SHIPPED["sweep_a"], ("axis",), None, delete=True),
+     (), "'axis' is a required property"),
 ])
 def test_violation_names_the_path_and_the_reason(doc, where, reason):
     schema = SCENARIO_SCHEMA if "tasks" in doc else SWEEP_SCHEMA
