@@ -20,6 +20,8 @@ p = (eps*w, kvec).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -181,17 +183,34 @@ class MomentumLattice:
         return self if factor == 1 else self._refinement(factor)[0]
 
     def _refinement(self, factor: int) -> tuple:
-        """The factor-refined lattice and the open-mesh index of each mode
-        on it, cached together."""
-        pair = self._refinements.get(factor)
-        if pair is None:
-            fine = MomentumLattice(self.box_lengths,
-                                   tuple(n * factor for n in self.nodes))
-            signed = [(np.arange(n) + n // 2) % n - n // 2 for n in self.nodes]
-            dest = np.ix_(*(j % (factor * n)
-                            for j, n in zip(signed, self.nodes)))
-            pair = self._refinements[factor] = (fine, dest)
-        return pair
+        """(fine, corners, slabs): modes_to_grid's plan at pad factor,
+        cached.  fine is the refined lattice (None at factor 1: the cache
+        keeps no reference to its own lattice).  corners pairs each block
+        of modes with its block of the fine grid, the modes n >= 0 at the
+        low end of each axis and n < 0 at the high end.  slabs[a] are the
+        slabs transformed along axis a: those whose indices on the axes
+        before a hold modes, every other line being +0 while each axis
+        from a on maps a +0 line to +0 bytes; from the first axis that
+        does not (a Bluestein length such as 404), the whole grid."""
+        plan = self._refinements.get(factor)
+        if plan is None:
+            fine, halves = None, [[(slice(None), slice(None))]] * self.dim
+            if factor != 1:
+                fine = MomentumLattice(self.box_lengths,
+                                       tuple(n * factor for n in self.nodes))
+                halves = [[(slice(0, n // 2), slice(0, n // 2)),
+                           (slice(n // 2, n), slice(m - n // 2, m))]
+                          for n, m in zip(self.nodes, fine.nodes)]
+            corners = [tuple(zip(*pairs))
+                       for pairs in itertools.product(*halves)]
+            bands = [[f for _, f in pairs] for pairs in halves]
+            slabs, prune = [None] * self.dim, True
+            for a in reversed(range(self.dim)):
+                prune = prune and _keeps_zero(self.nodes[a] * factor)
+                slabs[a] = (list(itertools.product(*bands[:a])) if prune
+                            else [()])
+            plan = self._refinements[factor] = (fine, corners, slabs)
+        return plan
 
     def modes_to_grid(self, modes: np.ndarray, pad: int = 1,
                       out: np.ndarray | None = None) -> np.ndarray:
@@ -199,28 +218,31 @@ class MomentumLattice:
         on the pad-refined grid of the same box (modes zero-padded).
 
         out, if given, is a C-contiguous complex grid of the (refined)
-        lattice's shape that the caller gives up: it is zeroed, takes the
-        modes and is transformed in place, and is what is returned."""
-        lat, dest = (self, ...) if pad == 1 else self._refinement(pad)
+        lattice's shape that the caller gives up (at pad 1 it may be modes
+        itself), and is what is returned.  It takes modes * e^{i k x0} in
+        its corner blocks and +0 elsewhere, then ifftn's per-axis ifft
+        loop, last axis first, on the plan's slabs only: ifftn's bytes."""
+        fine, corners, slabs = self._refinement(pad)
+        lat = self if fine is None else fine
         if out is None:
-            if pad == 1:
-                return self._synthesize(np.array(modes, dtype=complex))
-            out = np.zeros(lat.nodes, dtype=complex)
+            out = (np.empty if fine is None else np.zeros)(lat.nodes,
+                                                           dtype=complex)
         elif (not isinstance(out, np.ndarray) or out.shape != lat.nodes
               or out.dtype != complex or not out.flags.c_contiguous):
             raise ValueError(f"out must be a C-contiguous complex128 grid "
                              f"of shape {lat.nodes}")
-        else:
+        elif fine is not None:
             out.fill(0)
-        out[dest] = modes
-        return lat._synthesize(out)
-
-    def _synthesize(self, buf: np.ndarray) -> np.ndarray:
-        """modes_to_grid in place on a complex mode grid the caller gives up."""
-        # an int8 and a float +-1 both promote to +-1+0j: the same bytes
-        np.multiply(buf, self._centering_sign(), out=buf)
-        np.fft.ifftn(buf, out=buf)
-        return np.multiply(buf, self.total_nodes, out=buf)
+        # the coarse and fine centering signs agree at every mode, and an
+        # int8 +-1 promotes to +-1+0j
+        modes, sign = np.asarray(modes), self._centering_sign()
+        for c, f in corners:
+            np.multiply(modes[c], sign[c], out=out[f], dtype=complex)
+        for a in reversed(range(self.dim)):
+            for slab in slabs[a]:
+                view = out[slab]
+                np.fft.ifft(view, axis=a, out=view)
+        return np.multiply(out, lat.total_nodes, out=out)
 
     def grid_to_modes(self, grid: np.ndarray) -> np.ndarray:
         """Inverse of modes_to_grid on the native grid."""
@@ -314,6 +336,12 @@ _ZERO = np.complex128(0.0)
 _BLOCK = 8192       # entries of a 128 KiB complex block
 
 
+@functools.cache
+def _keeps_zero(n: int) -> bool:
+    """True if numpy's ifft maps a +0 line of length n to +0 bytes."""
+    return not np.fft.ifft(np.zeros(n, dtype=complex)).view(np.uint64).any()
+
+
 def _all_bytes_zero(grid: np.ndarray) -> bool:
     """True if every byte of the contiguous grid is zero; blocks of 64 Ki
     words stop the scan at the first non-zero one."""
@@ -328,7 +356,8 @@ class LatticeField:
 
     zero_sectors records, per sector (plus, minus), whether every byte of
     its grid is zero, so that every entry is +0+0j.  It is derived from the
-    content on every construction, copy_with included, and a sector it
+    content on every construction, copy_with included, except that
+    _one_sector declares the sector it builds with np.zeros; a sector it
     names is stored read-only so that the record cannot go stale.
     """
 
@@ -338,16 +367,16 @@ class LatticeField:
     phi_minus: np.ndarray
     t0: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, declared=(False, False)):
         shape = tuple(self.lattice.nodes)
         if self.phi_plus.shape != shape or self.phi_minus.shape != shape:
             raise ValueError("coefficient grids must match the lattice shape")
         if not np.isfinite(self.t0):
             raise ValueError(f"start time t0 must be finite, got {self.t0!r}")
         zero = []
-        for name in ("phi_plus", "phi_minus"):
+        for name, known in zip(("phi_plus", "phi_minus"), declared):
             phi = np.ascontiguousarray(getattr(self, name), dtype=complex)
-            zero.append(_all_bytes_zero(phi))
+            zero.append(known or _all_bytes_zero(phi))
             if zero[-1]:
                 phi = phi.view()
                 phi.flags.writeable = False
@@ -358,6 +387,17 @@ class LatticeField:
                     raise ValueError(f"{name} holds a non-finite coefficient")
             setattr(self, name, phi)
         self.zero_sectors = tuple(zero)
+
+    @classmethod
+    def _one_sector(cls, lattice, params, live, sign, t0=0.0):
+        """The field with live in sector sign (+1: phi+, -1: phi-) and a
+        new np.zeros grid in the other, recorded zero without a scan."""
+        f = cls.__new__(cls)
+        zero = np.zeros(live.shape, dtype=complex)  # calloc: no pages until written
+        f.lattice, f.params, f.t0 = lattice, params, t0
+        f.phi_plus, f.phi_minus = (live, zero) if sign > 0 else (zero, live)
+        f.__post_init__((sign < 0, sign > 0))
+        return f
 
     @property
     def omega(self) -> np.ndarray:
@@ -412,10 +452,12 @@ class LatticeField:
         return out
 
     def psi_grid(self, t: float) -> np.ndarray:
-        return self.lattice._synthesize(self.mode_psi(t))
+        psi = self.mode_psi(t)
+        return self.lattice.modes_to_grid(psi, out=psi)
 
     def psidot_grid(self, t: float) -> np.ndarray:
-        return self.lattice._synthesize(self.mode_psidot(t))
+        psidot = self.mode_psidot(t)
+        return self.lattice.modes_to_grid(psidot, out=psidot)
 
     def copy_with(self, **kw) -> "LatticeField":
         return replace(self, **kw)
@@ -456,12 +498,9 @@ def apply_C(field: LatticeField) -> LatticeField:
 
 def energy_split(field: LatticeField) -> tuple[LatticeField, LatticeField]:
     """Projections (psi + C psi)/2 and (psi - C psi)/2 onto the two sectors."""
-    shape = field.phi_plus.shape
-    plus = field.copy_with(phi_plus=field.phi_plus.copy(),
-                           phi_minus=np.zeros(shape, dtype=complex))
-    minus = field.copy_with(phi_plus=np.zeros(shape, dtype=complex),
-                            phi_minus=field.phi_minus.copy())
-    return plus, minus
+    return tuple(LatticeField._one_sector(field.lattice, field.params,
+                                          phi.copy(), sign, field.t0)
+                 for phi, sign in ((field.phi_plus, 1), (field.phi_minus, -1)))
 
 
 def evolve(field: LatticeField, dt: float) -> LatticeField:
@@ -545,9 +584,8 @@ def positive_packet(lattice, params, sigma, kcarrier=None, center=None,
                     t0: float = 0.0) -> LatticeField:
     """Packet with support purely in the positive-energy sector."""
     g = gaussian_profile(lattice, sigma, center, kcarrier)
-    phi_plus = lattice.grid_to_modes(g)
-    return LatticeField(lattice, params, phi_plus,
-                        np.zeros(phi_plus.shape, dtype=complex), t0)
+    return LatticeField._one_sector(lattice, params, lattice.grid_to_modes(g),
+                                    1, t0)
 
 
 def schrodinger_packet(lattice, params, sigma, kcarrier=None, center=None,

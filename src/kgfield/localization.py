@@ -199,7 +199,6 @@ def localized_state(epsilon: int, y, lattice: MomentumLattice,
     if epsilon not in (1, -1):
         raise ValueError("sector label must be +1 or -1")
     idx = _node_index(lattice, y)
-    shape = tuple(lattice.nodes)
     root = np.sqrt(params.mass / params.kappa)
 
     def weights(start, stop):
@@ -210,11 +209,7 @@ def localized_state(epsilon: int, y, lattice: MomentumLattice,
 
     phi = lattice._analyze_delta(idx, 1.0 / np.sqrt(lattice.cell_volume),
                                  weights)
-    zero = np.zeros(shape, dtype=complex)     # calloc: no pages until written
-    if epsilon > 0:
-        f = LatticeField(lattice, params, phi, zero, t0=t0)
-    else:
-        f = LatticeField(lattice, params, zero, phi, t0=t0)
+    f = LatticeField._one_sector(lattice, params, phi, epsilon, t0)
     axes = lattice.coordinate_axes()
     ycoord = np.array([axes[i][idx[i]] for i in range(len(idx))])
     return LocalizedState(epsilon, ycoord, idx, f)

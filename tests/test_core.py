@@ -174,11 +174,12 @@ def test_padded_grid_refines_native_grid(pad):
     native = lat.modes_to_grid(modes)
     assert np.abs(fine[::pad, ::pad] - native).max() < 1e-12 * np.abs(native).max()
     # and its modes are the coarse ones, zero-padded
-    fine_lat, dest = lat._refinement(pad)
+    fine_lat, corners, _ = lat._refinement(pad)
     assert fine_lat is lat.refined(pad)
     back = fine_lat.grid_to_modes(fine)
     kept = np.zeros(back.shape, dtype=bool)
-    kept[dest] = True
+    for _, block in corners:
+        kept[block] = True
     assert np.abs(back[kept] - modes.ravel()).max() < 1e-12 * np.abs(modes).max()
     assert np.abs(back[~kept]).max() < 1e-12 * np.abs(modes).max()
     assert lat._refinement(pad) is lat._refinement(pad)

@@ -318,14 +318,16 @@ def test_noncovariance_demo_equal_frequencies_rejected():
 
 
 def _transform_counts(monkeypatch, nodes):
-    """fftn + ifftn calls of current_Ja, current_calJa, both continuity
-    residuals and divergence_grid of one random field at t = 0.3."""
+    """Syntheses (modes_to_grid) + analyses (grid_to_modes) of current_Ja,
+    current_calJa, both continuity residuals and divergence_grid of one
+    random field at t = 0.3.  They are counted at the lattice's entry
+    points: a padded synthesis makes several np.fft.ifft calls."""
     calls = [0]
-    for name in ("fftn", "ifftn"):
-        def counted(*args, _original=getattr(np.fft, name), **kwargs):
+    for name in ("modes_to_grid", "grid_to_modes"):
+        def counted(*args, _original=getattr(MomentumLattice, name), **kwargs):
             calls[0] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(MomentumLattice, name, counted)
     lat = MomentumLattice([16.0] * len(nodes), nodes)
     f = random_field(lat, ModelParams(mass=1.2, kappa=0.9, a=0.3), seed=3)
 

@@ -26,6 +26,14 @@ whether the grid was built for them or found, and no output may share
 its memory.  The currents and the Schrodinger reference synthesize into
 the slots of one workspace per call; they must give the bytes of one new
 grid per synthesis, and return no view of the workspace.
+modes_to_grid writes modes times the centering sign into the corner
+blocks of a +0 grid and runs ifftn's per-axis ifft loop by hand, on only
+the slabs that hold modes until an axis whose length does not map a +0
+line to +0 bytes (Bluestein lengths such as 404); it must give the bytes
+of ifftn on the whole signed grid for pads 1, 2 and 3, and a spy on
+np.fft.ifft shows which slabs it transforms.  localized_state,
+positive_packet and energy_split declare their np.zeros sector instead
+of scanning it.
 """
 
 import itertools
@@ -35,6 +43,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kgfield import core
 from kgfield.core import (
     _BLOCK,
     ModelParams,
@@ -242,6 +251,8 @@ def test_localized_state_is_bitwise_unchanged(shape, eps):
         for t in (T0, T):
             assert_same_bytes(f.psi_grid(t),
                               old_modes_to_grid(lat, old_psi(old, t)))
+            assert_same_bytes(f.psidot_grid(t),
+                              old_modes_to_grid(lat, old_psidot(old, t)))
 
 
 def _planted(phi):
@@ -456,6 +467,33 @@ def test_zero_sector_record_follows_the_content():
     assert_same_bytes(both_zero.psi_grid(T0),
                       old_modes_to_grid(lat, old_psi(both_zero, T0)))
     assert inner_0(both_zero, both_zero) == 0
+
+
+def test_one_sector_builders_declare_their_zero_sector(monkeypatch):
+    lat, fields = _fields("32x32x32")
+    scanned = []
+    real_scan = core._all_bytes_zero
+
+    def scan(grid):
+        scanned.append(grid)
+        return real_scan(grid)
+
+    monkeypatch.setattr(core, "_all_bytes_zero", scan)
+    y = [axis[3] for axis in lat.coordinate_axes()]
+    built = {"localized+": localized_state(1, y, lat, PARAMS).field,
+             "localized-": localized_state(-1, y, lat, PARAMS).field,
+             "packet": positive_packet(lat, PARAMS, 0.8)}
+    built["split+"], built["split-"] = energy_split(fields["both"])
+    for label, f in built.items():
+        zero = 1 if label[-1] != "-" else 0
+        assert f.zero_sectors == (zero == 0, zero == 1), label
+        sector = (f.phi_plus, f.phi_minus)[zero]
+        assert not sector.flags.writeable
+        assert not any(np.shares_memory(g, sector) for g in scanned), label
+    # a user's field and a copy still scan both sectors
+    scanned.clear()
+    built["packet"].copy_with(t0=T)
+    assert len(scanned) == 2
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -968,6 +1006,95 @@ def test_modes_to_grid_rejects_a_grid_it_cannot_fill(shape):
         for label, out in bad.items():
             with pytest.raises(ValueError, match=re.escape(str(nodes))):
                 lat.modes_to_grid(modes, pad, out=out)
+
+
+# numpy's ifft maps a +0 line of length 202 or 404 (Bluestein) to signed
+# zeros, one of 606 to +0: 202 first, middle and last, so that pruning
+# stops at every axis position at pad 2 and runs on at pad 3
+PRUNED_SHAPES = [(16,), (202,), (8, 6), (202, 8), (8, 202), (4, 6, 8),
+                 (202, 4, 6), (4, 202, 6), (4, 6, 202)]
+
+
+@pytest.mark.parametrize("nodes", PRUNED_SHAPES, ids=str)
+def test_pruned_synthesis_keeps_the_ifftn_bytes(nodes):
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    rng = np.random.default_rng(len(nodes) * 1000 + nodes[0])
+    dense = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+    sparse = np.where(rng.random(nodes) < 0.8, 0.0, dense)
+    onehot = np.zeros(nodes, dtype=complex)
+    onehot[tuple(int(rng.integers(n)) for n in nodes)] = 1.5 - 0.5j
+    inputs = {"dense": _planted(dense), "real": dense.real.copy(),
+              "conj": np.conj(dense), "sparse": _planted(sparse),
+              "onehot": onehot, "zero": np.zeros(nodes, dtype=complex),
+              "-0": np.full(nodes, complex(-0.0, -0.0))}
+    for pad in (1, 2, 3):
+        fine = lat.refined(pad).nodes
+        for label, modes in inputs.items():
+            old = old_modes_to_grid(lat, modes, pad)
+            assert_same_bytes(lat.modes_to_grid(modes, pad), old)
+            out = np.full(fine, complex(-0.0, np.nan))      # stale content
+            assert_same_bytes(lat.modes_to_grid(modes, pad, out), old)
+    buf = np.array(inputs["dense"])         # in place on the modes at pad 1
+    assert lat.modes_to_grid(buf, 1, buf) is buf
+    assert_same_bytes(buf, old_modes_to_grid(lat, inputs["dense"]))
+
+
+def _ifft_spy(monkeypatch):
+    calls = []
+    real_ifft = np.fft.ifft
+
+    def ifft(a, *args, axis=-1, **kw):
+        calls.append((np.shape(a), axis))
+        return real_ifft(a, *args, axis=axis, **kw)
+
+    def ifftn(*args, **kw):
+        raise AssertionError("modes_to_grid called ifftn")
+
+    monkeypatch.setattr(np.fft, "ifft", ifft)
+    monkeypatch.setattr(np.fft, "ifftn", ifftn)
+    return calls
+
+
+# (nodes, pad) -> the (slab shape, axis) of each ifft call, last axis first
+IFFT_CALLS = {
+    ((64, 64), 2): [((32, 128), 1)] * 2 + [((128, 128), 0)],
+    ((8, 6), 3): [((4, 18), 1)] * 2 + [((24, 18), 0)],
+    ((4, 6, 8), 2): ([((2, 3, 16), 2)] * 4 + [((2, 12, 16), 1)] * 2
+                     + [((8, 12, 16), 0)]),
+    ((8, 6), 1): [((8, 6), 1), ((8, 6), 0)],
+    # from the first axis whose padded length (404) does not keep a +0
+    # line +0, every line is transformed
+    ((202, 8), 2): [((101, 16), 1)] * 2 + [((404, 16), 0)],
+    ((8, 202), 2): [((16, 404), 1), ((16, 404), 0)],
+    ((4, 202, 6), 2): ([((2, 101, 12), 2)] * 4 + [((8, 404, 12), 1),
+                                                  ((8, 404, 12), 0)]),
+    ((4, 6, 202), 2): [((8, 12, 404), a) for a in (2, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("case", IFFT_CALLS, ids=str)
+def test_padded_synthesis_transforms_only_the_lines_that_hold_modes(
+        monkeypatch, case):
+    nodes, pad = case
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    modes = random_field(lat, PARAMS, seed=4).phi_plus
+    lat._refinement(pad)            # the plan probes each length once
+    calls = _ifft_spy(monkeypatch)
+    lat.modes_to_grid(modes, pad)
+    assert calls == IFFT_CALLS[case]
+
+
+def test_the_synthesis_plan_is_cached_slices():
+    lat = MomentumLattice([5.0, 6.0, 7.0], [4, 6, 8])
+    for pad in (1, 2, 3):
+        plan = lat._refinement(pad)
+        assert lat._refinement(pad) is plan
+        fine, corners, slabs = plan
+        assert (fine is None) == (pad == 1)
+        assert len(corners) == (1 if pad == 1 else 8)
+        leaves = [x for c, f in corners for x in c + f]
+        leaves += [x for per_axis in slabs for slab in per_axis for x in slab]
+        assert all(isinstance(x, slice) for x in leaves)
 
 
 # padded complex grids above held memory at 16^3 (padded 32^3); one grid
