@@ -61,7 +61,7 @@ class MomentumLattice:
 
     def __init__(self, box_lengths: Sequence[float], nodes: Sequence[int]):
         box_lengths = tuple(float(L) for L in np.atleast_1d(box_lengths))
-        nodes = tuple(int(n) for n in np.atleast_1d(nodes))
+        nodes = np.atleast_1d(nodes).tolist()
         if len(box_lengths) != len(nodes):
             raise ValueError("box_lengths and nodes must have equal length")
         if not 1 <= len(nodes) <= 3:
@@ -71,10 +71,12 @@ class MomentumLattice:
                 raise ValueError(f"box lengths must be positive and finite, "
                                  f"got {L!r}")
         for n in nodes:
-            if n < 4 or n % 2:
-                raise ValueError("node counts must be even and >= 4")
+            # is_integer is False for inf and nan
+            if not float(n).is_integer() or n < 4 or n % 2:
+                raise ValueError(f"node counts must be even integers >= 4, "
+                                 f"got {n!r}")
         self.box_lengths = box_lengths
-        self.nodes = nodes
+        self.nodes = nodes = tuple(int(n) for n in nodes)
         self.dim = len(nodes)
         self.spacings = tuple(L / n for L, n in zip(box_lengths, nodes))
         self.cell_volume = float(np.prod(self.spacings))
@@ -153,16 +155,6 @@ class MomentumLattice:
         w = w.reshape(-1)[start - first * n:stop - first * n]
         w += mass * mass
         return np.sqrt(w, out=w)
-
-    def _omega_block(self, mass: float, start: int, stop: int) -> np.ndarray:
-        """omega(mass).reshape(-1)[start:stop], bit for bit and read-only:
-        a view of the cached grid when there is one, else _omega_span's
-        new array.  The cache is never filled."""
-        w = self._omega_cache.get(mass)
-        w = (self._omega_span(mass, start, stop) if w is None
-             else w.reshape(-1)[start:stop])
-        w.flags.writeable = False
-        return w
 
     def _phase(self, mass: float, dt: float) -> np.ndarray:
         """exp(-1j * omega(mass) * dt) as a read-only grid.
@@ -606,8 +598,9 @@ def boost_matrix(beta: np.ndarray) -> np.ndarray:
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     b2 = beta @ beta
-    if b2 >= 1.0:
-        raise ValueError("superluminal boost velocity")
+    if not b2 < 1.0:        # a nan or inf component fails too
+        raise ValueError(f"boost velocity must be finite and below 1, got "
+                         f"{beta.tolist()}")
     d = beta.size
     L = np.eye(d + 1)
     if b2 == 0.0:
@@ -629,8 +622,7 @@ class Boost:
     def __post_init__(self):
         beta = tuple(float(b) for b in np.atleast_1d(self.beta))
         object.__setattr__(self, "beta", beta)
-        if sum(b * b for b in beta) >= 1.0:
-            raise ValueError("superluminal boost velocity")
+        boost_matrix(beta)      # the one speed check: |beta| < 1
 
     @property
     def matrix(self) -> np.ndarray:

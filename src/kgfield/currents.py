@@ -208,11 +208,6 @@ def continuity_residual(field: LatticeField, t: float,
     return float(np.abs(div).max() / scale)
 
 
-def divergence_grid(field: LatticeField, t: float) -> np.ndarray:
-    """Pointwise d_mu calJ_a^mu of the probability current (not normalized)."""
-    return np.real(_divergence(field, t, "calJ_a")[1])
-
-
 # ------------------------------------------------------------ plane waves
 
 

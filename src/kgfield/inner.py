@@ -77,10 +77,9 @@ def _sector_form(f1: LatticeField, f2: LatticeField, a: float) -> complex:
     f2 is re-phased to f1's reference time; the common phase of the two
     fields cancels, so only a difference of their t0 survives.  Both
     sectors are reduced in one pass over the blocks, against one span of
-    w = omega per block, read from the lattice's omega cache when it
-    holds the mass, else built for the block, which leaves the cache
-    empty.  A sector that is zero in both fields at a shared t0 reduces
-    to exactly +0.
+    w = omega built per block, which leaves the omega cache as it is.  A
+    sector that is zero in both fields at a shared t0 reduces to exactly
+    +0.
     """
     _check_pair(f1, f2)
     p, lat = f1.params, f1.lattice
@@ -96,7 +95,7 @@ def _sector_form(f1: LatticeField, f2: LatticeField, a: float) -> complex:
             phi2 = np.zeros(phi1.shape, dtype=complex)
         sectors.append((phi1, phi2))
     sums = iter(_vdots([s for s in sectors if s is not None],
-                       lambda i, j: lat._omega_block(p.mass, i, j)))
+                       lambda i, j: lat._omega_span(p.mass, i, j)))
     plus, minus = (np.complex128(0.0) if s is None else next(sums)
                    for s in sectors)
     acc = (1.0 + a) * plus + (1.0 - a) * minus

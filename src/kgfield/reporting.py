@@ -20,18 +20,8 @@ import numpy as np
 from . import __version__
 
 
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    raise TypeError(f"not serializable: {type(x).__name__}")
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_jsonable)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(config) -> str:
@@ -103,5 +93,5 @@ def write_json(path, payload, config) -> None:
     }
     doc.update(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -58,6 +58,17 @@ def packet_scenario(outdir, n=64):
     }
 
 
+def test_continuity_task_takes_the_probability_current(tmp_path):
+    doc = packet_scenario(tmp_path)
+    doc["tasks"] = [{"task": "continuity", "times": [0.0, 0.4],
+                     "which": "calJ_a"}]
+    assert main(["scenario", write_config(tmp_path, "calj.json", doc)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())["tasks"]
+    # calJ_a is not conserved: its residual is far above rounding
+    assert summary["continuity"]["which"] == "calJ_a"
+    assert summary["continuity"]["max_residual"] > 1e-6
+
+
 def test_verify_suite_passes(capsys):
     assert main(["verify", "--suite", "core"]) == 0
     out = capsys.readouterr().out

@@ -48,6 +48,18 @@ def test_lattice_validation():
         MomentumLattice([8.0, 8.0, 8.0, 8.0], [8, 8, 8, 8])
 
 
+def test_lattice_rejects_a_non_integral_node_count():
+    with pytest.raises(ValueError, match="got 16.9"):
+        MomentumLattice([8.0], [16.9])      # int() truncates it to 16
+    assert MomentumLattice([8.0], [16.0]).nodes == (16,)
+
+
+@pytest.mark.parametrize("count", [np.inf, -np.inf, np.nan])
+def test_lattice_rejects_a_non_finite_node_count(count):
+    with pytest.raises(ValueError, match=f"got {count!r}"):
+        MomentumLattice([8.0, 8.0], [8, count])
+
+
 def test_params_reject_non_finite_mass():
     for mass in (np.inf, np.nan):
         with pytest.raises(ValueError):
@@ -368,6 +380,17 @@ def test_boost_matrix_superluminal_rejected():
         boost_matrix(np.array([0.8, 0.7]))
     with pytest.raises(ValueError):
         Boost((1.0,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_boost_rejects_a_non_finite_velocity(bad):
+    # nan fails both b2 >= 1 and b2 < 1, so the check is not b2 < 1
+    with pytest.raises(ValueError, match="finite"):
+        Boost((bad,))
+    with pytest.raises(ValueError, match="finite"):
+        Boost((0.1, bad))
+    with pytest.raises(ValueError, match="finite"):
+        boost_matrix(np.array([0.1, bad]))
 
 
 def test_boost_matrix_preserves_metric():

@@ -113,7 +113,9 @@ def test_wavefunction_parseval_and_mixture_invariance():
     f = random_field(lat, params, seed=41)
     fp, fm = wavefunction_f(f)
     cell = lat.cell_volume
-    total = cell * (np.abs(fp) ** 2 + np.abs(fm) ** 2).sum()
+    dens = position_density(f)
+    assert np.array_equal(dens, np.abs(fp) ** 2 + np.abs(fm) ** 2)
+    total = cell * dens.sum()
     norm = inner_0(f, f).real
     assert abs(total - norm) < 1e-12 * norm
     # transition amplitudes too, not just norms

@@ -17,9 +17,9 @@ the bytes of fftn on the dense delta.  A lattice builds ksq anew on every
 read and keeps only its per-mass omega grids and its last re-phasing grid
 exp(-i omega dt).  localized_state and grid_to_modes build omega and the
 1/N centering scale for the planes k0 >= 0 and apply them to the planes
-of k0 and -k0; the inner products read omega's flat blocks from the cache
-or build them; so no float grid, and the omega cache is never filled by
-them.  Each plane and block must give the grid's bytes.
+of k0 and -k0; the inner products build omega's flat blocks whether or
+not the cache holds the grid; so no float grid, and the omega cache is
+never filled by them.  Each plane and block must give the grid's bytes.
 Every route away from t0, evolve included, reads the one read-only phase
 grid per (mass, dt): the routes must give the plain expressions' bytes
 whether the grid was built for them or found, and no output may share
@@ -705,19 +705,20 @@ def test_omega_span_keeps_the_omega_bytes(shape):
 
 @pytest.mark.parametrize("shape", GRID_SHAPES)
 def test_omega_block_keeps_the_omega_bytes_cold_and_warm(shape):
+    # inner_a's blocks of omega come from _omega_span, with or without a
+    # cached omega grid: new arrays, omega's bytes, the cache untouched
     lat = MomentumLattice(*GRID_SHAPES[shape])
     flat = lat.omega(PARAMS.mass).copy().reshape(-1)
     lat._omega_cache.clear()
-    cold = [lat._omega_block(PARAMS.mass, i, j) for i, j in _spans(lat)]
+    cold = [lat._omega_span(PARAMS.mass, i, j) for i, j in _spans(lat)]
     assert lat._omega_cache == {}
     grid = lat.omega(PARAMS.mass)
-    warm = [lat._omega_block(PARAMS.mass, i, j) for i, j in _spans(lat)]
+    warm = [lat._omega_span(PARAMS.mass, i, j) for i, j in _spans(lat)]
     for (i, j), c, w in zip(_spans(lat), cold, warm):
         assert_same_bytes(c, flat[i:j])
         assert_same_bytes(w, flat[i:j])
-        assert not c.flags.writeable and not w.flags.writeable
-        assert not np.shares_memory(c, grid)
-        assert np.shares_memory(w, grid) == (min(j, lat.total_nodes) > i)
+        assert not np.shares_memory(c, grid) and not np.shares_memory(w, grid)
+    assert list(lat._omega_cache) == [PARAMS.mass]
     assert grid.flags.writeable         # the cached grid itself is untouched
 
 
@@ -1145,7 +1146,7 @@ def test_inner_a_builds_one_omega_span_per_block(monkeypatch):
     assert lat._omega_cache == {}
 
 
-def test_inner_a_reads_a_cached_omega_grid(monkeypatch):
+def test_inner_a_ignores_a_cached_omega_grid(monkeypatch):
     lat = MomentumLattice([6.0] * 3, [32] * 3)
     f, g, one = _inner_pairs(lat)
     pairs = ((f, g), (f, one), (one, one))
@@ -1156,11 +1157,12 @@ def test_inner_a_reads_a_cached_omega_grid(monkeypatch):
     for (f1, f2), value in zip(pairs, cold):
         assert_same_bytes(np.complex128(inner_a(f1, f2)),
                           np.complex128(value))
-    # a re-phase away from t0 fills the cache before the reduction reads it
+    # a re-phase away from t0 fills the cache before the reduction
     g_moved = g.copy_with(t0=-0.4)
     assert_same_bytes(np.complex128(inner_a(f, g_moved)),
                       np.complex128(old_inner(f, g_moved, PARAMS.a)))
-    assert spans == []
+    blocks = [(i, i + _BLOCK) for i in range(0, lat.total_nodes, _BLOCK)]
+    assert spans == blocks * (len(pairs) + 1)
 
 
 @pytest.mark.parametrize("nodes", DELTA_SHAPES, ids=str)
