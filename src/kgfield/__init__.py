@@ -8,27 +8,6 @@ executable check (see the verify module and the test suite).
 
 __version__ = "0.1.0"
 
-from .core import (
-    Boost,
-    LatticeField,
-    ModelParams,
-    MomentumLattice,
-    PlaneWaveField,
-    apply_C,
-    apply_D_power,
-    boost_matrix,
-    boost_planewave,
-    energy_split,
-    evolve,
-    from_initial_data,
-    gaussian_profile,
-    kg_residual,
-    minkowski_dot,
-    positive_packet,
-    random_field,
-    schrodinger_packet,
-)
-
 __all__ = [
     "Boost",
     "LatticeField",
@@ -50,3 +29,27 @@ __all__ = [
     "random_field",
     "schrodinger_packet",
 ]
+
+
+# the command line's two failures live here, so that kgfield.cli run as
+# `python -m kgfield.cli` and kgfield.runs raise and catch one class each
+class ConfigError(Exception):
+    """Schema violation or malformed input; the CLI exits with code 2."""
+
+
+class TaskError(Exception):
+    """Task precondition failure at run time; the CLI exits with code 1."""
+
+
+def __getattr__(name: str):
+    # PEP 562: the library names load kgfield.core on first use, so the
+    # package, and with it the command line, imports without numpy
+    if name in __all__:
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

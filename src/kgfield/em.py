@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
 
+from ._blas import one_thread
 from .amplitudes import gauss_legendre_nodes
 from .core import ModelParams, MomentumLattice
 
@@ -74,8 +75,9 @@ class DenseOperator:
     sym_residual: float
 
     def apply_power(self, alpha: float, grid: np.ndarray) -> np.ndarray:
-        coeff = self.eigenvectors.conj().T @ grid.ravel()
-        out = self.eigenvectors @ (self.eigenvalues ** alpha * coeff)
+        with one_thread():
+            coeff = self.eigenvectors.conj().T @ grid.ravel()
+            out = self.eigenvectors @ (self.eigenvalues ** alpha * coeff)
         return out.reshape(grid.shape)
 
 
@@ -117,7 +119,8 @@ def build_Dq(bg: EMBackground, lattice: MomentumLattice,
         raise FloatingPointError(
             f"assembled operator is not Hermitian (residual {residual:.3e})")
     h = 0.5 * (h + h.conj().T)
-    lam, vec = np.linalg.eigh(h)
+    with one_thread():
+        lam, vec = np.linalg.eigh(h)
     floor = params.mass ** 2 * (1.0 - 1e-9)
     if lam[0] < floor:
         raise FloatingPointError(
@@ -131,11 +134,12 @@ def em_evolve(psi0: np.ndarray, psidot0: np.ndarray, op: DenseOperator,
     if psi0.shape != tuple(op.lattice.nodes):
         raise ValueError("initial data does not match the operator lattice")
     omega = np.sqrt(op.eigenvalues)
-    c = op.eigenvectors.conj().T @ psi0.ravel()
-    cdot = op.eigenvectors.conj().T @ psidot0.ravel()
     wt = omega * t
-    psi = op.eigenvectors @ (c * np.cos(wt) + cdot * np.sin(wt) / omega)
-    psidot = op.eigenvectors @ (-c * omega * np.sin(wt) + cdot * np.cos(wt))
+    with one_thread():
+        c = op.eigenvectors.conj().T @ psi0.ravel()
+        cdot = op.eigenvectors.conj().T @ psidot0.ravel()
+        psi = op.eigenvectors @ (c * np.cos(wt) + cdot * np.sin(wt) / omega)
+        psidot = op.eigenvectors @ (-c * omega * np.sin(wt) + cdot * np.cos(wt))
     return psi.reshape(psi0.shape), psidot.reshape(psi0.shape)
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import platform
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +57,16 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
     return out
 
 
+def resolve_outdir(cli_out: str | None, config: dict) -> Path:
+    """The output directory, created: KGFIELD_OUT, else --out, else the
+    config's output.directory, else the working directory."""
+    out = os.environ.get("KGFIELD_OUT") or cli_out \
+        or config.get("output", {}).get("directory") or "."
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def timestamp_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -76,12 +88,17 @@ def write_csv(path, columns, rows, config, footer: tuple[str, ...] = ()) -> None
 
 
 def run_environment() -> dict:
-    """Python and numpy versions, the machine type and the BLAS library
-    numpy was built against, as numpy's build configuration names it."""
+    """Python and numpy versions, the machine type, the BLAS library numpy
+    was built against, as numpy's build configuration names it, its thread
+    count and whether kgfield._blas can cap it (null and false without)."""
+    from . import _blas
+
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    threads = _blas.threads()
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(),
-            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "threads": threads, "cap": threads is not None}}
 
 
 def write_json(path, payload, config) -> None:

@@ -11,7 +11,7 @@ in-process through kgfield.cli.main:
 
 The pass runs in one fresh child process under one BLAS thread, so that
 calls made while the kgfield modules load count (the schema builders of
-kgfield.cli), and no functools cache that earlier tests filled hides a
+kgfield.runs), and no functools cache that earlier tests filled hides a
 call.
 
 Every `def` in src/kgfield/*.py, methods and nested functions included,

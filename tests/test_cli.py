@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import kgfield
+from kgfield import _blas
 from kgfield.cli import main
 from kgfield.core import ModelParams, MomentumLattice
 
@@ -106,7 +107,9 @@ def test_verify_report_written(tmp_path, monkeypatch):
     assert env["numpy"] == np.__version__
     assert env["machine"] == platform.machine()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"],
+                           "threads": _blas.threads(),
+                           "cap": blas["name"] == "scipy-openblas"}
     assert all(env["blas"].values())
 
 
@@ -267,7 +270,7 @@ def test_sweep_mass_slope_footer(tmp_path, monkeypatch):
 
 
 def test_sweep_mass_point_is_the_library_deviation():
-    from kgfield import cli
+    from kgfield import runs
     from kgfield.core import schrodinger_packet
     from kgfield.limits import schrodinger_deviation
 
@@ -282,7 +285,7 @@ def test_sweep_mass_point_is_the_library_deviation():
     want = schrodinger_deviation(field, "J_a", 0.1 + 0.7)
     for observable, value in zip(("nonrel-density-deviation",
                                   "nonrel-current-deviation"), want):
-        got = cli._sweep_point(dict(config, observable=observable), 3.0)
+        got = runs._sweep_point(dict(config, observable=observable), 3.0)
         assert got == value
 
 
@@ -323,12 +326,12 @@ def test_sweep_workers_match_serial(tmp_path, monkeypatch):
 
 def test_sweep_mass_too_short_for_slope_is_config_error(tmp_path, capsys,
                                                        monkeypatch):
-    from kgfield import cli
+    from kgfield import runs
 
     def no_point(config, value):
         raise AssertionError("a sweep point ran")
 
-    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    monkeypatch.setattr(runs, "_sweep_point", no_point)
     doc = json.loads((CONFIGS / "sweep_mass.json").read_text())
     doc["grid"] = doc["grid"][:3]
     cfg = write_config(tmp_path, "m3.json", doc)
@@ -373,12 +376,12 @@ def test_current_oracle_rejections_exit_one(tmp_path, capsys, modes, reason):
 @pytest.fixture
 def no_sweep_point(monkeypatch):
     """Make any sweep point fail: a rejected config must not reach one."""
-    from kgfield import cli
+    from kgfield import runs
 
     def no_point(config, value):
         raise AssertionError("a sweep point ran")
 
-    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    monkeypatch.setattr(runs, "_sweep_point", no_point)
 
 
 def test_sweep_quadrature_order_needs_one_dimension(tmp_path, capsys,
@@ -473,7 +476,7 @@ def test_integral_float_at_an_integer_position_is_config_error(
     # of with a TypeError deep inside a task
     import jsonschema
 
-    from kgfield.cli import SCENARIO_SCHEMA, SWEEP_SCHEMA
+    from kgfield.runs import SCENARIO_SCHEMA, SWEEP_SCHEMA
 
     doc = json.loads((CONFIGS / f"{config}.json").read_text())
     doc["output"]["directory"] = str(tmp_path / "out")
@@ -840,10 +843,59 @@ def test_console_module_runs_as_subprocess(tmp_path):
     assert "checks passed" in proc.stdout
 
 
+@pytest.mark.parametrize("config, code, message", [
+    ("missing.json", 2, "configuration error: cannot read config missing.json"),
+    ("three_modes.json", 1, "task failed: current-oracle: "),
+], ids=["config-error", "task-error"])
+def test_console_module_catches_what_the_config_commands_raise(
+        tmp_path, config, code, message):
+    # kgfield.runs raises the ConfigError and TaskError that the __main__
+    # copy of kgfield.cli, which `python -m kgfield.cli` runs, catches
+    doc = json.loads((CONFIGS / "scenario_two_modes.json").read_text())
+    doc["field"]["modes"].append({"epsilon": 1, "k": [2.0], "coeff": [0.2, 0]})
+    doc["output"]["directory"] = str(tmp_path / "out")
+    write_config(tmp_path, "three_modes.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgfield.cli", "scenario", config],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
+
+
+def test_package_names_resolve_lazily_from_core(tmp_path):
+    from kgfield import core
+
+    names = set(kgfield.__all__) - {"__version__"}
+    assert names and all(getattr(kgfield, n) is getattr(core, n) for n in names)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        kgfield.nope
+    # a fresh interpreter: the package imports without numpy or core, and
+    # dir() lists the names before they load
+    code = ("import sys, kgfield; print(sorted({'numpy', 'kgfield.core'} "
+            "& set(sys.modules)), sorted(set(kgfield.__all__) - set(dir(kgfield))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] []"
+
+
+def test_version_is_the_project_version_on_a_line_the_benchmark_reads():
+    import re
+    import tomllib
+
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    assert kgfield.__version__ == pyproject["project"]["version"]
+    # perfbench/subproc.py's VERSION_RE reads the source, not the package
+    found = re.findall(r'^__version__ = "([^"]+)"',
+                       (PACKAGE / "__init__.py").read_text(), re.M)
+    assert found == [kgfield.__version__]
+
+
 def test_cli_import_leaves_heavy_modules_unloaded(tmp_path):
-    # --version, state inspect and every shipped config pay only the numpy
-    # floor; the heavy modules load inside the functions that use them, and
-    # so does the QUADPACK port, which a cold process compiles on start
+    # --version, state inspect and every shipped config load none of the
+    # heavy modules: they load inside the functions that use them, and so
+    # does the QUADPACK port, which a cold process compiles on start
     heavy = ("scipy.integrate", "jsonschema", "sympy", "mpmath",
              "kgfield._qags")
     code = ("import sys, kgfield.cli; "
@@ -859,27 +911,37 @@ def _config_argv(name: str) -> list[str]:
     return [command, str(CONFIGS / f"{name}.json"), "--out", name]
 
 
-# label: (argv, or None for the bare import; the kgfield modules a cold
-# process holds after it besides kgfield, kgfield.core and kgfield.cli).
-# A command loads what it runs and nothing else; verify, with no report to
-# write, loads every module but stateio and reporting.
+# label: (argv, or None for the bare import; the modules a cold process
+# holds after it besides kgfield and kgfield.cli: numpy, named as itself,
+# and kgfield modules by their short names).  A command loads what it runs
+# and nothing else: the import and --version load no numpy, only scenario
+# and sweep load the config machinery of kgfield.runs, and verify, with no
+# report to write, loads every module but runs, stateio and reporting.
 _COMMANDS = {
     "import": (None, set()),
     "--version": (["--version"], set()),
-    "state inspect": (["state", "inspect", "f.kgs"], {"stateio"}),
+    "state inspect": (["state", "inspect", "f.kgs"],
+                      {"numpy", "core", "stateio"}),
     "scenario_localized": (_config_argv("scenario_localized"),
-                           {"localization", "inner", "_qags", "reporting"}),
+                           {"numpy", "core", "runs", "localization", "inner",
+                            "_qags", "reporting"}),
     "scenario_packet": (_config_argv("scenario_packet"),
-                        {"currents", "inner", "reporting"}),
+                        {"numpy", "core", "runs", "currents", "inner",
+                         "reporting"}),
     "scenario_two_modes": (_config_argv("scenario_two_modes"),
-                           {"currents", "reporting"}),
-    "sweep_a": (_config_argv("sweep_a"), {"currents", "reporting"}),
+                           {"numpy", "core", "runs", "currents",
+                            "reporting"}),
+    "sweep_a": (_config_argv("sweep_a"),
+                {"numpy", "core", "runs", "currents", "reporting"}),
     "sweep_mass": (_config_argv("sweep_mass"),
-                   {"limits", "currents", "reporting"}),
+                   {"numpy", "core", "runs", "limits", "currents",
+                    "reporting"}),
     "sweep_quadrature": (_config_argv("sweep_quadrature"),
-                         {"amplitudes", "reporting"}),
-    "verify": (["verify"], {"verify", "amplitudes", "currents", "em", "gauge",
-                            "inner", "limits", "localization", "_qags"}),
+                         {"numpy", "core", "runs", "amplitudes",
+                          "reporting"}),
+    "verify": (["verify"], {"numpy", "core", "verify", "amplitudes",
+                            "currents", "em", "_blas", "gauge", "inner",
+                            "limits", "localization", "_qags"}),
 }
 
 
@@ -900,13 +962,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, label):
             "        rc = exc.code\n"
             "    assert rc == 0, rc\n"
             "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'kgfield')))")
+            "if m.split('.')[0] == 'kgfield' or m == 'numpy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
-    want = {"kgfield", "kgfield.core", "kgfield.cli"} | {
-        f"kgfield.{m}" for m in extra}
+    want = {"kgfield", "kgfield.cli"} | {
+        m if m == "numpy" else f"kgfield.{m}" for m in extra}
     assert loaded == want, (f"{label}: loads {sorted(loaded - want)} that it "
                             f"does not run, lacks {sorted(want - loaded)}")
 
@@ -1004,8 +1066,8 @@ def test_oracles_import_only_public_kgfield_names():
 
 def test_verify_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
     # LAPACK's eigenvectors of the dense magnetic operator differ in their
-    # last bits between 1 and 2 threads, and em:inner-conservation reads
-    # them; every other line must be byte-identical
+    # last bits between 1 and 2 threads; kgfield._blas runs it on one thread
+    # whatever the process's count, so stdout is byte-identical
     out = []
     for threads in ("1", "2"):
         env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads,
@@ -1015,18 +1077,8 @@ def test_verify_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
              "--out", str(tmp_path / threads)],
             capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
-        out.append(proc.stdout.splitlines())
-    one, two = out
-    assert len(one) == len(two)
-    moved = [(a, b) for a, b in zip(one, two) if a != b]
-    assert all(a.startswith("PASS em:inner-conservation ")
-               and b.startswith("PASS em:inner-conservation ")
-               for a, b in moved), moved
-    line = next(i for i, a in enumerate(one)
-                if a.startswith("PASS em:inner-conservation "))
-    measured = [float(lines[line].split("measured=")[1].split()[0])
-                for lines in out]
-    assert abs(measured[0] - measured[1]) <= 1e-15
+        out.append(proc.stdout)
+    assert out[0] == out[1]
 
 
 def test_verify_process_never_imports_sympy(tmp_path):

@@ -320,3 +320,57 @@ def test_gauge_residual_rejects_nonfinite():
         em_gauge_residual(lambda x0, x1, x2: x1,
                           lambda x0, x1, x2: np.exp(1j * x0) / x1,
                           [(0.9, 1.0, 0.3), (0.5, 0.0, 0.3)], q=0.5, mass=1.0)
+
+
+def test_one_thread_sets_and_restores_the_bundled_openblas():
+    from kgfield import _blas
+
+    before = _blas.threads()
+    assert before >= 1          # numpy's wheel bundles scipy-openblas
+    with _blas.one_thread():
+        assert _blas.threads() == 1
+    assert _blas.threads() == before
+
+
+def test_one_thread_does_nothing_without_the_thread_api(monkeypatch):
+    from kgfield import _blas
+
+    monkeypatch.setattr(_blas, "_thread_api", lambda: None)
+    assert _blas.threads() is None
+    with _blas.one_thread():
+        assert _blas.threads() is None
+
+
+def test_dense_operator_runs_on_one_blas_thread(monkeypatch):
+    # a spy on the thread API: eigh, em_evolve's and apply_power's products
+    # run inside the cap, and the old count comes back, also when eigh raises
+    from kgfield import _blas
+
+    count, calls, seen = [3], [], []
+
+    def put(n):
+        calls.append(n)
+        count[0] = n
+
+    def spy(h):
+        seen.append(count[0])
+        return eigh(h)
+
+    def fails(h):
+        seen.append(count[0])
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(_blas, "_thread_api", lambda: (lambda: count[0], put))
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    lat, params = MomentumLattice([7.0, 7.0], [8, 8]), ModelParams(mass=1.0)
+    op = build_Dq(magnetic_bg(lat), lat, params)
+    assert (seen, calls, count) == ([1], [1, 3], [3])
+    psi = np.ones(lat.nodes, dtype=complex)
+    em_evolve(psi, psi, op, 0.5)
+    op.apply_power(0.5, psi)
+    assert calls == [1, 3] * 3 and count == [3]
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(np.linalg.LinAlgError):
+        build_Dq(magnetic_bg(lat), lat, params)
+    assert seen == [1, 1] and calls == [1, 3] * 4 and count == [3]

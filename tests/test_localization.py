@@ -501,7 +501,7 @@ def _bits(out):
 
 
 def _ray_radii(L, N, rays, steps):
-    # the sampler of cli._task_bessel_profile: j cells along each ray,
+    # the sampler of runs._task_bessel_profile: j cells along each ray,
     # while the ray stays within half the box
     spacings = MomentumLattice([L] * 3, [N] * 3).spacings
     radii = []

@@ -1,6 +1,6 @@
 """The in-package config validator against jsonschema, the test-only oracle.
 
-kgfield.cli validates scenario and sweep configs with its own small
+kgfield.runs validates scenario and sweep configs with its own small
 validator.  jsonschema stays the reference: on the shipped configs, a
 theta sweep and mutated copies of them, both must accept and reject the
 same documents, except that the validator's "integer" is a Python int
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgfield.cli import (
+from kgfield.runs import (
     FIELD_SCHEMA,
     MODEL_SCHEMA,
     OUTPUT_SCHEMA,
@@ -48,7 +48,7 @@ DOCS = {**SHIPPED, "sweep_theta": {
     "seed": 0,
 }}
 
-# the keywords cli._schema_violation implements
+# the keywords runs._schema_violation implements
 SCHEMA_KEYWORDS = frozenset({
     "type", "properties", "required", "additionalProperties", "items",
     "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
@@ -154,8 +154,8 @@ def _assert_agrees(doc, schema, planted=None):
 
 
 def _check_node(node):
-    """Assert that cli._schema_violation implements the schema node as
-    written: its keywords and type, an object node closed as cli._closed
+    """Assert that runs._schema_violation implements the schema node as
+    written: its keywords and type, an object node closed as runs._closed
     writes it, and a const-keyed oneOf decided by one key."""
     assert node.keys() <= SCHEMA_KEYWORDS, (
         f"keywords not implemented: {sorted(node.keys() - SCHEMA_KEYWORDS)}")
@@ -207,7 +207,7 @@ def test_unimplemented_keyword_raises():
     {"oneOf": [{"type": "number"}], "required": ["x"]},
 ])
 def test_object_node_must_be_closed(schema):
-    # every object node is written by cli._closed; an open or partial one
+    # every object node is written by runs._closed; an open or partial one
     # would let unknown keys through, and the static walk stops it
     with pytest.raises(AssertionError, match="object node"):
         _check_node(schema)
@@ -331,7 +331,7 @@ def test_violation_names_the_path_and_the_reason(doc, where, reason):
 
 
 def test_nan_passes_every_numeric_bound_as_in_jsonschema():
-    # the validator does not see one from a file: cli._load_config rejects
+    # the validator does not see one from a file: runs._load_config rejects
     # non-finite numbers while it parses (tests/test_cli.py)
     doc = _edited(SHIPPED["sweep_a"], ("model", "M"), NAN)
     doc = _edited(doc, ("model", "a"), NAN)
