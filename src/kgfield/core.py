@@ -213,7 +213,8 @@ class MomentumLattice:
         lattice's shape that the caller gives up (at pad 1 it may be modes
         itself), and is what is returned.  It takes modes * e^{i k x0} in
         its corner blocks and +0 elsewhere, then ifftn's per-axis ifft
-        loop, last axis first, on the plan's slabs only: ifftn's bytes."""
+        loop, last axis first, on the plan's slabs only, each through
+        _transform: ifftn's bytes."""
         fine, corners, slabs = self._refinement(pad)
         lat = self if fine is None else fine
         if out is None:
@@ -232,14 +233,17 @@ class MomentumLattice:
             np.multiply(modes[c], sign[c], out=out[f], dtype=complex)
         for a in reversed(range(self.dim)):
             for slab in slabs[a]:
-                view = out[slab]
-                np.fft.ifft(view, axis=a, out=view)
+                _transform(out[slab], a, inverse=True)
         return np.multiply(out, lat.total_nodes, out=out)
 
     def grid_to_modes(self, grid: np.ndarray) -> np.ndarray:
-        """Inverse of modes_to_grid on the native grid."""
-        return self._analyze(
-            np.fft.fftn(grid, out=np.empty(self.nodes, dtype=complex)))
+        """Inverse of modes_to_grid on the native grid: fftn's per-axis
+        fft loop, last axis first, through _transform, so fftn's bytes."""
+        spectrum = np.fft.fft(grid, axis=-1,
+                              out=np.empty(self.nodes, dtype=complex))
+        for a in reversed(range(self.dim - 1)):
+            _transform(spectrum, a)
+        return self._analyze(spectrum)
 
     def _analyze_delta(self, idx: tuple[int, ...], value: float,
                        weights=None) -> np.ndarray:
@@ -252,7 +256,8 @@ class MomentumLattice:
         the full grid along axis 0.  Every other line holds the transform
         of zeros, which is +0 for most lengths but carries signed zeros
         for some (Bluestein lengths such as 202); it is transformed once
-        per axis and broadcast, which keeps fftn's bytes.
+        per axis and broadcast, which keeps fftn's bytes.  Each pass goes
+        through _transform, which gathers the last one's long axis-0 lines.
 
         weights(start, stop), if given, is a real array over the flat span
         [start, stop) of whole axis-0 planes, even in k0 as omega is:
@@ -266,7 +271,7 @@ class MomentumLattice:
             if axis:
                 zero = np.fft.fft(buf, axis=0)
             buf[idx[axis]] = part
-            part = np.fft.fft(buf, axis=0, out=buf)
+            part = _transform(buf, 0)
         return self._analyze(part, weights)
 
     def _analyze(self, spectrum: np.ndarray, weights=None) -> np.ndarray:
@@ -332,6 +337,34 @@ _BLOCK = 8192       # entries of a 128 KiB complex block
 def _keeps_zero(n: int) -> bool:
     """True if numpy's ifft maps a +0 line of length n to +0 bytes."""
     return not np.fft.ifft(np.zeros(n, dtype=complex)).view(np.uint64).any()
+
+
+# The axis-0 length from which a 3-D grid's axis-0 pass gathers planes:
+# the smallest N0 at which gathering won for both (N1, N2) in a pinned
+# best-of-9 scan of N0 in {64, 80, ..., 256} x (N1, N2) in {(64, 64),
+# (160, 160)} (BENCH_30.json "threshold_scan": the ratio follows N0).
+_GATHER_N0 = 128
+
+
+def _transform(grid: np.ndarray, axis: int, inverse: bool = False):
+    """np.fft.fft (ifft if inverse) of grid along axis, in place; returns
+    grid.
+
+    The axis-0 lines of a 3-D grid lie a whole (N1, N2) plane apart, so
+    that from _GATHER_N0 on pocketfft's per-line gather keeps missing the
+    cache.  There each plane grid[:, j, :] is copied into one contiguous
+    (N0, N2) scratch plane, transformed along its axis 0 and copied back:
+    N1 calls, and every line still takes its own pocketfft transform of
+    the same values, so the bytes are the direct call's."""
+    step = np.fft.ifft if inverse else np.fft.fft
+    if axis or grid.ndim != 3 or grid.shape[0] < _GATHER_N0:
+        return step(grid, axis=axis, out=grid)
+    plane = np.empty((grid.shape[0], grid.shape[2]), dtype=complex)
+    for j in range(grid.shape[1]):
+        plane[...] = grid[:, j]
+        step(plane, axis=0, out=plane)
+        grid[:, j] = plane
+    return grid
 
 
 def _all_bytes_zero(grid: np.ndarray) -> bool:

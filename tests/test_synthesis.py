@@ -33,7 +33,12 @@ line to +0 bytes (Bluestein lengths such as 404); it must give the bytes
 of ifftn on the whole signed grid for pads 1, 2 and 3, and a spy on
 np.fft.ifft shows which slabs it transforms.  localized_state,
 positive_packet and energy_split declare their np.zeros sector instead
-of scanning it.
+of scanning it.  Every lattice transform runs through core._transform,
+which from core._GATHER_N0 on copies a 3-D grid's (N0, N2) planes into
+one contiguous plane for the axis-0 pass; forced on and off, both paths
+must give numpy's bytes, a spy shows each axis-0 line transformed once
+from a C-contiguous plane, and the memory budgets hold with every 3-D
+grid gathered.
 """
 
 import itertools
@@ -155,6 +160,14 @@ def assert_same_bytes(new, old):
                     f"words differ")
 
 
+def _gates(monkeypatch):
+    """Force core._GATHER_N0 so that every 3-D grid's axis-0 pass gathers
+    its planes, then so that none does; yields the forced value."""
+    for n0 in (0, 1 << 30):
+        monkeypatch.setattr(core, "_GATHER_N0", n0)
+        yield n0
+
+
 def _fields(shape):
     L, N = SHAPES[shape]
     lat = MomentumLattice(L, N)
@@ -215,6 +228,9 @@ def test_inner_a_is_bitwise_unchanged(shape, a):
 # zeros that the other lines must carry; 202x12 pairs Bluestein planes
 DELTA_SHAPES = [(16,), (202,), (64, 64), (48, 80), (8, 254), (4, 202),
                 (202, 12), (32, 32, 32), (96, 40, 24), (6, 6, 202)]
+# 3-D grids for both axis-0 paths: a Bluestein length (202) on axis 0,
+# and two short ones
+GATHER_SHAPES = [(202, 6, 8), (10, 6, 8), (8, 6, 4)]
 
 
 def _delta_nodes(nodes, seed=11):
@@ -351,7 +367,7 @@ BUDGETS = {"psi_grid": 2.5, "psidot_grid": 2.5, "inner_0": 2.5,
 
 
 @pytest.mark.parametrize("route", BUDGETS)
-def test_lean_routes_stay_within_their_memory_budget(route):
+def test_lean_routes_stay_within_their_memory_budget(monkeypatch, route):
     lat = MomentumLattice([6.0] * 3, [48] * 3)
     if route.startswith("one-sector"):
         # the zero sector is neither re-phased nor reduced: one grid less
@@ -362,17 +378,18 @@ def test_lean_routes_stay_within_their_memory_budget(route):
     run = {"psi_grid": lambda: f.psi_grid(t),
            "psidot_grid": lambda: f.psidot_grid(t),
            "inner_0": lambda: inner_0(f, f)}[route.split("-")[-1]]
-    run()                       # the lattice caches its frequencies
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    grids = (peak - held) / (16 * lat.total_nodes)
-    assert grids <= BUDGETS[route], \
-        f"{route} peaked {grids:.2f} complex grids above held"
+    for n0 in _gates(monkeypatch):      # the scratch is one (N0, N2) plane
+        run()                   # the lattice caches its frequencies
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = (peak - held) / (16 * lat.total_nodes)
+        assert grids <= BUDGETS[route], \
+            f"{route} peaked {grids:.2f} complex grids above held (N0 {n0})"
 
 
 class _TwoGrid:
@@ -522,32 +539,55 @@ def test_sector_maps_of_one_sector_fields_keep_their_bytes(eps):
 
 # ------------------------------------------- localized states without fftn
 
-@pytest.mark.parametrize("nodes", DELTA_SHAPES, ids=str)
-def test_delta_transform_gives_the_dense_fftn_bytes(nodes):
+@pytest.mark.parametrize("nodes", DELTA_SHAPES + GATHER_SHAPES, ids=str)
+def test_delta_transform_gives_the_dense_fftn_bytes(monkeypatch, nodes):
     lat = MomentumLattice(*_delta_lattice(nodes))
     value = 1.0 / np.sqrt(lat.cell_volume)
-    for idx in _delta_nodes(nodes):
-        delta = np.zeros(nodes, dtype=complex)
-        delta[idx] = value
-        old = old_grid_to_modes(lat, delta)
-        assert_same_bytes(lat._analyze_delta(idx, value), old)
-        assert_same_bytes(lat.grid_to_modes(delta), old)
+    for _ in _gates(monkeypatch):
+        for idx in _delta_nodes(nodes):
+            delta = np.zeros(nodes, dtype=complex)
+            delta[idx] = value
+            old = old_grid_to_modes(lat, delta)
+            assert_same_bytes(lat._analyze_delta(idx, value), old)
+            assert_same_bytes(lat.grid_to_modes(delta), old)
+
+
+def _dense_spy(monkeypatch, lat):
+    """(name, input shape) of every dense transform of lat's grid: an
+    np.fft.fftn call, a grid_to_modes call, and an np.fft.fft of the
+    whole grid along its last axis, which _analyze_delta makes only when
+    that axis is axis 0 (a 1-D lattice, whose one line is the grid)."""
+    calls = []
+    real = {"fftn": np.fft.fftn, "fft": np.fft.fft,
+            "grid_to_modes": MomentumLattice.grid_to_modes}
+
+    def fftn(a, *args, **kw):
+        calls.append(("fftn", np.shape(a)))
+        return real["fftn"](a, *args, **kw)
+
+    def fft(a, *args, axis=-1, **kw):
+        ndim = np.ndim(a)
+        if np.shape(a) == lat.nodes and axis % ndim == ndim - 1 > 0:
+            calls.append(("fft", np.shape(a)))
+        return real["fft"](a, *args, axis=axis, **kw)
+
+    def grid_to_modes(self, grid):
+        calls.append(("grid_to_modes", np.shape(grid)))
+        return real["grid_to_modes"](self, grid)
+
+    monkeypatch.setattr(np.fft, "fftn", fftn)
+    monkeypatch.setattr(np.fft, "fft", fft)
+    monkeypatch.setattr(MomentumLattice, "grid_to_modes", grid_to_modes)
+    return calls
 
 
 def test_localized_state_makes_no_fftn_call(monkeypatch):
     lat = MomentumLattice([6.0] * 3, [32] * 3)
-    calls = []
-    real_fftn = np.fft.fftn
-
-    def fftn(*args, **kw):
-        calls.append(np.shape(args[0]))
-        return real_fftn(*args, **kw)
-
-    monkeypatch.setattr(np.fft, "fftn", fftn)
+    calls = _dense_spy(monkeypatch, lat)
     localized_state(-1, [0.375, -1.5, 2.25], lat, PARAMS)
     assert calls == []
-    lat.grid_to_modes(np.ones(lat.nodes))     # the spy sees a dense transform
-    assert calls == [lat.nodes]
+    lat.grid_to_modes(np.ones(lat.nodes))   # the spy sees a dense transform
+    assert calls == [("grid_to_modes", lat.nodes), ("fft", lat.nodes)]
 
 
 def test_centering_sign_is_one_cached_int8_grid():
@@ -619,15 +659,19 @@ def test_psidot_grid_takes_no_more_memory_than_psi_grid():
 ONE_SECTOR_PSI_T0_BUDGET = 1.1
 
 
-def test_one_sector_psi_grid_at_t0_stays_within_its_memory_budget():
+def test_one_sector_psi_grid_at_t0_stays_within_its_memory_budget(
+        monkeypatch):
     lat = MomentumLattice([6.0] * 3, [48] * 3)
-    for eps in (1, -1):
-        f = localized_state(eps, [0.0] * 3, lat, PARAMS, t0=T0).field
-        f.psi_grid(T0)          # the lattice caches its sign
-        _, peak = _traced(lambda: f.psi_grid(T0))
-        grids = peak / (16 * lat.total_nodes)
-        assert grids <= ONE_SECTOR_PSI_T0_BUDGET, \
-            f"psi_grid(t0) peaked {grids:.2f} complex grids above held"
+    fields = [localized_state(eps, [0.0] * 3, lat, PARAMS, t0=T0).field
+              for eps in (1, -1)]
+    for n0 in _gates(monkeypatch):
+        for f in fields:
+            f.psi_grid(T0)      # the lattice caches its sign
+            _, peak = _traced(lambda: f.psi_grid(T0))
+            grids = peak / (16 * lat.total_nodes)
+            assert grids <= ONE_SECTOR_PSI_T0_BUDGET, \
+                f"psi_grid(t0) peaked {grids:.2f} complex grids above " \
+                f"held (N0 {n0})"
 
 
 # ------------------------------------------- frequency grids built on demand
@@ -1016,28 +1060,45 @@ PRUNED_SHAPES = [(16,), (202,), (8, 6), (202, 8), (8, 202), (4, 6, 8),
                  (202, 4, 6), (4, 202, 6), (4, 6, 202)]
 
 
-@pytest.mark.parametrize("nodes", PRUNED_SHAPES, ids=str)
-def test_pruned_synthesis_keeps_the_ifftn_bytes(nodes):
-    lat = MomentumLattice(*_delta_lattice(nodes))
+def _planted_inputs(nodes):
+    """Dense, real, conjugated, sparse, one-hot, +0 and -0 grids, the
+    dense and sparse ones with planted signed zeros."""
     rng = np.random.default_rng(len(nodes) * 1000 + nodes[0])
     dense = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
     sparse = np.where(rng.random(nodes) < 0.8, 0.0, dense)
     onehot = np.zeros(nodes, dtype=complex)
     onehot[tuple(int(rng.integers(n)) for n in nodes)] = 1.5 - 0.5j
-    inputs = {"dense": _planted(dense), "real": dense.real.copy(),
-              "conj": np.conj(dense), "sparse": _planted(sparse),
-              "onehot": onehot, "zero": np.zeros(nodes, dtype=complex),
-              "-0": np.full(nodes, complex(-0.0, -0.0))}
-    for pad in (1, 2, 3):
-        fine = lat.refined(pad).nodes
-        for label, modes in inputs.items():
-            old = old_modes_to_grid(lat, modes, pad)
-            assert_same_bytes(lat.modes_to_grid(modes, pad), old)
-            out = np.full(fine, complex(-0.0, np.nan))      # stale content
-            assert_same_bytes(lat.modes_to_grid(modes, pad, out), old)
-    buf = np.array(inputs["dense"])         # in place on the modes at pad 1
-    assert lat.modes_to_grid(buf, 1, buf) is buf
-    assert_same_bytes(buf, old_modes_to_grid(lat, inputs["dense"]))
+    return {"dense": _planted(dense), "real": dense.real.copy(),
+            "conj": np.conj(dense), "sparse": _planted(sparse),
+            "onehot": onehot, "zero": np.zeros(nodes, dtype=complex),
+            "-0": np.full(nodes, complex(-0.0, -0.0))}
+
+
+@pytest.mark.parametrize("nodes", PRUNED_SHAPES + GATHER_SHAPES, ids=str)
+def test_pruned_synthesis_keeps_the_ifftn_bytes(monkeypatch, nodes):
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    inputs = _planted_inputs(nodes)
+    for _ in _gates(monkeypatch):
+        for pad in (1, 2, 3):
+            fine = lat.refined(pad).nodes
+            for label, modes in inputs.items():
+                old = old_modes_to_grid(lat, modes, pad)
+                assert_same_bytes(lat.modes_to_grid(modes, pad), old)
+                out = np.full(fine, complex(-0.0, np.nan))  # stale content
+                assert_same_bytes(lat.modes_to_grid(modes, pad, out), old)
+        buf = np.array(inputs["dense"])     # in place on the modes at pad 1
+        assert lat.modes_to_grid(buf, 1, buf) is buf
+        assert_same_bytes(buf, old_modes_to_grid(lat, inputs["dense"]))
+
+
+@pytest.mark.parametrize("nodes", PRUNED_SHAPES + GATHER_SHAPES, ids=str)
+def test_grid_to_modes_keeps_the_fftn_bytes(monkeypatch, nodes):
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    inputs = _planted_inputs(nodes)
+    for _ in _gates(monkeypatch):
+        for grid in inputs.values():
+            assert_same_bytes(lat.grid_to_modes(grid),
+                              old_grid_to_modes(lat, grid))
 
 
 def _ifft_spy(monkeypatch):
@@ -1104,15 +1165,18 @@ CONTINUITY_BUDGETS = {"J_a": 13.0, "calJ_a": 11.5}
 
 
 @pytest.mark.parametrize("which", CONTINUITY_BUDGETS)
-def test_continuity_residual_stays_within_its_memory_budget(which):
+def test_continuity_residual_stays_within_its_memory_budget(monkeypatch,
+                                                           which):
     lat = MomentumLattice([6.0] * 3, [16] * 3)
     f = random_field(lat, PARAMS, seed=7, t0=T0)
     run = lambda: continuity_residual(f, T, which)
-    run()           # the lattices cache frequencies, signs and the phase
-    _, peak = _traced(run)
-    grids = peak / (16 * lat.refined(PAD).total_nodes)
-    assert grids <= CONTINUITY_BUDGETS[which], \
-        f"{which} peaked {grids:.2f} padded complex grids above held"
+    for n0 in _gates(monkeypatch):
+        run()       # the lattices cache frequencies, signs and the phase
+        _, peak = _traced(run)
+        grids = peak / (16 * lat.refined(PAD).total_nodes)
+        assert grids <= CONTINUITY_BUDGETS[which], \
+            f"{which} peaked {grids:.2f} padded complex grids above held " \
+            f"(N0 {n0})"
 
 
 def _span_spy(monkeypatch, lat):
@@ -1170,8 +1234,7 @@ def test_localized_state_builds_omega_for_half_the_planes(monkeypatch,
                                                           nodes):
     lat = MomentumLattice(*_delta_lattice(nodes))
     spans = _span_spy(monkeypatch, lat)
-    calls = []
-    monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(a))
+    calls = _dense_spy(monkeypatch, lat)
     idx = _delta_nodes(nodes)[-1]
     y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
     localized_state(1, y, lat, PARAMS)
@@ -1185,3 +1248,47 @@ def test_localized_state_builds_omega_for_half_the_planes(monkeypatch,
     assert len(spans) == -(-planes // span)
     assert calls == []
     assert lat._omega_cache == {}
+
+
+# ------------------------------------------- gathered axis-0 passes
+
+def _axis_0_spy(monkeypatch):
+    """(input copy, C-contiguous) of every axis-0 np.fft.fft/ifft call."""
+    calls = []
+    for name in ("fft", "ifft"):
+        def spy(a, *args, axis=-1, _real=getattr(np.fft, name), **kw):
+            if axis == 0:
+                calls.append((np.array(a), a.flags.c_contiguous))
+            return _real(a, *args, axis=axis, **kw)
+        monkeypatch.setattr(np.fft, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("nodes", GATHER_SHAPES[:2], ids=str)
+def test_a_gathered_pass_transforms_each_axis_0_line_once(monkeypatch,
+                                                          nodes):
+    """Each axis-0 call sees one C-contiguous (N0, N2) plane, and the
+    planes, stacked along axis 1, are the grid before the axis-0 pass."""
+    monkeypatch.setattr(core, "_GATHER_N0", 0)
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    rng = np.random.default_rng(3)
+    grid = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+    idx = _delta_nodes(nodes)[-1]
+    delta = np.zeros(nodes, dtype=complex)
+    delta[idx] = 0.5
+    signed = np.multiply(grid, lat._centering_sign(), dtype=complex)
+    routes = [(lambda: lat.modes_to_grid(grid),
+               np.fft.ifftn(signed, axes=(1, 2))),
+              (lambda: lat.grid_to_modes(grid),
+               np.fft.fftn(grid, axes=(1, 2))),
+              (lambda: lat._analyze_delta(idx, 0.5),
+               np.fft.fftn(delta, axes=(1, 2)))]
+    calls = _axis_0_spy(monkeypatch)
+    plane = (nodes[0], nodes[2])
+    for run, before in routes:
+        calls.clear()
+        run()
+        assert all(contiguous for _, contiguous in calls)
+        planes = [a for a, _ in calls if a.ndim == 3 or a.shape == plane]
+        assert len(planes) == nodes[1]
+        assert_same_bytes(np.stack(planes, axis=1), before)
