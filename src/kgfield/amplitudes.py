@@ -80,32 +80,17 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class GaussianAmplitude:
-    """Registered amplitude family: polynomial times Gaussian.
-
-    a(k) = amp * poly(k) * exp(-|k - center|^2 / (4 sigma^2)), with poly
-    given as {multi_index: coefficient} over the momentum components.
-    """
+    """Gaussian amplitude a(k) = amp exp(-|k - center|^2 / (4 sigma^2))."""
 
     center: tuple[float, ...]
     sigma: float
     amp: complex = 1.0
-    poly: tuple[tuple[tuple[int, ...], complex], ...] = ()
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
         k = np.atleast_2d(k)
         c = np.asarray(self.center)
-        envelope = np.exp(-np.sum((k - c) ** 2, axis=-1) / (4.0 * self.sigma ** 2))
-        if self.poly:
-            pval = np.zeros(k.shape[0], dtype=complex)
-            for powers, coeff in self.poly:
-                term = np.ones(k.shape[0], dtype=complex) * coeff
-                for ax, p in enumerate(powers):
-                    if p:
-                        term = term * k[:, ax] ** p
-                pval += term
-        else:
-            pval = 1.0
-        return self.amp * pval * envelope
+        return self.amp * np.exp(-np.sum((k - c) ** 2, axis=-1)
+                                 / (4.0 * self.sigma ** 2))
 
 
 @dataclass

@@ -43,17 +43,12 @@ def limit_kappa(a: float) -> float:
     return 1.0 / (1.0 + a)
 
 
-def limit_params(mass: float, a: float) -> ModelParams:
-    """Model parameters under the limit convention (limit_kappa)."""
-    return ModelParams(mass=float(mass), kappa=limit_kappa(a), a=a)
-
-
 @dataclass(frozen=True)
 class LimitSweep:
     """Fixed spatial packet swept over a geometric mass ladder.
 
     The profile (width sigma, carrier kcarrier) is held fixed; only the
-    mass moves.  The normalization convention of limit_params,
+    mass moves.  The normalization convention of limit_kappa,
     kappa = 1/(1+a), is baked in.
     """
 
@@ -84,7 +79,7 @@ class LimitSweep:
         return self.params(1.0).kappa
 
     def params(self, mass: float) -> ModelParams:
-        return limit_params(mass, self.a)
+        return ModelParams(mass=float(mass), kappa=limit_kappa(self.a), a=self.a)
 
     def packet(self, mass: float) -> LatticeField:
         return schrodinger_packet(self.lattice, self.params(mass),

@@ -13,8 +13,8 @@ hiding it inside the field object would invite silent bugs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,15 +116,15 @@ def position_density(field: LatticeField, t0: float | None = None) -> np.ndarray
     return np.abs(fp) ** 2 + np.abs(fm) ** 2
 
 
+def _box_mask(selections) -> np.ndarray:
+    """The nodes selected on every axis, from one boolean array per axis."""
+    return functools.reduce(np.logical_and,
+                            np.meshgrid(*selections, indexing="ij", sparse=True))
+
+
 def _interior_mass_fraction(lattice: MomentumLattice, dens: np.ndarray) -> float:
-    axes = lattice.coordinate_axes()
-    mask = np.ones(dens.shape, dtype=bool)
-    for i, x in enumerate(axes):
-        Li = lattice.box_lengths[i]
-        sel = np.abs(x) <= Li / 4.0
-        shape = [1] * dens.ndim
-        shape[i] = -1
-        mask &= sel.reshape(shape)
+    mask = _box_mask([np.abs(x) <= L / 4.0 for x, L in
+                      zip(lattice.coordinate_axes(), lattice.box_lengths)])
     total = dens.sum()
     if total == 0.0:
         return 1.0
@@ -248,17 +248,11 @@ class Region:
     def mask(self, lattice: MomentumLattice) -> np.ndarray:
         if len(self.lo) != len(lattice.nodes):
             raise ValueError("region dimension does not match the lattice")
-        axes = lattice.coordinate_axes()
-        m = np.ones(tuple(lattice.nodes), dtype=bool)
-        for i, x in enumerate(axes):
-            Li = lattice.box_lengths[i]
-            if self.lo[i] < -Li / 2 - 1e-12 or self.hi[i] > Li / 2 + 1e-12:
+        for lo, hi, L in zip(self.lo, self.hi, lattice.box_lengths):
+            if lo < -L / 2 - 1e-12 or hi > L / 2 + 1e-12:
                 raise ValueError("region extends beyond the box")
-            sel = (x >= self.lo[i]) & (x < self.hi[i])
-            shape = [1] * m.ndim
-            shape[i] = -1
-            m &= sel.reshape(shape)
-        return m
+        return _box_mask([(x >= lo) & (x < hi) for x, lo, hi in
+                          zip(lattice.coordinate_axes(), self.lo, self.hi)])
 
 
 def probability_region(field: LatticeField, region: Region,
@@ -343,7 +337,7 @@ def besselK_profile(r: float, params: ModelParams) -> float:
     return out
 
 
-@lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1)
 def _de_sine_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes x_n, weights w_n: int_0^inf g(x) sin(x) dx ~ sum w_n g(x_n).
 

@@ -32,14 +32,10 @@ def config_hash(config) -> str:
 
 def format_value(v) -> str:
     """Round-trip-safe scalar formatting for CSV cells."""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (complex, np.complexfloating)):
-        return repr(complex(v))
     return str(v)
 
 

@@ -48,6 +48,7 @@ _NUM = {"type": "number"}
 _NUMS = {"type": "array", "items": _NUM, "minItems": 1, "maxItems": 3}
 _INTS = {"type": "array", "items": {"type": "integer"}, "minItems": 1,
          "maxItems": 3}
+_NODE = dict(_INTS, items={"type": "integer", "minimum": 0})   # -1 would wrap
 _TIMES = {"type": "array", "items": _NUM, "minItems": 1}
 _EPSILON = {"enum": [1, -1]}
 
@@ -296,7 +297,7 @@ _FIELDS = {
                       "maxItems": 2},
         }, "epsilon", "k", "coeff")},
     }, ("modes",)),
-    "localized-state": (_localized_state, {"epsilon": _EPSILON, "node": _INTS},
+    "localized-state": (_localized_state, {"epsilon": _EPSILON, "node": _NODE},
                         ("epsilon", "node")),
     "from-file": (_from_file, {"path": {"type": "string"}}, ("path",)),
 }
@@ -364,8 +365,7 @@ def _task_total_probability(f, t0, task, config):
 def _task_rho_a(f, t0, task, config):
     from .currents import rho_a
 
-    axes = f.lattice.coordinate_axes()
-    coords = np.meshgrid(*axes, indexing="ij")
+    coords = f.lattice.coordinate_grids()
     cols = tuple(f"x{j + 1}" for j in range(f.lattice.dim)) + ("rho_a",)
     artifacts = []
     integrals = []
@@ -465,14 +465,6 @@ def _task_current_oracle(field, t0, task, config):
     return [("current_oracle.csv", cols, rows, footer)], summary
 
 
-def _task_gauge_orbit(f, t0, task, config):
-    from .gauge import norm_drift
-
-    rows = [(theta, norm_drift(f, theta)) for theta in task["thetas"]]
-    summary = {"max_norm_drift": float(np.max([v for _, v in rows]))}
-    return [("gauge_orbit.csv", ("theta", "norm_rel_drift"), rows, ())], summary
-
-
 # task: (function, the field type it takes, schema properties besides
 # "task", the required ones among them)
 _TASKS = {
@@ -495,8 +487,6 @@ _TASKS = {
         "beta": {"type": "number", "exclusiveMinimum": -1,
                  "exclusiveMaximum": 1},
     }, ("events", "beta")),
-    "gauge-orbit": (_task_gauge_orbit, LatticeField, {"thetas": _TIMES},
-                    ("thetas",)),
 }
 
 TASK_SCHEMA = {"oneOf": [

@@ -28,7 +28,14 @@ reason and a `where`:
 
 An entry that names a reached function (stale) or no function (missing)
 fails too.  tests/test_golden.py takes its CSV-body hashes from the same
-pass, so Tier-1 runs the shipped configs once.  A per-module report:
+pass, so Tier-1 runs the shipped configs once.
+
+The line budget: the physical lines of src/kgfield/*.py (their newline
+count, as `wc -l` gives it) must equal the ceiling in
+tests/line_budget.json.  A count above it fails, and so does one below,
+so that a change that deletes lines lowers the ceiling with them and one
+that adds lines raises it where the diff shows it.  A per-module report,
+with the total against the ceiling:
 
     PYTHONPATH=src python tests/reachability.py
 """
@@ -58,6 +65,7 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = Path(importlib.util.find_spec("kgfield").origin).resolve().parent
 CONFIGS = sorted((REPO / "configs").glob("*.json"))
 ALLOWED_PATH = Path(__file__).with_name("reachability.json")
+BUDGET_PATH = Path(__file__).with_name("line_budget.json")
 REASONS = ("config", "public", "paper", "perfbench")
 
 
@@ -187,6 +195,31 @@ def load_allowed() -> dict:
     return json.loads(ALLOWED_PATH.read_text())
 
 
+def line_counts() -> dict[str, int]:
+    """{module file name: its newline count} over src/kgfield/*.py."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def load_ceiling() -> int:
+    return json.loads(BUDGET_PATH.read_text())["ceiling"]
+
+
+def budget_failure(counts: dict[str, int], ceiling: int) -> str | None:
+    """What the line budget reports when the total is not the ceiling:
+    the total, the ceiling and the count of every module."""
+    total = sum(counts.values())
+    if total == ceiling:
+        return None
+    above = total > ceiling
+    fix = ("delete lines, or raise the ceiling and name the lines in "
+           "CHANGES.md" if above else f"lower the ceiling to {total}")
+    modules = ", ".join(f"{name} {n}" for name, n in counts.items())
+    return (f"src/kgfield has {total} lines, {'above' if above else 'below'} "
+            f"the ceiling of {ceiling} in {BUDGET_PATH.name}: {fix} "
+            f"(per module: {modules})")
+
+
 def gate_failures(defs: dict[str, Def], reached, allowed: dict) -> list[str]:
     """What the gate reports: each def that no run reaches and no entry
     names, each entry that names a reached or missing def, and each entry
@@ -215,12 +248,12 @@ def report(defs: dict[str, Def], reached, allowed: dict) -> str:
     """Per module: its lines, its defs, how many the pass reaches, and the
     entries by reason."""
     rows = [("module", "lines", "defs", "reached", *REASONS)]
-    for path in sorted(PACKAGE.glob("*.py")):
-        quals = [q for q, d in defs.items() if d.file == path.name]
+    for name, lines in line_counts().items():
+        quals = [q for q, d in defs.items() if d.file == name]
         hit = sum(defs[q].key in reached for q in quals)
         reasons = Counter(allowed[q]["reason"] for q in quals if q in allowed)
-        rows.append((path.name, len(path.read_text().splitlines()),
-                     len(quals), hit, *(reasons[r] for r in REASONS)))
+        rows.append((name, lines, len(quals), hit,
+                     *(reasons[r] for r in REASONS)))
     rows.append(("total", *(sum(r[i] for r in rows[1:])
                             for i in range(1, len(rows[0])))))
     width = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
@@ -233,6 +266,12 @@ if __name__ == "__main__":
     defs, allowed = package_defs(), load_allowed()
     reached = shipped_runs().reached
     print(report(defs, reached, allowed))
+    counts, ceiling = line_counts(), load_ceiling()
+    print(f"lines {sum(counts.values())} against the ceiling {ceiling} "
+          f"of {BUDGET_PATH.name}")
     failures = gate_failures(defs, reached, allowed)
+    over = budget_failure(counts, ceiling)
+    if over:
+        failures.append(over)
     print("\n".join(failures) or "gate passes")
     sys.exit(1 if failures else 0)

@@ -128,13 +128,3 @@ def test_charge_form_not_used_beyond_quadrature():
     v0 = kg_inner_amplitude(f1, f2, 0.5)
     v1 = kg_inner_amplitude(with_quad(g1, rule), with_quad(g2, rule), 0.5)
     assert abs(v1 - v0) < 1e-8 * abs(v0)
-
-
-def test_polynomial_amplitude_factor():
-    amp = GaussianAmplitude((0.0,), 1.0, amp=2.0,
-                            poly=(((2,), 1.0), ((0,), 0.5)))
-    k = np.array([[1.5], [0.0]])
-    vals = amp(k)
-    envelope = np.exp(-1.5 ** 2 / 4.0)
-    assert abs(vals[0] - 2.0 * (1.5 ** 2 + 0.5) * envelope) < 1e-14
-    assert abs(vals[1] - 1.0) < 1e-14

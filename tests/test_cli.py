@@ -519,11 +519,11 @@ def _shipped(name, path, value):
 
 @pytest.mark.parametrize("name, path, literal", [
     ("scenario_packet", ("tasks", 1, "times", 1), "NaN"),
-    ("scenario_packet", ("tasks", 1), '{"task": "gauge-orbit", "thetas": [Infinity]}'),
+    ("scenario_packet", ("tasks", 1, "times", 0), "Infinity"),
     ("scenario_two_modes", ("field", "modes", 0, "k", 0), "NaN"),
     ("sweep_a", ("model", "kappa"), "1e400"),
     ("sweep_mass", ("grid", 0), "-Infinity"),
-], ids=["nan-time", "infinite-theta", "nan-wave-vector", "overflow",
+], ids=["nan-time", "infinite-time", "nan-wave-vector", "overflow",
         "minus-infinity"])
 def test_non_finite_config_number_is_config_error(tmp_path, capsys, name,
                                                   path, literal):
@@ -598,12 +598,13 @@ def _null_field():
 
 @pytest.mark.parametrize("task, ok", [
     ({"task": "inner_products"}, False),
-    ({"task": "gauge-orbit", "thetas": [0.0, 1.3]}, False),
+    ({"task": "continuity", "times": [0.0]}, True),
     ({"task": "rho_a", "times": [0.0]}, True),
     ({"task": "total_probability", "times": [0.0, 1.0]}, True),
 ])
 def test_null_field_from_a_state_file(tmp_path, capsys, task, ok):
-    # the relative quantities divide by the norm; the densities do not
+    # the relative quantities divide by the norm; the densities do not,
+    # and the continuity residual floors its scale, so it reads 0
     doc = packet_scenario(tmp_path / "out")
     doc["field"] = {"construction": "from-file",
                     "path": _saved(tmp_path, _null_field())}
@@ -791,24 +792,35 @@ def _lattice_state(t0="0.0", bad_entry=None) -> bytes:
     return (head + f"t0 {t0}\ndata\n").encode() + payload.tobytes()
 
 
-def _planewave_state() -> bytes:
+def _planewave_state(modes=2, rows="+1 0.5 1.0 0.0\n-1 0.25 nan 0.0\n") -> bytes:
     head = _HEADER.format(kind="planewave", geometry="")
-    return (head + "modes 2\ndata\n+1 0.5 1.0 0.0\n-1 0.25 nan 0.0\n").encode()
+    return (head + f"modes {modes}\ndata\n{rows}").encode()
 
 
 @pytest.mark.parametrize("blob, message", [
     (_lattice_state(bad_entry=11), "phi_minus holds a non-finite coefficient"),
-    (_lattice_state(t0="nan"), "t0 must be finite"),
-    (_planewave_state(), "coefficient must be finite"),
-    (_lattice_state().replace(b"\nM 1.0\n", b"\n"), "has no 'M' line"),
+    (_lattice_state(t0="nan"), "start time t0 must be finite"),
+    (_planewave_state(), "mode wave vector and coefficient must be finite"),
+    (_lattice_state().replace(b"\nM 1.0\n", b"\n"),
+     "lattice state header has no 'M' line"),
+    (_lattice_state().replace(b"\nkappa 1.0\n", b"\nkappa\n"),
+     "malformed header line 'kappa'"),
+    (_lattice_state().replace(b"\nN 8\n", b"\nN 8 8\n"),
+     "header dimensions are inconsistent"),
+    (_planewave_state(modes=3), "mode list holds 2 rows, expected 3"),
+    (_planewave_state(rows="+1 0.5 1.0\n-1 0.25 2.0 0.0\n"),
+     "malformed mode row '+1 0.5 1.0'"),
 ], ids=["lattice-nan-payload", "lattice-nan-t0", "planewave-nan-coeff",
-        "lattice-no-M"])
+        "lattice-no-M", "malformed-header-line", "inconsistent-dimensions",
+        "mode-row-count", "malformed-mode-row"])
 def test_non_finite_state_file_fails_at_the_boundary(tmp_path, capsys,
                                                      blob, message):
     path = tmp_path / "bad.kgs"
     path.write_bytes(blob)
     assert main(["state", "inspect", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
+    assert "Traceback" not in err
     doc = {
         "model": {"d": 1, "L": 8.0, "N": 8, "M": 1.0, "kappa": 1.0,
                   "a": 0.0, "t0": 0.0},
@@ -818,7 +830,8 @@ def test_non_finite_state_file_fails_at_the_boundary(tmp_path, capsys,
     }
     assert main(["scenario", write_config(tmp_path, "scn.json", doc)]) == 1
     err = capsys.readouterr().err
-    assert "task failed: from-file:" in err and message in err
+    assert err.startswith(f"task failed: from-file: {message}")
+    assert "Traceback" not in err
 
 
 def _child_env() -> dict:
@@ -843,18 +856,47 @@ def test_console_module_runs_as_subprocess(tmp_path):
     assert "checks passed" in proc.stdout
 
 
+def _boundary_configs(tmp_path) -> None:
+    """Config files in tmp_path, each failing at one boundary check."""
+    modes = json.loads((CONFIGS / "scenario_two_modes.json").read_text())
+    modes["field"]["modes"].append({"epsilon": 1, "k": [2.0], "coeff": [0.2, 0]})
+    docs = {"three_modes.json": modes}
+    for name, path, value in [
+            ("short_L", ("model", "L"), [20.0, 20.0]),
+            ("node_2d", ("field", "node"), [32, 32]),
+            ("node_64", ("field", "node"), [32, 64, 32]),
+            ("zero_ray", ("tasks", 0, "rays"), [[0, 0, 0]]),
+            ("packet_profile", ("field",),
+             {"construction": "gaussian-packet", "sigma": 1.0})]:
+        docs[f"{name}.json"] = _shipped("scenario_localized", path, value)
+    for name, doc in docs.items():
+        doc["output"]["directory"] = str(tmp_path / "out")
+        write_config(tmp_path, name, doc)
+    (tmp_path / "not_json.json").write_text('{"model": ')
+
+
 @pytest.mark.parametrize("config, code, message", [
     ("missing.json", 2, "configuration error: cannot read config missing.json"),
     ("three_modes.json", 1, "task failed: current-oracle: "),
-], ids=["config-error", "task-error"])
+    ("not_json.json", 2, "configuration error: config not_json.json is not "
+                         "valid JSON: "),
+    ("short_L.json", 2, "configuration error: model block: L and N must have "
+                        "d entries"),
+    ("node_2d.json", 1, "task failed: localized-state: node must have model "
+                        "dimension"),
+    ("node_64.json", 1, "task failed: localized-state: node index out of "
+                        "range"),
+    ("zero_ray.json", 1, "task failed: bessel-profile: zero ray"),
+    ("packet_profile.json", 1, "task failed: bessel-profile: needs a "
+                               "localized-state field"),
+], ids=["config-error", "task-error", "invalid-json", "L-without-d-entries",
+        "node-dimension", "node-out-of-range", "zero-ray",
+        "profile-of-a-packet"])
 def test_console_module_catches_what_the_config_commands_raise(
         tmp_path, config, code, message):
     # kgfield.runs raises the ConfigError and TaskError that the __main__
     # copy of kgfield.cli, which `python -m kgfield.cli` runs, catches
-    doc = json.loads((CONFIGS / "scenario_two_modes.json").read_text())
-    doc["field"]["modes"].append({"epsilon": 1, "k": [2.0], "coeff": [0.2, 0]})
-    doc["output"]["directory"] = str(tmp_path / "out")
-    write_config(tmp_path, "three_modes.json", doc)
+    _boundary_configs(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "kgfield.cli", "scenario", config],
         capture_output=True, text=True, cwd=tmp_path, env=_child_env())

@@ -3,8 +3,11 @@
 from reachability import (
     ALLOWED_PATH,
     Def,
+    budget_failure,
     gate_failures,
+    line_counts,
     load_allowed,
+    load_ceiling,
     package_defs,
     shipped_runs,
 )
@@ -59,3 +62,21 @@ def test_gate_fails_an_entry_without_one_known_reason_and_a_where():
                   {"reason": "paper", "where": ""}):
         (failure,) = gate_failures(_DEFS, {("m.py", 9, "f")}, {"m.C.g": entry})
         assert "needs one reason of" in failure
+
+
+def test_source_lines_equal_the_ceiling():
+    failure = budget_failure(line_counts(), load_ceiling())
+    assert failure is None, failure
+
+
+def test_budget_fails_above_and_below_the_ceiling_naming_each_module():
+    counts = {"a.py": 10, "b.py": 5}
+    assert budget_failure(counts, 15) is None
+    assert budget_failure(counts, 14) == (
+        "src/kgfield has 15 lines, above the ceiling of 14 in "
+        "line_budget.json: delete lines, or raise the ceiling and name the "
+        "lines in CHANGES.md (per module: a.py 10, b.py 5)")
+    assert budget_failure(counts, 16) == (
+        "src/kgfield has 15 lines, below the ceiling of 16 in "
+        "line_budget.json: lower the ceiling to 15 (per module: a.py 10, "
+        "b.py 5)")

@@ -322,6 +322,9 @@ def test_random_values_at_random_nodes_agree_with_jsonschema(name, pick, value):
      ("tasks", 2, "task"), "'bogus' is not one of ['total_probability', "),
     (_edited(SHIPPED["sweep_a"], ("axis",), None, delete=True),
      (), "'axis' is a required property"),
+    # a negative node index would wrap to the far side of the box
+    (_edited(SHIPPED["scenario_localized"], ("field", "node", 0), -1),
+     ("field", "node", 0), "-1 is less than the minimum of 0"),
 ])
 def test_violation_names_the_path_and_the_reason(doc, where, reason):
     schema = SCENARIO_SCHEMA if "tasks" in doc else SWEEP_SCHEMA
