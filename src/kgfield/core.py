@@ -214,7 +214,11 @@ class MomentumLattice:
         itself), and is what is returned.  It takes modes * e^{i k x0} in
         its corner blocks and +0 elsewhere, then ifftn's per-axis ifft
         loop, last axis first, on the plan's slabs only, each through
-        _transform: ifftn's bytes."""
+        _transform, and the factor N in the axis-0 pass: ifftn's bytes.
+        Where _transform gathers, each axis-0 row that holds modes (every
+        row, from an axis that does not keep +0 lines +0) takes its
+        modes * sign and its axis-2 and axis-1 lines while it is in
+        cache, and each gathered plane takes N before write-back."""
         fine, corners, slabs = self._refinement(pad)
         lat = self if fine is None else fine
         if out is None:
@@ -229,26 +233,45 @@ class MomentumLattice:
         # the coarse and fine centering signs agree at every mode, and an
         # int8 +-1 promotes to +-1+0j
         modes, sign = np.asarray(modes), self._centering_sign()
-        for c, f in corners:
-            np.multiply(modes[c], sign[c], out=out[f], dtype=complex)
-        for a in reversed(range(self.dim)):
-            for slab in slabs[a]:
-                _transform(out[slab], a, inverse=True)
-        return np.multiply(out, lat.total_nodes, out=out)
+        if _gathers(lat.nodes):
+            rows, coarse = range(lat.nodes[0]), range(self.nodes[0])
+            for r in rows:
+                for c, f in corners:
+                    if r in rows[f[0]]:
+                        i = coarse[c[0]][rows[f[0]].index(r)]
+                        np.multiply(modes[i][c[1:]], sign[i][c[1:]],
+                                    out=out[r][f[1:]], dtype=complex)
+                for a in (2, 1):
+                    for slab in slabs[a]:
+                        if not slab or r in rows[slab[0]]:
+                            _transform(out[r][slab[1:]], a - 1, inverse=True)
+        else:
+            for c, f in corners:
+                np.multiply(modes[c], sign[c], out=out[f], dtype=complex)
+            for a in reversed(range(1, self.dim)):
+                for slab in slabs[a]:
+                    _transform(out[slab], a, inverse=True)
+        return _transform(out, 0, inverse=True, finish=lambda j, part: (
+            np.multiply(part, lat.total_nodes, out=part)))
 
     def grid_to_modes(self, grid: np.ndarray) -> np.ndarray:
         """Inverse of modes_to_grid on the native grid: fftn's per-axis
-        fft loop, last axis first, through _transform, so fftn's bytes."""
+        fft loop, last axis first, through _transform, so fftn's bytes,
+        and _analyze's factors as the axis-0 pass's finish: one pass
+        below _GATHER_N0, each gathered plane before write-back above."""
         spectrum = np.fft.fft(grid, axis=-1,
                               out=np.empty(self.nodes, dtype=complex))
-        for a in reversed(range(self.dim - 1)):
+        for a in reversed(range(1, self.dim - 1)):
             _transform(spectrum, a)
-        return self._analyze(spectrum)
+        return (self._analyze(None, spectrum) if self.dim == 1
+                else _transform(spectrum, 0, finish=self._analyze))
 
     def _analyze_delta(self, idx: tuple[int, ...], value: float,
-                       weights=None) -> np.ndarray:
+                       mass: float | None = None,
+                       root: float = 1.0) -> np.ndarray:
         """grid_to_modes of the grid that holds value at node idx and zero
-        elsewhere, without transforming the whole grid on every axis.
+        elsewhere, without transforming the whole grid on every axis, and
+        with mass, times root * omega(mass)^(-1/2) (see _analyze).
 
         numpy's fftn runs np.fft.fft axis by axis, last axis first, and
         pocketfft transforms each line on its own.  So only the lines
@@ -257,44 +280,63 @@ class MomentumLattice:
         of zeros, which is +0 for most lengths but carries signed zeros
         for some (Bluestein lengths such as 202); it is transformed once
         per axis and broadcast, which keeps fftn's bytes.  Each pass goes
-        through _transform, which gathers the last one's long axis-0 lines.
-
-        weights(start, stop), if given, is a real array over the flat span
-        [start, stop) of whole axis-0 planes, even in k0 as omega is:
-        every mode is then multiplied by it in _analyze's pass."""
+        through _transform, the last one with _analyze's factors as its
+        finish.  Where that pass gathers, each plane is built from the
+        zero lines and the plane's line of the delta, so the returned
+        np.empty grid is written once and no zero grid is read."""
         part = np.asarray(value, dtype=complex)
         zero = np.zeros((), dtype=complex)
+        finish = functools.partial(self._analyze, mass=mass, root=root)
         for axis in reversed(range(self.dim)):
+            if not axis and _gathers(self.nodes):
+                def fill(j, plane):
+                    plane[...] = zero[j]
+                    plane[idx[0]] = part[j]
+                return _transform(np.empty(self.nodes, dtype=complex), 0,
+                                  fill=fill, finish=finish)
             buf = np.zeros(self.nodes[axis:], dtype=complex)
             if not _all_bytes_zero(zero):
                 buf[...] = zero          # np.zeros already holds +0 bytes
             if axis:
                 zero = np.fft.fft(buf, axis=0)
             buf[idx[axis]] = part
-            part = _transform(buf, 0)
-        return self._analyze(part, weights)
+            part = _transform(buf, 0, finish=None if axis else finish)
+        return part
 
-    def _analyze(self, spectrum: np.ndarray, weights=None) -> np.ndarray:
+    def _analyze(self, j: int | None, spectrum: np.ndarray,
+                 mass: float | None = None, root: float = 1.0) -> np.ndarray:
         """Scale an fftn spectrum in place by 1/N times the centering phase,
-        then by weights if given, in one pass over pairs of axis-0 planes.
+        then, with mass, by root * omega(mass)^(-1/2), in one pass over
+        pairs of axis-0 planes; with j, spectrum is only the gathered
+        (N0, N2) plane [:, j, :] of a 3-D spectrum (a _transform finish).
 
         fftfreq gives k0[N0 - i] = -k0[i] exactly, and the centering sign
-        (-1)^n and the weights are even in k0, so plane N0 - i takes the
+        (-1)^n and omega are even in k0, so plane (row) N0 - i takes the
         factors built for plane i: they are built for planes 0..N0/2 only,
-        whole planes at a time, at least _BLOCK entries per span, so no
-        float grid.  sign * (1/N) holds +-(1/N) exactly.  Each mode takes
-        spectrum * (sign * (1/N)) and then weights * spectrum: complex
-        products round differently in each operand order."""
+        whole planes at a time, at least _BLOCK entries per span (a
+        gathered plane's rows in one span), so no float grid; omega with
+        _omega_span's order of sums.  sign * (1/N) holds +-(1/N) exactly.
+        Each mode takes spectrum * (sign * (1/N)) and then weights *
+        spectrum: complex products round differently in each order."""
         n0, half = self.nodes[0], self.nodes[0] // 2
         planes = spectrum.reshape(n0, -1)
-        sign = self._centering_sign().reshape(n0, -1)
+        sign = self._centering_sign()
+        sign = sign.reshape(n0, -1) if j is None else sign[:, j]
         per = planes.shape[1]
-        step = -(-_BLOCK // per)
+        step = -(-_BLOCK // per) if j is None else half + 1
         for a in range(0, half + 1, step):
             b = min(a + step, half + 1)
             scale = sign[a:b] * (1.0 / self.total_nodes)
-            w = (None if weights is None
-                 else weights(a * per, b * per).reshape(b - a, per))
+            w = None
+            if mass is not None:
+                if j is None:
+                    w = self._omega_span(mass, a * per, b * per)
+                else:       # the lines (a..b-1, j) of omega
+                    k0, k1, k2 = (k.reshape(-1) for k in self.k_grids)
+                    w = (k0[a:b] * k0[a:b] + k1[j] * k1[j])[:, None] + k2 * k2
+                    np.sqrt(np.add(w, mass * mass, out=w), out=w)
+                w **= -0.5
+                w = np.multiply(root, w, out=w).reshape(b - a, per)
             parts = [(planes[a:b], scale, w)]
             lo, hi = max(a, 1), min(b, half)    # planes 0, N0/2: no mirror
             if lo < hi:
@@ -343,26 +385,41 @@ def _keeps_zero(n: int) -> bool:
 # the smallest N0 at which gathering won for both (N1, N2) in a pinned
 # best-of-9 scan of N0 in {64, 80, ..., 256} x (N1, N2) in {(64, 64),
 # (160, 160)} (BENCH_30.json "threshold_scan": the ratio follows N0).
+# On that side of the gate the grid-wide factors ride in the plane loops
+# (modes_to_grid: sign per axis-0 row, N per plane; grid_to_modes and
+# _analyze_delta: _analyze's factors per plane); below it each is a pass.
 _GATHER_N0 = 128
 
 
-def _transform(grid: np.ndarray, axis: int, inverse: bool = False):
+def _gathers(shape: tuple) -> bool:
+    """True if _transform gathers the axis-0 pass of a grid of shape."""
+    return len(shape) == 3 and shape[0] >= _GATHER_N0
+
+
+def _transform(grid: np.ndarray, axis: int, inverse: bool = False,
+               fill=None, finish=None):
     """np.fft.fft (ifft if inverse) of grid along axis, in place; returns
-    grid.
+    grid.  finish(j, plane), if given, then scales the result: the whole
+    grid (j None) on the direct route, plane j on the gathered one.
 
     The axis-0 lines of a 3-D grid lie a whole (N1, N2) plane apart, so
     that from _GATHER_N0 on pocketfft's per-line gather keeps missing the
     cache.  There each plane grid[:, j, :] is copied into one contiguous
-    (N0, N2) scratch plane, transformed along its axis 0 and copied back:
-    N1 calls, and every line still takes its own pocketfft transform of
-    the same values, so the bytes are the direct call's."""
+    (N0, N2) scratch plane (or built by fill(j, plane), when the grid's
+    content is not needed), transformed along its axis 0, finished while
+    it is in cache and copied back: N1 calls, and every line still takes
+    its own pocketfft transform of the same values, so the bytes are the
+    direct call's."""
     step = np.fft.ifft if inverse else np.fft.fft
-    if axis or grid.ndim != 3 or grid.shape[0] < _GATHER_N0:
-        return step(grid, axis=axis, out=grid)
+    finish = finish or (lambda j, done: None)
+    if axis or not _gathers(grid.shape):
+        finish(None, step(grid, axis=axis, out=grid))
+        return grid
+    fill = fill or (lambda j, plane: np.copyto(plane, grid[:, j]))
     plane = np.empty((grid.shape[0], grid.shape[2]), dtype=complex)
     for j in range(grid.shape[1]):
-        plane[...] = grid[:, j]
-        step(plane, axis=0, out=plane)
+        fill(j, plane)
+        finish(j, step(plane, axis=0, out=plane))
         grid[:, j] = plane
     return grid
 

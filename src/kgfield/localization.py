@@ -199,16 +199,9 @@ def localized_state(epsilon: int, y, lattice: MomentumLattice,
     if epsilon not in (1, -1):
         raise ValueError("sector label must be +1 or -1")
     idx = _node_index(lattice, y)
-    root = np.sqrt(params.mass / params.kappa)
-
-    def weights(start, stop):
-        # root * omega^{-1/2} over a span of planes: no float grid
-        winv = lattice._omega_span(params.mass, start, stop)
-        winv **= -0.5
-        return np.multiply(root, winv, out=winv)
-
     phi = lattice._analyze_delta(idx, 1.0 / np.sqrt(lattice.cell_volume),
-                                 weights)
+                                 params.mass,
+                                 np.sqrt(params.mass / params.kappa))
     f = LatticeField._one_sector(lattice, params, phi, epsilon, t0)
     axes = lattice.coordinate_axes()
     ycoord = np.array([axes[i][idx[i]] for i in range(len(idx))])

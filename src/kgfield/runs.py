@@ -412,14 +412,14 @@ def _task_bessel_profile(f, t0, task, config):
         raise TaskError("bessel-profile: needs a 3-dimensional model")
     if config["field"]["construction"] != "localized-state":
         raise TaskError("bessel-profile: needs a localized-state field")
+    if not all(any(ray) for ray in task["rays"]):
+        raise TaskError("bessel-profile: zero ray")
     node = config["field"]["node"]
     psi = np.abs(f.psi_grid(t0)) / np.sqrt(lat.cell_volume)
     rows = []
     in_window = []
     for ray in task["rays"]:
         ray = np.array(ray, dtype=int)
-        if not ray.any():
-            raise TaskError("bessel-profile: zero ray")
         for j in range(1, task["steps"] + 1):
             steps = j * ray
             if np.any(2 * np.abs(steps) >= np.array(lat.nodes)):

@@ -905,6 +905,22 @@ def test_console_module_catches_what_the_config_commands_raise(
     assert "Traceback" not in proc.stderr
 
 
+def test_a_zero_ray_fails_before_the_psi_grid_is_built(tmp_path, monkeypatch,
+                                                        capsys):
+    from kgfield.core import LatticeField
+
+    calls = []
+    monkeypatch.setattr(LatticeField, "psi_grid",
+                        lambda self, t: calls.append(t))
+    # the zero ray comes last, after rays the task would profile
+    doc = _shipped("scenario_localized", ("tasks", 0, "rays"),
+                   [[1, 1, 1], [1, 2, 3], [0, 0, 0]])
+    doc["output"]["directory"] = str(tmp_path / "out")
+    assert main(["scenario", write_config(tmp_path, "zero.json", doc)]) == 1
+    assert capsys.readouterr().err == "task failed: bessel-profile: zero ray\n"
+    assert calls == []
+
+
 def test_package_names_resolve_lazily_from_core(tmp_path):
     from kgfield import core
 

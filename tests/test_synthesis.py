@@ -38,7 +38,12 @@ which from core._GATHER_N0 on copies a 3-D grid's (N0, N2) planes into
 one contiguous plane for the axis-0 pass; forced on and off, both paths
 must give numpy's bytes, a spy shows each axis-0 line transformed once
 from a C-contiguous plane, and the memory budgets hold with every 3-D
-grid gathered.
+grid gathered.  On the gathered side the grid-wide factors ride in the
+plane loops: synthesis signs and transforms one axis-0 row at a time and
+scales each plane by N, and the delta transform builds its planes into
+an np.empty grid and applies the 1/N sign and omega^(-1/2) weights per
+plane; localized states must keep their bytes under both gates, and a
+NaN-poisoned np.empty shows every entry written.
 """
 
 import itertools
@@ -246,29 +251,30 @@ def _delta_lattice(nodes):
 
 
 LOCALIZED_SHAPES = {**SHAPES, **{str(n): _delta_lattice(n)
-                                  for n in DELTA_SHAPES}}
+                                  for n in DELTA_SHAPES + GATHER_SHAPES}}
 
 
 @pytest.mark.parametrize("shape", LOCALIZED_SHAPES)
 @pytest.mark.parametrize("eps", [1, -1])
-def test_localized_state_is_bitwise_unchanged(shape, eps):
+def test_localized_state_is_bitwise_unchanged(monkeypatch, shape, eps):
     L, N = LOCALIZED_SHAPES[shape]
     lat = MomentumLattice(L, N)
     axes = lat.coordinate_axes()
-    for idx in _delta_nodes(N):
-        y = [axes[d][idx[d]] for d in range(len(N))]
-        f = localized_state(eps, y, lat, PARAMS, t0=T0).field
-        modes = old_localized_modes(lat, PARAMS, idx)
-        zero = np.zeros_like(modes)
-        old = f.copy_with(phi_plus=modes if eps > 0 else zero,
-                          phi_minus=zero if eps > 0 else modes)
-        assert_same_bytes(f.phi_plus, old.phi_plus)
-        assert_same_bytes(f.phi_minus, old.phi_minus)
-        for t in (T0, T):
-            assert_same_bytes(f.psi_grid(t),
-                              old_modes_to_grid(lat, old_psi(old, t)))
-            assert_same_bytes(f.psidot_grid(t),
-                              old_modes_to_grid(lat, old_psidot(old, t)))
+    for _ in _gates(monkeypatch):   # the weights per gathered plane, too
+        for idx in _delta_nodes(N):
+            y = [axes[d][idx[d]] for d in range(len(N))]
+            f = localized_state(eps, y, lat, PARAMS, t0=T0).field
+            modes = old_localized_modes(lat, PARAMS, idx)
+            zero = np.zeros_like(modes)
+            old = f.copy_with(phi_plus=modes if eps > 0 else zero,
+                              phi_minus=zero if eps > 0 else modes)
+            assert_same_bytes(f.phi_plus, old.phi_plus)
+            assert_same_bytes(f.phi_minus, old.phi_minus)
+            for t in (T0, T):
+                assert_same_bytes(f.psi_grid(t),
+                                  old_modes_to_grid(lat, old_psi(old, t)))
+                assert_same_bytes(f.psidot_grid(t),
+                                  old_modes_to_grid(lat, old_psidot(old, t)))
 
 
 def _planted(phi):
@@ -550,6 +556,51 @@ def test_delta_transform_gives_the_dense_fftn_bytes(monkeypatch, nodes):
             old = old_grid_to_modes(lat, delta)
             assert_same_bytes(lat._analyze_delta(idx, value), old)
             assert_same_bytes(lat.grid_to_modes(delta), old)
+
+
+def _poisoned_empty(monkeypatch):
+    """np.empty whose float and complex grids come back NaN in every
+    entry; returns the list of shapes it served."""
+    shapes, real = [], np.empty
+
+    def empty(shape, *args, **kw):
+        grid = real(shape, *args, **kw)
+        if grid.dtype.kind in "fc":
+            grid.fill(np.nan)
+        shapes.append(grid.shape)
+        return grid
+
+    monkeypatch.setattr(np, "empty", empty)
+    return shapes
+
+
+@pytest.mark.parametrize("nodes", GATHER_SHAPES, ids=str)
+def test_the_plane_route_writes_every_entry_of_its_grid(monkeypatch, nodes):
+    """With every 3-D grid gathered, the delta transform builds its
+    planes into an np.empty grid and synthesis writes its np.empty grid
+    a row at a time: a NaN left in either would show in the bytes."""
+    monkeypatch.setattr(core, "_GATHER_N0", 0)
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    value = 1.0 / np.sqrt(lat.cell_volume)
+    axes = lat.coordinate_axes()
+    dense = _planted_inputs(nodes)["dense"]
+    cases = []
+    for idx in _delta_nodes(nodes):
+        delta = np.zeros(nodes, dtype=complex)
+        delta[idx] = value
+        y = [axis[i] for axis, i in zip(axes, idx)]
+        cases += [(lambda idx=idx: lat._analyze_delta(idx, value),
+                   old_grid_to_modes(lat, delta)),
+                  (lambda y=y: localized_state(1, y, lat, PARAMS).field.phi_plus,
+                   old_localized_modes(lat, PARAMS, idx))]
+    cases += [(lambda: lat.grid_to_modes(dense), old_grid_to_modes(lat, dense)),
+              (lambda: lat.modes_to_grid(dense),
+               old_modes_to_grid(lat, dense))]
+    shapes = _poisoned_empty(monkeypatch)
+    for run, old in cases:
+        shapes.clear()
+        assert_same_bytes(run(), old)
+        assert nodes in shapes          # the grid came from np.empty
 
 
 def _dense_spy(monkeypatch, lat):
