@@ -215,10 +215,10 @@ class MomentumLattice:
         its corner blocks and +0 elsewhere, then ifftn's per-axis ifft
         loop, last axis first, on the plan's slabs only, each through
         _transform, and the factor N in the axis-0 pass: ifftn's bytes.
-        Where _transform gathers, each axis-0 row that holds modes (every
-        row, from an axis that does not keep +0 lines +0) takes its
-        modes * sign and its axis-2 and axis-1 lines while it is in
-        cache, and each gathered plane takes N before write-back."""
+        In 3-D each axis-0 row that holds modes (every row, from an axis
+        that does not keep +0 lines +0) takes its modes * sign and its
+        axis-2 and axis-1 lines while it is in cache, and each (N0, N2)
+        plane of the axis-0 pass takes N before write-back."""
         fine, corners, slabs = self._refinement(pad)
         lat = self if fine is None else fine
         if out is None:
@@ -233,7 +233,7 @@ class MomentumLattice:
         # the coarse and fine centering signs agree at every mode, and an
         # int8 +-1 promotes to +-1+0j
         modes, sign = np.asarray(modes), self._centering_sign()
-        if _gathers(lat.nodes):
+        if self.dim == 3:
             rows, coarse = range(lat.nodes[0]), range(self.nodes[0])
             for r in rows:
                 for c, f in corners:
@@ -257,8 +257,8 @@ class MomentumLattice:
     def grid_to_modes(self, grid: np.ndarray) -> np.ndarray:
         """Inverse of modes_to_grid on the native grid: fftn's per-axis
         fft loop, last axis first, through _transform, so fftn's bytes,
-        and _analyze's factors as the axis-0 pass's finish: one pass
-        below _GATHER_N0, each gathered plane before write-back above."""
+        and _analyze's factors as the axis-0 pass's finish: one pass in
+        1-D and 2-D, each (N0, N2) plane before write-back in 3-D."""
         spectrum = np.fft.fft(grid, axis=-1,
                               out=np.empty(self.nodes, dtype=complex))
         for a in reversed(range(1, self.dim - 1)):
@@ -281,14 +281,14 @@ class MomentumLattice:
         for some (Bluestein lengths such as 202); it is transformed once
         per axis and broadcast, which keeps fftn's bytes.  Each pass goes
         through _transform, the last one with _analyze's factors as its
-        finish.  Where that pass gathers, each plane is built from the
-        zero lines and the plane's line of the delta, so the returned
-        np.empty grid is written once and no zero grid is read."""
+        finish.  In 3-D that pass builds each plane from the zero lines
+        and the plane's line of the delta, so the returned np.empty grid
+        is written once and no zero grid is read."""
         part = np.asarray(value, dtype=complex)
         zero = np.zeros((), dtype=complex)
         finish = functools.partial(self._analyze, mass=mass, root=root)
         for axis in reversed(range(self.dim)):
-            if not axis and _gathers(self.nodes):
+            if not axis and self.dim == 3:
                 def fill(j, plane):
                     plane[...] = zero[j]
                     plane[idx[0]] = part[j]
@@ -307,14 +307,14 @@ class MomentumLattice:
                  mass: float | None = None, root: float = 1.0) -> np.ndarray:
         """Scale an fftn spectrum in place by 1/N times the centering phase,
         then, with mass, by root * omega(mass)^(-1/2), in one pass over
-        pairs of axis-0 planes; with j, spectrum is only the gathered
-        (N0, N2) plane [:, j, :] of a 3-D spectrum (a _transform finish).
+        pairs of axis-0 planes; with j, spectrum is only the (N0, N2)
+        plane [:, j, :] of a 3-D spectrum (a _transform finish).
 
         fftfreq gives k0[N0 - i] = -k0[i] exactly, and the centering sign
         (-1)^n and omega are even in k0, so plane (row) N0 - i takes the
         factors built for plane i: they are built for planes 0..N0/2 only,
-        whole planes at a time, at least _BLOCK entries per span (a
-        gathered plane's rows in one span), so no float grid; omega with
+        whole planes at a time, at least _BLOCK entries per span (a 3-D
+        plane's rows in one span), so no float grid; omega with
         _omega_span's order of sums.  sign * (1/N) holds +-(1/N) exactly.
         Each mode takes spectrum * (sign * (1/N)) and then weights *
         spectrum: complex products round differently in each order."""
@@ -381,38 +381,23 @@ def _keeps_zero(n: int) -> bool:
     return not np.fft.ifft(np.zeros(n, dtype=complex)).view(np.uint64).any()
 
 
-# The axis-0 length from which a 3-D grid's axis-0 pass gathers planes:
-# the smallest N0 at which gathering won for both (N1, N2) in a pinned
-# best-of-9 scan of N0 in {64, 80, ..., 256} x (N1, N2) in {(64, 64),
-# (160, 160)} (BENCH_30.json "threshold_scan": the ratio follows N0).
-# On that side of the gate the grid-wide factors ride in the plane loops
-# (modes_to_grid: sign per axis-0 row, N per plane; grid_to_modes and
-# _analyze_delta: _analyze's factors per plane); below it each is a pass.
-_GATHER_N0 = 128
-
-
-def _gathers(shape: tuple) -> bool:
-    """True if _transform gathers the axis-0 pass of a grid of shape."""
-    return len(shape) == 3 and shape[0] >= _GATHER_N0
-
-
 def _transform(grid: np.ndarray, axis: int, inverse: bool = False,
                fill=None, finish=None):
     """np.fft.fft (ifft if inverse) of grid along axis, in place; returns
     grid.  finish(j, plane), if given, then scales the result: the whole
-    grid (j None) on the direct route, plane j on the gathered one.
+    grid (j None), or plane j in the axis-0 pass of a 3-D grid.
 
     The axis-0 lines of a 3-D grid lie a whole (N1, N2) plane apart, so
-    that from _GATHER_N0 on pocketfft's per-line gather keeps missing the
-    cache.  There each plane grid[:, j, :] is copied into one contiguous
-    (N0, N2) scratch plane (or built by fill(j, plane), when the grid's
-    content is not needed), transformed along its axis 0, finished while
-    it is in cache and copied back: N1 calls, and every line still takes
-    its own pocketfft transform of the same values, so the bytes are the
-    direct call's."""
+    pocketfft's per-line gather would keep missing the cache.  Instead
+    each plane grid[:, j, :] is copied into one contiguous (N0, N2)
+    scratch plane (or built by fill(j, plane), when the grid's content is
+    not needed), transformed along its axis 0, finished while it is in
+    cache and copied back: N1 calls, and every line still takes its own
+    pocketfft transform of the same values, so the bytes are those of one
+    call on the whole grid."""
     step = np.fft.ifft if inverse else np.fft.fft
     finish = finish or (lambda j, done: None)
-    if axis or not _gathers(grid.shape):
+    if axis or grid.ndim != 3:
         finish(None, step(grid, axis=axis, out=grid))
         return grid
     fill = fill or (lambda j, plane: np.copyto(plane, grid[:, j]))
@@ -526,11 +511,14 @@ class LatticeField:
         out = p if np.ndim(p) else m
         np.subtract(p, m, out=out)
         del p, m
-        # -1j * omega a block at a time: no complex grid temporary
+        # -1j * omega a block at a time, in one reused block whose real
+        # parts stay +0 (the bytes of -1j * w): no complex grid temporary
         flat, w = out.reshape(-1), self.omega.reshape(-1)
+        block = np.zeros(min(_BLOCK, flat.size), dtype=complex)
         for i in range(0, flat.size, _BLOCK):
-            np.multiply(-1j * w[i:i + _BLOCK], flat[i:i + _BLOCK],
-                        out=flat[i:i + _BLOCK])
+            part, seg = block[:flat.size - i], flat[i:i + _BLOCK]
+            np.negative(w[i:i + _BLOCK], out=part.imag)
+            np.multiply(part, seg, out=seg)
         return out
 
     def psi_grid(self, t: float) -> np.ndarray:

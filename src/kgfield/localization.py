@@ -93,8 +93,6 @@ def mixture_map(field: LatticeField, a: float, t0: float | None = None) -> Latti
     The image carries parameter a, and its a-form inner products equal
     the 0-form inner products of the source.
     """
-    if t0 is None:
-        t0 = field.t0
     xi = map_Ua(field, 0.0, t0)
     newparams = ModelParams(field.params.mass, field.params.kappa, a)
     return map_U_inverse(TwoComponent(xi.lattice, newparams, xi.xi1, xi.xi2,
@@ -214,8 +212,6 @@ def expand_in_localized_basis(field: LatticeField, t0: float | None = None):
     With Kronecker-normalized states these are just the wavefunction
     values scaled by sqrt(cell volume).
     """
-    if t0 is None:
-        t0 = field.t0
     fp, fm = wavefunction_f(field, t0)
     s = np.sqrt(field.lattice.cell_volume)
     return fp * s, fm * s
@@ -257,8 +253,6 @@ def probability_region(field: LatticeField, region: Region,
     sectors.  The field must be normalized in the a = 0 inner product to
     1e-10 unless normalize=True is passed.
     """
-    if t0 is None:
-        t0 = field.t0
     norm2 = inner_0(field, field).real
     if abs(norm2 - 1.0) > 1e-10:
         if not normalize:

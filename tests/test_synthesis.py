@@ -34,26 +34,27 @@ of ifftn on the whole signed grid for pads 1, 2 and 3, and a spy on
 np.fft.ifft shows which slabs it transforms.  localized_state,
 positive_packet and energy_split declare their np.zeros sector instead
 of scanning it.  Every lattice transform runs through core._transform,
-which from core._GATHER_N0 on copies a 3-D grid's (N0, N2) planes into
-one contiguous plane for the axis-0 pass; forced on and off, both paths
-must give numpy's bytes, a spy shows each axis-0 line transformed once
-from a C-contiguous plane, and the memory budgets hold with every 3-D
-grid gathered.  On the gathered side the grid-wide factors ride in the
-plane loops: synthesis signs and transforms one axis-0 row at a time and
-scales each plane by N, and the delta transform builds its planes into
-an np.empty grid and applies the 1/N sign and omega^(-1/2) weights per
-plane; localized states must keep their bytes under both gates, and a
-NaN-poisoned np.empty shows every entry written.
+which copies each (N0, N2) plane of a 3-D grid, whatever its size, into
+one contiguous plane for the axis-0 pass: it must give numpy's bytes, a
+spy shows each axis-0 line transformed once from a C-contiguous plane,
+and the shipped 64^3 localized scenario takes that route.  The grid-wide
+factors ride in the plane loops: synthesis signs and transforms one
+axis-0 row at a time and scales each plane by N, and the delta transform
+builds its planes into an np.empty grid and applies the 1/N sign and
+omega^(-1/2) weights per plane; a NaN-poisoned np.empty shows every
+entry written.
 """
 
 import itertools
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kgfield import core
+from kgfield.cli import main
 from kgfield.core import (
     _BLOCK,
     ModelParams,
@@ -78,6 +79,7 @@ from kgfield.inner import inner_0, inner_a, inner_a_split
 from kgfield.limits import schrodinger_reference
 from kgfield.localization import localized_state, map_Ua
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PARAMS = ModelParams(mass=1.3, kappa=0.8, a=0.35)
 T0, T = 0.25, 0.9
 
@@ -165,14 +167,6 @@ def assert_same_bytes(new, old):
                     f"words differ")
 
 
-def _gates(monkeypatch):
-    """Force core._GATHER_N0 so that every 3-D grid's axis-0 pass gathers
-    its planes, then so that none does; yields the forced value."""
-    for n0 in (0, 1 << 30):
-        monkeypatch.setattr(core, "_GATHER_N0", n0)
-        yield n0
-
-
 def _fields(shape):
     L, N = SHAPES[shape]
     lat = MomentumLattice(L, N)
@@ -233,8 +227,8 @@ def test_inner_a_is_bitwise_unchanged(shape, a):
 # zeros that the other lines must carry; 202x12 pairs Bluestein planes
 DELTA_SHAPES = [(16,), (202,), (64, 64), (48, 80), (8, 254), (4, 202),
                 (202, 12), (32, 32, 32), (96, 40, 24), (6, 6, 202)]
-# 3-D grids for both axis-0 paths: a Bluestein length (202) on axis 0,
-# and two short ones
+# 3-D grids for the plane route: a Bluestein length (202) on axis 0, and
+# two short ones
 GATHER_SHAPES = [(202, 6, 8), (10, 6, 8), (8, 6, 4)]
 
 
@@ -256,25 +250,24 @@ LOCALIZED_SHAPES = {**SHAPES, **{str(n): _delta_lattice(n)
 
 @pytest.mark.parametrize("shape", LOCALIZED_SHAPES)
 @pytest.mark.parametrize("eps", [1, -1])
-def test_localized_state_is_bitwise_unchanged(monkeypatch, shape, eps):
+def test_localized_state_is_bitwise_unchanged(shape, eps):
     L, N = LOCALIZED_SHAPES[shape]
     lat = MomentumLattice(L, N)
     axes = lat.coordinate_axes()
-    for _ in _gates(monkeypatch):   # the weights per gathered plane, too
-        for idx in _delta_nodes(N):
-            y = [axes[d][idx[d]] for d in range(len(N))]
-            f = localized_state(eps, y, lat, PARAMS, t0=T0).field
-            modes = old_localized_modes(lat, PARAMS, idx)
-            zero = np.zeros_like(modes)
-            old = f.copy_with(phi_plus=modes if eps > 0 else zero,
-                              phi_minus=zero if eps > 0 else modes)
-            assert_same_bytes(f.phi_plus, old.phi_plus)
-            assert_same_bytes(f.phi_minus, old.phi_minus)
-            for t in (T0, T):
-                assert_same_bytes(f.psi_grid(t),
-                                  old_modes_to_grid(lat, old_psi(old, t)))
-                assert_same_bytes(f.psidot_grid(t),
-                                  old_modes_to_grid(lat, old_psidot(old, t)))
+    for idx in _delta_nodes(N):
+        y = [axes[d][idx[d]] for d in range(len(N))]
+        f = localized_state(eps, y, lat, PARAMS, t0=T0).field
+        modes = old_localized_modes(lat, PARAMS, idx)
+        zero = np.zeros_like(modes)
+        old = f.copy_with(phi_plus=modes if eps > 0 else zero,
+                          phi_minus=zero if eps > 0 else modes)
+        assert_same_bytes(f.phi_plus, old.phi_plus)
+        assert_same_bytes(f.phi_minus, old.phi_minus)
+        for t in (T0, T):
+            assert_same_bytes(f.psi_grid(t),
+                              old_modes_to_grid(lat, old_psi(old, t)))
+            assert_same_bytes(f.psidot_grid(t),
+                              old_modes_to_grid(lat, old_psidot(old, t)))
 
 
 def _planted(phi):
@@ -373,7 +366,7 @@ BUDGETS = {"psi_grid": 2.5, "psidot_grid": 2.5, "inner_0": 2.5,
 
 
 @pytest.mark.parametrize("route", BUDGETS)
-def test_lean_routes_stay_within_their_memory_budget(monkeypatch, route):
+def test_lean_routes_stay_within_their_memory_budget(route):
     lat = MomentumLattice([6.0] * 3, [48] * 3)
     if route.startswith("one-sector"):
         # the zero sector is neither re-phased nor reduced: one grid less
@@ -384,18 +377,17 @@ def test_lean_routes_stay_within_their_memory_budget(monkeypatch, route):
     run = {"psi_grid": lambda: f.psi_grid(t),
            "psidot_grid": lambda: f.psidot_grid(t),
            "inner_0": lambda: inner_0(f, f)}[route.split("-")[-1]]
-    for n0 in _gates(monkeypatch):      # the scratch is one (N0, N2) plane
-        run()                   # the lattice caches its frequencies
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        grids = (peak - held) / (16 * lat.total_nodes)
-        assert grids <= BUDGETS[route], \
-            f"{route} peaked {grids:.2f} complex grids above held (N0 {n0})"
+    run()                   # the lattice caches its frequencies
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grids = (peak - held) / (16 * lat.total_nodes)
+    assert grids <= BUDGETS[route], \
+        f"{route} peaked {grids:.2f} complex grids above held"
 
 
 class _TwoGrid:
@@ -546,16 +538,15 @@ def test_sector_maps_of_one_sector_fields_keep_their_bytes(eps):
 # ------------------------------------------- localized states without fftn
 
 @pytest.mark.parametrize("nodes", DELTA_SHAPES + GATHER_SHAPES, ids=str)
-def test_delta_transform_gives_the_dense_fftn_bytes(monkeypatch, nodes):
+def test_delta_transform_gives_the_dense_fftn_bytes(nodes):
     lat = MomentumLattice(*_delta_lattice(nodes))
     value = 1.0 / np.sqrt(lat.cell_volume)
-    for _ in _gates(monkeypatch):
-        for idx in _delta_nodes(nodes):
-            delta = np.zeros(nodes, dtype=complex)
-            delta[idx] = value
-            old = old_grid_to_modes(lat, delta)
-            assert_same_bytes(lat._analyze_delta(idx, value), old)
-            assert_same_bytes(lat.grid_to_modes(delta), old)
+    for idx in _delta_nodes(nodes):
+        delta = np.zeros(nodes, dtype=complex)
+        delta[idx] = value
+        old = old_grid_to_modes(lat, delta)
+        assert_same_bytes(lat._analyze_delta(idx, value), old)
+        assert_same_bytes(lat.grid_to_modes(delta), old)
 
 
 def _poisoned_empty(monkeypatch):
@@ -576,10 +567,9 @@ def _poisoned_empty(monkeypatch):
 
 @pytest.mark.parametrize("nodes", GATHER_SHAPES, ids=str)
 def test_the_plane_route_writes_every_entry_of_its_grid(monkeypatch, nodes):
-    """With every 3-D grid gathered, the delta transform builds its
-    planes into an np.empty grid and synthesis writes its np.empty grid
-    a row at a time: a NaN left in either would show in the bytes."""
-    monkeypatch.setattr(core, "_GATHER_N0", 0)
+    """The 3-D delta transform builds its planes into an np.empty grid
+    and synthesis writes its np.empty grid a row at a time: a NaN left
+    in either would show in the bytes."""
     lat = MomentumLattice(*_delta_lattice(nodes))
     value = 1.0 / np.sqrt(lat.cell_volume)
     axes = lat.coordinate_axes()
@@ -710,19 +700,16 @@ def test_psidot_grid_takes_no_more_memory_than_psi_grid():
 ONE_SECTOR_PSI_T0_BUDGET = 1.1
 
 
-def test_one_sector_psi_grid_at_t0_stays_within_its_memory_budget(
-        monkeypatch):
+def test_one_sector_psi_grid_at_t0_stays_within_its_memory_budget():
     lat = MomentumLattice([6.0] * 3, [48] * 3)
     fields = [localized_state(eps, [0.0] * 3, lat, PARAMS, t0=T0).field
               for eps in (1, -1)]
-    for n0 in _gates(monkeypatch):
-        for f in fields:
-            f.psi_grid(T0)      # the lattice caches its sign
-            _, peak = _traced(lambda: f.psi_grid(T0))
-            grids = peak / (16 * lat.total_nodes)
-            assert grids <= ONE_SECTOR_PSI_T0_BUDGET, \
-                f"psi_grid(t0) peaked {grids:.2f} complex grids above " \
-                f"held (N0 {n0})"
+    for f in fields:
+        f.psi_grid(T0)      # the lattice caches its sign
+        _, peak = _traced(lambda: f.psi_grid(T0))
+        grids = peak / (16 * lat.total_nodes)
+        assert grids <= ONE_SECTOR_PSI_T0_BUDGET, \
+            f"psi_grid(t0) peaked {grids:.2f} complex grids above held"
 
 
 # ------------------------------------------- frequency grids built on demand
@@ -1126,30 +1113,28 @@ def _planted_inputs(nodes):
 
 
 @pytest.mark.parametrize("nodes", PRUNED_SHAPES + GATHER_SHAPES, ids=str)
-def test_pruned_synthesis_keeps_the_ifftn_bytes(monkeypatch, nodes):
+def test_pruned_synthesis_keeps_the_ifftn_bytes(nodes):
     lat = MomentumLattice(*_delta_lattice(nodes))
     inputs = _planted_inputs(nodes)
-    for _ in _gates(monkeypatch):
-        for pad in (1, 2, 3):
-            fine = lat.refined(pad).nodes
-            for label, modes in inputs.items():
-                old = old_modes_to_grid(lat, modes, pad)
-                assert_same_bytes(lat.modes_to_grid(modes, pad), old)
-                out = np.full(fine, complex(-0.0, np.nan))  # stale content
-                assert_same_bytes(lat.modes_to_grid(modes, pad, out), old)
-        buf = np.array(inputs["dense"])     # in place on the modes at pad 1
-        assert lat.modes_to_grid(buf, 1, buf) is buf
-        assert_same_bytes(buf, old_modes_to_grid(lat, inputs["dense"]))
+    for pad in (1, 2, 3):
+        fine = lat.refined(pad).nodes
+        for label, modes in inputs.items():
+            old = old_modes_to_grid(lat, modes, pad)
+            assert_same_bytes(lat.modes_to_grid(modes, pad), old)
+            out = np.full(fine, complex(-0.0, np.nan))  # stale content
+            assert_same_bytes(lat.modes_to_grid(modes, pad, out), old)
+    buf = np.array(inputs["dense"])     # in place on the modes at pad 1
+    assert lat.modes_to_grid(buf, 1, buf) is buf
+    assert_same_bytes(buf, old_modes_to_grid(lat, inputs["dense"]))
 
 
 @pytest.mark.parametrize("nodes", PRUNED_SHAPES + GATHER_SHAPES, ids=str)
-def test_grid_to_modes_keeps_the_fftn_bytes(monkeypatch, nodes):
+def test_grid_to_modes_keeps_the_fftn_bytes(nodes):
     lat = MomentumLattice(*_delta_lattice(nodes))
     inputs = _planted_inputs(nodes)
-    for _ in _gates(monkeypatch):
-        for grid in inputs.values():
-            assert_same_bytes(lat.grid_to_modes(grid),
-                              old_grid_to_modes(lat, grid))
+    for grid in inputs.values():
+        assert_same_bytes(lat.grid_to_modes(grid),
+                          old_grid_to_modes(lat, grid))
 
 
 def _ifft_spy(monkeypatch):
@@ -1168,20 +1153,25 @@ def _ifft_spy(monkeypatch):
     return calls
 
 
-# (nodes, pad) -> the (slab shape, axis) of each ifft call, last axis first
+# (nodes, pad) -> the (slab shape, axis) of each ifft call, last axis first;
+# in 3-D each fine axis-0 row that holds modes takes its axis-2 and axis-1
+# lines (the row's axes 1 and 0), then each (N0, N2) plane its axis-0 pass
 IFFT_CALLS = {
     ((64, 64), 2): [((32, 128), 1)] * 2 + [((128, 128), 0)],
     ((8, 6), 3): [((4, 18), 1)] * 2 + [((24, 18), 0)],
-    ((4, 6, 8), 2): ([((2, 3, 16), 2)] * 4 + [((2, 12, 16), 1)] * 2
-                     + [((8, 12, 16), 0)]),
+    ((4, 6, 8), 2): (([((3, 16), 1)] * 2 + [((12, 16), 0)]) * 4
+                     + [((8, 16), 0)] * 12),
     ((8, 6), 1): [((8, 6), 1), ((8, 6), 0)],
     # from the first axis whose padded length (404) does not keep a +0
     # line +0, every line is transformed
     ((202, 8), 2): [((101, 16), 1)] * 2 + [((404, 16), 0)],
     ((8, 202), 2): [((16, 404), 1), ((16, 404), 0)],
-    ((4, 202, 6), 2): ([((2, 101, 12), 2)] * 4 + [((8, 404, 12), 1),
-                                                  ((8, 404, 12), 0)]),
-    ((4, 6, 202), 2): [((8, 12, 404), a) for a in (2, 1, 0)],
+    ((4, 202, 6), 2): (([((101, 12), 1)] * 2 + [((404, 12), 0)]) * 2
+                       + [((404, 12), 0)] * 4       # rows 2..5: no modes
+                       + ([((101, 12), 1)] * 2 + [((404, 12), 0)]) * 2
+                       + [((8, 12), 0)] * 404),
+    ((4, 6, 202), 2): ([((12, 404), 1), ((12, 404), 0)] * 8
+                       + [((8, 404), 0)] * 12),
 }
 
 
@@ -1216,18 +1206,15 @@ CONTINUITY_BUDGETS = {"J_a": 13.0, "calJ_a": 11.5}
 
 
 @pytest.mark.parametrize("which", CONTINUITY_BUDGETS)
-def test_continuity_residual_stays_within_its_memory_budget(monkeypatch,
-                                                           which):
+def test_continuity_residual_stays_within_its_memory_budget(which):
     lat = MomentumLattice([6.0] * 3, [16] * 3)
     f = random_field(lat, PARAMS, seed=7, t0=T0)
     run = lambda: continuity_residual(f, T, which)
-    for n0 in _gates(monkeypatch):
-        run()       # the lattices cache frequencies, signs and the phase
-        _, peak = _traced(run)
-        grids = peak / (16 * lat.refined(PAD).total_nodes)
-        assert grids <= CONTINUITY_BUDGETS[which], \
-            f"{which} peaked {grids:.2f} padded complex grids above held " \
-            f"(N0 {n0})"
+    run()       # the lattices cache frequencies, signs and the phase
+    _, peak = _traced(run)
+    grids = peak / (16 * lat.refined(PAD).total_nodes)
+    assert grids <= CONTINUITY_BUDGETS[which], \
+        f"{which} peaked {grids:.2f} padded complex grids above held"
 
 
 def _span_spy(monkeypatch, lat):
@@ -1241,6 +1228,19 @@ def _span_spy(monkeypatch, lat):
 
     monkeypatch.setattr(lat, "_omega_span", span)
     return spans
+
+
+def _sqrt_spy(monkeypatch):
+    """The shape of every np.sqrt call on an array, as a list."""
+    shapes, real = [], np.sqrt
+
+    def sqrt(x, *args, **kw):
+        if np.ndim(x):
+            shapes.append(np.shape(x))
+        return real(x, *args, **kw)
+
+    monkeypatch.setattr(np, "sqrt", sqrt)
+    return shapes
 
 
 def _inner_pairs(lat):
@@ -1288,15 +1288,20 @@ def test_localized_state_builds_omega_for_half_the_planes(monkeypatch,
     calls = _dense_spy(monkeypatch, lat)
     idx = _delta_nodes(nodes)[-1]
     y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
+    roots = _sqrt_spy(monkeypatch)
     localized_state(1, y, lat, PARAMS)
-    per = lat.total_nodes // nodes[0]
-    span = -(-_BLOCK // per)                # whole planes per span
     planes = nodes[0] // 2 + 1              # k0 >= 0: 0 .. N0/2
-    whole = -(-planes // span) * span
-    built = sum(min(j, lat.total_nodes) - i for i, j in spans)
-    assert built <= whole * per, \
-        f"omega built for {built / per:.1f} of {nodes[0]} planes"
-    assert len(spans) == -(-planes // span)
+    if len(nodes) == 3:     # rows 0 .. N0/2 of each (N0, N2) plane
+        assert roots == [(planes, nodes[2])] * nodes[1]
+        assert spans == []
+    else:
+        per = lat.total_nodes // nodes[0]
+        span = -(-_BLOCK // per)            # whole planes per span
+        whole = -(-planes // span) * span
+        built = sum(min(j, lat.total_nodes) - i for i, j in spans)
+        assert built <= whole * per, \
+            f"omega built for {built / per:.1f} of {nodes[0]} planes"
+        assert len(spans) == -(-planes // span)
     assert calls == []
     assert lat._omega_cache == {}
 
@@ -1320,7 +1325,6 @@ def test_a_gathered_pass_transforms_each_axis_0_line_once(monkeypatch,
                                                           nodes):
     """Each axis-0 call sees one C-contiguous (N0, N2) plane, and the
     planes, stacked along axis 1, are the grid before the axis-0 pass."""
-    monkeypatch.setattr(core, "_GATHER_N0", 0)
     lat = MomentumLattice(*_delta_lattice(nodes))
     rng = np.random.default_rng(3)
     grid = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
@@ -1343,3 +1347,25 @@ def test_a_gathered_pass_transforms_each_axis_0_line_once(monkeypatch,
         planes = [a for a, _ in calls if a.ndim == 3 or a.shape == plane]
         assert len(planes) == nodes[1]
         assert_same_bytes(np.stack(planes, axis=1), before)
+
+
+def test_the_shipped_64_cubed_scenario_takes_the_plane_route(monkeypatch,
+                                                             tmp_path):
+    """configs/scenario_localized.json (64^3) runs each 3-D axis-0 pass,
+    its localized state's delta analysis and its psi grid's synthesis,
+    as 64 calls on C-contiguous (64, 64) planes, so its golden CSV body
+    pins the plane loop's bytes."""
+    calls, passes, real = _axis_0_spy(monkeypatch), [], core._transform
+
+    def transform(grid, axis, *args, **kw):
+        start = len(calls)
+        out = real(grid, axis, *args, **kw)
+        if not axis and grid.ndim == 3:
+            passes.append([(a.shape, c) for a, c in calls[start:]])
+        return out
+
+    monkeypatch.setattr(core, "_transform", transform)
+    monkeypatch.delenv("KGFIELD_OUT", raising=False)
+    config = CONFIGS / "scenario_localized.json"
+    assert main(["scenario", str(config), "--out", str(tmp_path)]) == 0
+    assert passes == [[((64, 64), True)] * 64] * 2
