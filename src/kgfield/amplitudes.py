@@ -55,12 +55,12 @@ class QuadratureRule:
     @classmethod
     def gauss_legendre(cls, dim: int, radius: float, order: int,
                        stretch: float | None = None) -> "QuadratureRule":
-        if radius <= 0 or order < 2:
-            raise ValueError("need radius > 0 and order >= 2")
+        if not 0 < radius < np.inf or order < 2:
+            raise ValueError("need finite radius > 0 and order >= 2")
         y, w = gauss_legendre_nodes(order)
         if stretch is not None:
-            if stretch <= 0:
-                raise ValueError("stretch scale must be positive")
+            if not 0 < stretch < np.inf:
+                raise ValueError("stretch scale must be positive and finite")
             umax = np.arcsinh(radius / stretch)
             u = umax * y
             x1 = stretch * np.sinh(u)
@@ -134,7 +134,7 @@ def truncation_mass_check(field: AmplitudeField) -> float:
         field.dim, 2.0 * field.quad.radius, 2 * field.quad.order,
         field.quad.stretch))
     deficit = abs(m2 - m1) / max(m2, 1e-300)
-    if deficit > 1e-10:
+    if not deficit <= 1e-10:
         raise ValueError(
             f"truncation radius misses {deficit:.3e} of the amplitude mass")
     return deficit

@@ -140,7 +140,8 @@ class MomentumLattice:
         Only the grid lines (last-axis rows) that the flat C-order span
         touches are built, from the open meshes, with ksq's order of sums
         ((0 + k0^2) + k1^2) + k2^2, then + mass^2 and sqrt in place.  The
-        omega cache is neither read nor filled."""
+        omega cache is neither read nor filled.  Its callers are omega(),
+        for the whole grid, and inner's closed form, a block at a time."""
         n, stop = self.nodes[-1], min(stop, self.total_nodes)
         first, last = start // n, -(-stop // n)
         lead = 0                        # ((0 + k0^2) + k1^2) per line
@@ -279,42 +280,39 @@ class MomentumLattice:
         the full grid along axis 0.  Every other line holds the transform
         of zeros, which is +0 for most lengths but carries signed zeros
         for some (Bluestein lengths such as 202); it is transformed once
-        per axis and broadcast, which keeps fftn's bytes.  Each pass goes
-        through _transform, the last one with _analyze's factors as its
-        finish.  In 3-D that pass builds each plane from the zero lines
-        and the plane's line of the delta, so the returned np.empty grid
-        is written once and no zero grid is read."""
+        per axis and broadcast, which keeps fftn's bytes.  From the last
+        axis down to axis 1, the zero line and the delta's line are the two
+        halves of one buffer, transformed together through _transform.
+        The axis-0 pass fills the grid (in 3-D, each plane) from the zero
+        lines and the delta's line, so the returned np.empty grid is
+        written once and no zero grid is read, and takes _analyze's
+        factors as its finish, in every dimension."""
         part = np.asarray(value, dtype=complex)
         zero = np.zeros((), dtype=complex)
-        finish = functools.partial(self._analyze, mass=mass, root=root)
-        for axis in reversed(range(self.dim)):
-            if not axis and self.dim == 3:
-                def fill(j, plane):
-                    plane[...] = zero[j]
-                    plane[idx[0]] = part[j]
-                return _transform(np.empty(self.nodes, dtype=complex), 0,
-                                  fill=fill, finish=finish)
-            buf = np.zeros(self.nodes[axis:], dtype=complex)
-            if not _all_bytes_zero(zero):
-                buf[...] = zero          # np.zeros already holds +0 bytes
-            if axis:
-                zero = np.fft.fft(buf, axis=0)
-            buf[idx[axis]] = part
-            part = _transform(buf, 0, finish=None if axis else finish)
-        return part
+        for axis in reversed(range(1, self.dim)):
+            buf = np.empty((2, *self.nodes[axis:]), dtype=complex)
+            buf[...] = zero
+            buf[1, idx[axis]] = part
+            zero, part = _transform(buf, 1)
+
+        def fill(j, plane):
+            at = () if j is None else j
+            plane[...] = zero[at]
+            plane[idx[0]] = part[at]
+        return _transform(np.empty(self.nodes, dtype=complex), 0, fill=fill,
+                          finish=functools.partial(self._analyze, mass=mass,
+                                                   root=root))
 
     def _analyze(self, j: int | None, spectrum: np.ndarray,
                  mass: float | None = None, root: float = 1.0) -> np.ndarray:
         """Scale an fftn spectrum in place by 1/N times the centering phase,
-        then, with mass, by root * omega(mass)^(-1/2), in one pass over
-        pairs of axis-0 planes; with j, spectrum is only the (N0, N2)
-        plane [:, j, :] of a 3-D spectrum (a _transform finish).
+        then, with mass, by root * omega(mass)^(-1/2): the whole 1-D or
+        2-D spectrum (j None), or the (N0, N2) plane [:, j, :] of a 3-D
+        one (j, a _transform finish), in one pass over its axis-0 rows.
 
         fftfreq gives k0[N0 - i] = -k0[i] exactly, and the centering sign
-        (-1)^n and omega are even in k0, so plane (row) N0 - i takes the
-        factors built for plane i: they are built for planes 0..N0/2 only,
-        whole planes at a time, at least _BLOCK entries per span (a 3-D
-        plane's rows in one span), so no float grid; omega with
+        (-1)^n and omega are even in k0, so row N0 - i takes the factors
+        built for row i: they are built for rows 0..N0/2 only, omega with
         _omega_span's order of sums.  sign * (1/N) holds +-(1/N) exactly.
         Each mode takes spectrum * (sign * (1/N)) and then weights *
         spectrum: complex products round differently in each order."""
@@ -322,33 +320,24 @@ class MomentumLattice:
         planes = spectrum.reshape(n0, -1)
         sign = self._centering_sign()
         sign = sign.reshape(n0, -1) if j is None else sign[:, j]
-        per = planes.shape[1]
-        step = -(-_BLOCK // per) if j is None else half + 1
-        for a in range(0, half + 1, step):
-            b = min(a + step, half + 1)
-            scale = sign[a:b] * (1.0 / self.total_nodes)
-            w = None
-            if mass is not None:
-                if j is None:
-                    w = self._omega_span(mass, a * per, b * per)
-                else:       # the lines (a..b-1, j) of omega
-                    k0, k1, k2 = (k.reshape(-1) for k in self.k_grids)
-                    w = (k0[a:b] * k0[a:b] + k1[j] * k1[j])[:, None] + k2 * k2
-                    np.sqrt(np.add(w, mass * mass, out=w), out=w)
-                w **= -0.5
-                w = np.multiply(root, w, out=w).reshape(b - a, per)
-            parts = [(planes[a:b], scale, w)]
-            lo, hi = max(a, 1), min(b, half)    # planes 0, N0/2: no mirror
-            if lo < hi:
-                # planes N0-hi+1 .. N0-lo, ascending, mirror hi-1 .. lo
-                mirror = slice(lo - a, hi - a)
-                parts.append((planes[n0 - hi + 1:n0 - lo + 1],
-                              scale[mirror][::-1],
-                              None if w is None else w[mirror][::-1]))
-            for block, sc, wt in parts:
-                np.multiply(block, sc, out=block)
-                if wt is not None:
-                    np.multiply(wt, block, out=block)
+        scale, w = sign[:half + 1] * (1.0 / self.total_nodes), None
+        if mass is not None:
+            # rows 0..N0/2 of omega (of its plane j in 3-D), ksq's order of sums
+            lines = [k.reshape(-1) for k in self.k_grids]
+            lines[0] = lines[0][:half + 1, None]
+            if j is not None:
+                lines[1] = lines[1][j]
+            w = sum(k * k for k in lines)
+            np.sqrt(np.add(w, mass * mass, out=w), out=w)
+            w **= -0.5
+            np.multiply(root, w, out=w)
+        # rows 0..N0/2, then N0/2+1..N0-1 with the factors of N0/2-1..1
+        for rows, take in ((slice(0, half + 1), slice(None)),
+                           (slice(half + 1, n0), slice(half - 1, 0, -1))):
+            block = planes[rows]
+            np.multiply(block, scale[take], out=block)
+            if w is not None:
+                np.multiply(w[take], block, out=block)
         return spectrum
 
     def _centering_sign(self) -> np.ndarray:
@@ -384,8 +373,10 @@ def _keeps_zero(n: int) -> bool:
 def _transform(grid: np.ndarray, axis: int, inverse: bool = False,
                fill=None, finish=None):
     """np.fft.fft (ifft if inverse) of grid along axis, in place; returns
-    grid.  finish(j, plane), if given, then scales the result: the whole
-    grid (j None), or plane j in the axis-0 pass of a 3-D grid.
+    grid.  fill(j, plane), if given, first writes the input, and
+    finish(j, plane), if given, then scales the result: the whole grid
+    (j None; fill(None, grid) before the call), or plane j in the axis-0
+    pass of a 3-D grid.
 
     The axis-0 lines of a 3-D grid lie a whole (N1, N2) plane apart, so
     pocketfft's per-line gather would keep missing the cache.  Instead
@@ -398,6 +389,8 @@ def _transform(grid: np.ndarray, axis: int, inverse: bool = False,
     step = np.fft.ifft if inverse else np.fft.fft
     finish = finish or (lambda j, done: None)
     if axis or grid.ndim != 3:
+        if fill is not None:
+            fill(None, grid)
         finish(None, step(grid, axis=axis, out=grid))
         return grid
     fill = fill or (lambda j, plane: np.copyto(plane, grid[:, j]))

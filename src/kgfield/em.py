@@ -42,6 +42,9 @@ class EMBackground:
         a = np.asarray(self.avec, dtype=float)
         if a.ndim < 2 or a.shape[0] != a.ndim - 1:
             raise ValueError("avec must have shape (d, *spatial nodes)")
+        for name, value in (("avec", a), ("q", self.q)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "avec", a)
 
     @property
@@ -115,14 +118,14 @@ def build_Dq(bg: EMBackground, lattice: MomentumLattice,
     h = _gauged_laplacian_columns(bg, lattice)
     h[np.diag_indices_from(h)] += params.mass ** 2
     residual = float(np.abs(h - h.conj().T).max() / max(np.abs(h).max(), 1.0))
-    if residual > 1e-10:
+    if not residual <= 1e-10:
         raise FloatingPointError(
             f"assembled operator is not Hermitian (residual {residual:.3e})")
     h = 0.5 * (h + h.conj().T)
     with one_thread():
         lam, vec = np.linalg.eigh(h)
     floor = params.mass ** 2 * (1.0 - 1e-9)
-    if lam[0] < floor:
+    if not lam[0] >= floor:
         raise FloatingPointError(
             f"eigenvalue {lam[0]!r} below the mass-squared floor")
     return DenseOperator(lattice, params, h, lam, vec, residual)

@@ -32,8 +32,8 @@ def fit_slope(masses, deviations) -> float:
     deviations = np.asarray(deviations, dtype=float)
     if masses.size < 4:
         raise ValueError("ladder too short for a slope fit (need >= 4)")
-    if np.any(deviations <= 0.0):
-        raise ValueError("deviations must be positive for a log fit")
+    if not all(np.all((0.0 < v) & (v < np.inf)) for v in (masses, deviations)):
+        raise ValueError("masses and deviations must be positive and finite")
     return float(np.polyfit(np.log(masses), np.log(deviations), 1)[0])
 
 
@@ -64,8 +64,8 @@ class LimitSweep:
         if len(self.masses) < 4:
             raise ValueError("mass ladder needs at least 4 points")
         m = np.asarray(self.masses, dtype=float)
-        if np.any(m <= 0.0) or np.any(np.diff(m) <= 0.0):
-            raise ValueError("mass ladder must be positive and increasing")
+        if not (0.0 < m[0] and m[-1] < np.inf and np.all(np.diff(m) > 0.0)):
+            raise ValueError("mass ladder must be positive, finite, increasing")
         k = np.asarray(self.kcarrier, dtype=float)
         if k.size != self.lattice.dim:
             raise ValueError("carrier dimension mismatch")

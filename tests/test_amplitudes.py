@@ -53,6 +53,20 @@ def test_truncation_check_accepts_and_rejects():
         truncation_mass_check(tight)
 
 
+def test_a_nan_fails_the_rule_and_the_truncation_gate():
+    for radius in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="radius"):
+            QuadratureRule.gauss_legendre(1, radius=radius, order=32)
+    for stretch in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="stretch"):
+            QuadratureRule.gauss_legendre(1, radius=8.0, order=32,
+                                          stretch=stretch)
+    f1, _ = packet_pair()
+    f1.amp_plus = GaussianAmplitude((0.4,), 0.5, amp=np.nan)
+    with pytest.raises(ValueError, match="nan of the amplitude mass"):
+        truncation_mass_check(f1)
+
+
 def test_inner_amplitude_hermitian_positive():
     f1, f2 = packet_pair(a=0.3)
     v12 = inner_amplitude(f1, f2)

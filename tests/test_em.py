@@ -86,6 +86,27 @@ def test_lattice_requirements():
         build_Dq(EMBackground(np.zeros((2, 8, 8)), 0.5), lat, params)
 
 
+def test_a_nan_fails_the_background_and_both_operator_gates(monkeypatch):
+    lat, params = lat16(), ModelParams(mass=1.0)
+    zero, poisoned = np.zeros((2,) + lat.nodes), np.zeros((2,) + lat.nodes)
+    poisoned[0, 3, 5] = np.nan
+    for avec, q, name in ((poisoned, 0.8, "avec"), (zero - np.inf, 0.8, "avec"),
+                          (zero, np.nan, "q"), (zero, np.inf, "q")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            EMBackground(avec, q)
+    # past the constructor, a NaN operator fails the Hermiticity gate
+    bg = zero_bg(lat)
+    object.__setattr__(bg, "avec", poisoned)
+    with pytest.raises(FloatingPointError, match="not Hermitian"):
+        build_Dq(bg, lat, params)
+    # and NaN eigenvalues fail the mass-squared floor
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (
+        np.full(len(h), np.nan), real(h)[1]))
+    with pytest.raises(FloatingPointError, match="floor"):
+        build_Dq(zero_bg(lat), lat, params)
+
+
 def test_fractional_power_squares_back():
     lat = MomentumLattice([7.0, 7.0], [12, 12])
     params = ModelParams(mass=1.2)

@@ -94,6 +94,20 @@ def test_fit_slope_validation():
     assert slope == pytest.approx(-2.0)
 
 
+def test_a_nan_fails_the_ladder_checks():
+    lat = MomentumLattice([16.0], [128])
+    for masses in ((1.5, np.nan, 6.0, 12.0), (1.5, 3.0, 6.0, np.inf),
+                   (np.nan, 3.0, 6.0, 12.0), (-np.inf, 3.0, 6.0, 12.0)):
+        with pytest.raises(ValueError, match="mass ladder"):
+            LimitSweep(lat, sigma=1.5, kcarrier=(0.4,), masses=masses)
+    good = [1.0, 2.0, 3.0, 4.0]
+    for bad in ([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, np.inf],
+                [-1.0, 2.0, 3.0, 4.0]):
+        for masses, deviations in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fit_slope(masses, deviations)
+
+
 def test_operator_expansion_slope():
     lat = MomentumLattice([16.0], [128])
     k = lat.k_grids[0]

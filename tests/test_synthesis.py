@@ -15,11 +15,13 @@ give the bytes of the two-grid expressions.  A localized state's delta
 is transformed only along the lines through its node; that must give
 the bytes of fftn on the dense delta.  A lattice builds ksq anew on every
 read and keeps only its per-mass omega grids and its last re-phasing grid
-exp(-i omega dt).  localized_state and grid_to_modes build omega and the
-1/N centering scale for the planes k0 >= 0 and apply them to the planes
-of k0 and -k0; the inner products build omega's flat blocks whether or
-not the cache holds the grid; so no float grid, and the omega cache is
-never filled by them.  Each plane and block must give the grid's bytes.
+exp(-i omega dt).  localized_state and grid_to_modes scale through one
+analysis kernel in every dimension: it builds omega and the 1/N centering
+scale for the rows k0 >= 0 of the whole 1-D or 2-D spectrum, or of one
+(N0, N2) plane of a 3-D one, and applies them to the rows of k0 and -k0;
+the inner products build omega's flat blocks whether or not the cache
+holds the grid; so no float grid, and the omega cache is never filled by
+them.  Each row and block must give the grid's bytes.
 Every route away from t0, evolve included, reads the one read-only phase
 grid per (mass, dt): the routes must give the plain expressions' bytes
 whether the grid was built for them or found, and no output may share
@@ -33,8 +35,8 @@ line to +0 bytes (Bluestein lengths such as 404); it must give the bytes
 of ifftn on the whole signed grid for pads 1, 2 and 3, and a spy on
 np.fft.ifft shows which slabs it transforms.  localized_state,
 positive_packet and energy_split declare their np.zeros sector instead
-of scanning it.  Every lattice transform runs through core._transform,
-which copies each (N0, N2) plane of a 3-D grid, whatever its size, into
+of scanning it.  Every lattice transform runs through core._transform
+(a localized state makes no np.fft call outside it), which copies each (N0, N2) plane of a 3-D grid, whatever its size, into
 one contiguous plane for the axis-0 pass: it must give numpy's bytes, a
 spy shows each axis-0 line transformed once from a C-contiguous plane,
 and the shipped 64^3 localized scenario takes that route.  The grid-wide
@@ -1290,20 +1292,44 @@ def test_localized_state_builds_omega_for_half_the_planes(monkeypatch,
     y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
     roots = _sqrt_spy(monkeypatch)
     localized_state(1, y, lat, PARAMS)
-    planes = nodes[0] // 2 + 1              # k0 >= 0: 0 .. N0/2
-    if len(nodes) == 3:     # rows 0 .. N0/2 of each (N0, N2) plane
-        assert roots == [(planes, nodes[2])] * nodes[1]
-        assert spans == []
-    else:
-        per = lat.total_nodes // nodes[0]
-        span = -(-_BLOCK // per)            # whole planes per span
-        whole = -(-planes // span) * span
-        built = sum(min(j, lat.total_nodes) - i for i, j in spans)
-        assert built <= whole * per, \
-            f"omega built for {built / per:.1f} of {nodes[0]} planes"
-        assert len(spans) == -(-planes // span)
+    # rows 0 .. N0/2 (k0 >= 0) of each finish's plane, (N0, N_last)
+    rows = (nodes[0] // 2 + 1, nodes[-1] if len(nodes) > 1 else 1)
+    assert roots == [rows] * (nodes[1] if len(nodes) == 3 else 1)
+    assert spans == []
     assert calls == []
     assert lat._omega_cache == {}
+
+
+def _stray_fft_spy(monkeypatch):
+    """The name of every np.fft call made outside core._transform."""
+    stray, depth, real = [], [], core._transform
+
+    def transform(*args, **kw):
+        depth.append(1)
+        try:
+            return real(*args, **kw)
+        finally:
+            depth.pop()
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        def spy(*args, _real=getattr(np.fft, name), _name=name, **kw):
+            if not depth:
+                stray.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(np.fft, name, spy)
+    monkeypatch.setattr(core, "_transform", transform)
+    return stray
+
+
+@pytest.mark.parametrize("nodes", DELTA_SHAPES, ids=str)
+def test_localized_state_transforms_only_through_transform(monkeypatch,
+                                                           nodes):
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    idx = _delta_nodes(nodes)[-1]
+    y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
+    stray = _stray_fft_spy(monkeypatch)
+    localized_state(1, y, lat, PARAMS)
+    assert stray == []
 
 
 # ------------------------------------------- gathered axis-0 passes
