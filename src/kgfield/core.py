@@ -93,7 +93,6 @@ class MomentumLattice:
             np.where(np.rint(k * L / (2.0 * np.pi)) % 2 == 0,
                      np.int8(1), np.int8(-1))
             for k, L in zip(self.k_grids, box_lengths))
-        self._sign: np.ndarray | None = None
         self._omega_cache: dict[float, np.ndarray] = {}
         self._phase_memo: tuple | None = None
         self._refinements: dict[int, tuple] = {}
@@ -231,22 +230,27 @@ class MomentumLattice:
                              f"of shape {lat.nodes}")
         elif fine is not None:
             out.fill(0)
-        # the coarse and fine centering signs agree at every mode, and an
-        # int8 +-1 promotes to +-1+0j
-        modes, sign = np.asarray(modes), self._centering_sign()
+        # the coarse and fine centering signs agree at every mode, and each
+        # sign is +-1+0j, the bytes of an int8 +-1 promoted to complex
+        modes = np.asarray(modes)
         if self.dim == 3:
+            # row i's sign is s0[i] times the (N1, N2) plane s1 s2
+            s0 = self._phase0[0].reshape(-1).tolist()
+            tail = (self._phase0[1] * self._phase0[2])[0]
+            signs = {s: (s * tail).astype(complex) for s in (1, -1)}
             rows, coarse = range(lat.nodes[0]), range(self.nodes[0])
             for r in rows:
                 for c, f in corners:
                     if r in rows[f[0]]:
                         i = coarse[c[0]][rows[f[0]].index(r)]
-                        np.multiply(modes[i][c[1:]], sign[i][c[1:]],
-                                    out=out[r][f[1:]], dtype=complex)
+                        np.multiply(modes[i][c[1:]], signs[s0[i]][c[1:]],
+                                    out=out[r][f[1:]])
                 for a in (2, 1):
                     for slab in slabs[a]:
                         if not slab or r in rows[slab[0]]:
                             _transform(out[r][slab[1:]], a - 1, inverse=True)
         else:
+            sign = functools.reduce(np.multiply, self._phase0)
             for c, f in corners:
                 np.multiply(modes[c], sign[c], out=out[f], dtype=complex)
             for a in reversed(range(1, self.dim)):
@@ -272,7 +276,7 @@ class MomentumLattice:
                        root: float = 1.0) -> np.ndarray:
         """grid_to_modes of the grid that holds value at node idx and zero
         elsewhere, without transforming the whole grid on every axis, and
-        with mass, times root * omega(mass)^(-1/2) (see _analyze).
+        with mass, times _weights' root * omega(mass)^(-1/2).
 
         numpy's fftn runs np.fft.fft axis by axis, last axis first, and
         pocketfft transforms each line on its own.  So only the lines
@@ -286,7 +290,10 @@ class MomentumLattice:
         The axis-0 pass fills the grid (in 3-D, each plane) from the zero
         lines and the delta's line, so the returned np.empty grid is
         written once and no zero grid is read, and takes _analyze's
-        factors as its finish, in every dimension."""
+        factors as its finish, in every dimension.  Planes j and N1 - j
+        have the same weights (k1[N1 - j] = -k1[j] exactly), and
+        _transform visits them back to back: the weights are built once
+        per pair, and only the last pair's are kept."""
         part = np.asarray(value, dtype=complex)
         zero = np.zeros((), dtype=complex)
         for axis in reversed(range(1, self.dim)):
@@ -299,56 +306,65 @@ class MomentumLattice:
             at = () if j is None else j
             plane[...] = zero[at]
             plane[idx[0]] = part[at]
+
+        weights = functools.lru_cache(1)(
+            lambda j: None if mass is None else self._weights(j, mass, root))
+
+        def finish(j, plane):
+            pair = j if j is None else min(j, self.nodes[1] - j)
+            return self._analyze(j, plane, weights(pair))
         return _transform(np.empty(self.nodes, dtype=complex), 0, fill=fill,
-                          finish=functools.partial(self._analyze, mass=mass,
-                                                   root=root))
+                          finish=finish)
+
+    def _weights(self, j: int | None, mass: float,
+                 root: float) -> np.ndarray:
+        """root * omega(mass)^(-1/2) for the rows 0..N0/2 (k0 >= 0) of the
+        whole 1-D or 2-D spectrum (j None) or of plane j of a 3-D one, as
+        the (N0/2 + 1, N_last) block that _analyze takes (one column in
+        1-D), omega with ksq's order of sums ((0 + k0^2) + k1^2) + k2^2.
+        fftfreq gives k[N - m] = -k[m] exactly, so the block is built on
+        the columns 0..N_last/2 and column N_last - m repeats column m."""
+        lines = [k.reshape(-1) for k in self.k_grids]
+        lines[-1] = lines[-1][:self.nodes[-1] // 2 + 1]
+        lines[0] = lines[0][:self.nodes[0] // 2 + 1, None]
+        if j is not None:
+            lines[1] = lines[1][j]
+        w = sum(k * k for k in lines)
+        np.sqrt(np.add(w, mass * mass, out=w), out=w)
+        w **= -0.5
+        np.multiply(root, w, out=w)
+        return np.concatenate((w, w[:, -2:0:-1]), axis=1)
 
     def _analyze(self, j: int | None, spectrum: np.ndarray,
-                 mass: float | None = None, root: float = 1.0) -> np.ndarray:
+                 weights: np.ndarray | None = None) -> np.ndarray:
         """Scale an fftn spectrum in place by 1/N times the centering phase,
-        then, with mass, by root * omega(mass)^(-1/2): the whole 1-D or
-        2-D spectrum (j None), or the (N0, N2) plane [:, j, :] of a 3-D
-        one (j, a _transform finish), in one pass over its axis-0 rows.
+        then by _weights' block if given: the whole 1-D or 2-D spectrum (j
+        None), or the (N0, N2) plane [:, j, :] of a 3-D one (j, a
+        _transform finish), in one pass over its axis-0 rows.
 
-        fftfreq gives k0[N0 - i] = -k0[i] exactly, and the centering sign
-        (-1)^n and omega are even in k0, so row N0 - i takes the factors
-        built for row i: they are built for rows 0..N0/2 only, omega with
-        _omega_span's order of sums.  sign * (1/N) holds +-(1/N) exactly.
-        Each mode takes spectrum * (sign * (1/N)) and then weights *
-        spectrum: complex products round differently in each order."""
+        The centering sign (-1)^n is the product of the per-axis _phase0
+        factors, s0 times the sign of the other axes (of plane j: s1[j]
+        s2), so sign * (1/N) holds +-(1/N) exactly.  fftfreq gives
+        k0[N0 - i] = -k0[i] exactly, and the sign and omega are even in
+        k0, so row N0 - i takes the factors built for row i: they are
+        built for rows 0..N0/2 only.  Each mode takes spectrum * (sign *
+        (1/N)) and then weights * spectrum: complex products round
+        differently in each order."""
         n0, half = self.nodes[0], self.nodes[0] // 2
         planes = spectrum.reshape(n0, -1)
-        sign = self._centering_sign()
-        sign = sign.reshape(n0, -1) if j is None else sign[:, j]
-        scale, w = sign[:half + 1] * (1.0 / self.total_nodes), None
-        if mass is not None:
-            # rows 0..N0/2 of omega (of its plane j in 3-D), ksq's order of sums
-            lines = [k.reshape(-1) for k in self.k_grids]
-            lines[0] = lines[0][:half + 1, None]
-            if j is not None:
-                lines[1] = lines[1][j]
-            w = sum(k * k for k in lines)
-            np.sqrt(np.add(w, mass * mass, out=w), out=w)
-            w **= -0.5
-            np.multiply(root, w, out=w)
+        s0, *rest = self._phase0
+        if j is not None:
+            rest = rest[0][:, j], rest[1][0]
+        scale = functools.reduce(np.multiply, rest, s0[:half + 1] * (
+            1.0 / self.total_nodes)).reshape(half + 1, -1)
         # rows 0..N0/2, then N0/2+1..N0-1 with the factors of N0/2-1..1
         for rows, take in ((slice(0, half + 1), slice(None)),
                            (slice(half + 1, n0), slice(half - 1, 0, -1))):
             block = planes[rows]
             np.multiply(block, scale[take], out=block)
-            if w is not None:
-                np.multiply(w[take], block, out=block)
+            if weights is not None:
+                np.multiply(weights[take], block, out=block)
         return spectrum
-
-    def _centering_sign(self) -> np.ndarray:
-        """The centering phase e^{i k x0} as a cached read-only int8 +-1 grid."""
-        if self._sign is None:
-            sign = self._phase0[0]
-            for phase in self._phase0[1:]:
-                sign = sign * phase
-            sign.flags.writeable = False
-            self._sign = sign
-        return self._sign
 
     def integrate(self, grid: np.ndarray):
         """Box integral of a sampled function (exact for band-limited data)."""
@@ -385,7 +401,9 @@ def _transform(grid: np.ndarray, axis: int, inverse: bool = False,
     not needed), transformed along its axis 0, finished while it is in
     cache and copied back: N1 calls, and every line still takes its own
     pocketfft transform of the same values, so the bytes are those of one
-    call on the whole grid."""
+    call on the whole grid.  The planes come in mirror pairs, j then
+    N1 - j (0, 1, N1 - 1, 2, ..., N1/2), so that a finish can reuse what
+    it built for plane j."""
     step = np.fft.ifft if inverse else np.fft.fft
     finish = finish or (lambda j, done: None)
     if axis or grid.ndim != 3:
@@ -395,7 +413,8 @@ def _transform(grid: np.ndarray, axis: int, inverse: bool = False,
         return grid
     fill = fill or (lambda j, plane: np.copyto(plane, grid[:, j]))
     plane = np.empty((grid.shape[0], grid.shape[2]), dtype=complex)
-    for j in range(grid.shape[1]):
+    n1 = grid.shape[1]
+    for j in sorted(range(n1), key=lambda j: (min(j, n1 - j), j)):
         fill(j, plane)
         finish(j, step(plane, axis=0, out=plane))
         grid[:, j] = plane
@@ -604,6 +623,9 @@ def random_field(
     beyond band_fraction of the lattice Nyquist wavenumber so that products
     of fields stay well resolved.
     """
+    if not 0.0 < band_fraction < np.inf:
+        raise ValueError(f"band_fraction must be positive and finite, got "
+                         f"{band_fraction!r}")
     rng = np.random.default_rng(seed)
     shape = tuple(lattice.nodes)
     kmax = min(np.pi * n / L for n, L in zip(lattice.nodes, lattice.box_lengths))
@@ -628,12 +650,18 @@ def gaussian_profile(
     Distances are taken with the minimum-image rule so the profile is
     smooth across the periodic boundary.
     """
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     if center is None:
         center = np.zeros(lattice.dim)
     if kcarrier is None:
         kcarrier = np.zeros(lattice.dim)
     center = np.asarray(center, dtype=float)
     kcarrier = np.asarray(kcarrier, dtype=float)
+    for name, value in (("center", center), ("kcarrier", kcarrier)):
+        if value.shape != (lattice.dim,) or not np.isfinite(value).all():
+            raise ValueError(f"{name} must hold {lattice.dim} finite numbers, "
+                             f"got {value.tolist()}")
     grids = lattice.coordinate_grids()
     r2 = sum(
         lattice.min_image(x - c, ax) ** 2

@@ -173,6 +173,8 @@ def _node_index(lattice: MomentumLattice, y) -> tuple[int, ...]:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (len(lattice.nodes),):
         raise ValueError("point dimension does not match the lattice")
+    if not np.isfinite(y).all():
+        raise ValueError(f"point y must be finite, got {y.tolist()}")
     idx = []
     for i, (L, n) in enumerate(zip(lattice.box_lengths, lattice.nodes)):
         dx = L / n

@@ -16,6 +16,7 @@ from kgfield.core import (
     energy_split,
     evolve,
     from_initial_data,
+    gaussian_profile,
     kg_residual,
     minkowski_dot,
     random_field,
@@ -460,3 +461,26 @@ def test_lattice_field_boost_rejected():
     f = random_field(lat, ModelParams(mass=1.0), seed=1)
     with pytest.raises(TypeError):
         boost_planewave(f, Boost((0.5,)))
+
+
+def test_gaussian_profile_rejects_a_bad_width_center_or_carrier():
+    # unchecked, sigma -1 builds the |sigma| packet, inf a flat one, 0
+    # fails later as a non-finite coefficient, and a one-entry center on
+    # a 2-D lattice builds a stripe, flat along axis 1
+    lat = make_lattice(d=2, N=8)
+    for sigma in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            gaussian_profile(lat, sigma)
+    for name in ("center", "kcarrier"):
+        for bad in ([0.0, np.nan], [np.inf, 0.0], [1.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError,
+                               match=f"{name} must hold 2 finite numbers"):
+                gaussian_profile(lat, 0.5, **{name: bad})
+
+
+def test_random_field_rejects_a_band_fraction_outside_0_inf():
+    # unchecked, -0.5 builds the 0.5 field
+    lat, params = make_lattice(d=2, N=8), ModelParams(mass=1.0)
+    for band in (-0.5, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="band_fraction must be"):
+            random_field(lat, params, seed=1, band_fraction=band)

@@ -195,6 +195,15 @@ def test_localized_state_off_grid_rejected():
         localized_state(2, (0.25,), lat, params)
 
 
+def test_localized_state_rejects_a_coordinate_that_is_not_finite():
+    # unchecked, NaN fails as "cannot convert float NaN to integer"
+    lat = MomentumLattice([8.0, 8.0], [32, 32])
+    params = ModelParams(mass=1.0)
+    for y in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.25)):
+        with pytest.raises(ValueError, match="point y must be finite"):
+            localized_state(1, y, lat, params)
+
+
 def test_completeness_by_explicit_resummation():
     lat = MomentumLattice([6.0], [16])
     params = ModelParams(mass=1.1, kappa=0.9)

@@ -16,9 +16,12 @@ is transformed only along the lines through its node; that must give
 the bytes of fftn on the dense delta.  A lattice builds ksq anew on every
 read and keeps only its per-mass omega grids and its last re-phasing grid
 exp(-i omega dt).  localized_state and grid_to_modes scale through one
-analysis kernel in every dimension: it builds omega and the 1/N centering
-scale for the rows k0 >= 0 of the whole 1-D or 2-D spectrum, or of one
-(N0, N2) plane of a 3-D one, and applies them to the rows of k0 and -k0;
+analysis kernel in every dimension: it builds the 1/N centering scale
+from the per-axis sign factors for the rows k0 >= 0 of the whole 1-D or
+2-D spectrum, or of one (N0, N2) plane of a 3-D one, and applies it and
+omega^(-1/2) to the rows of k0 and -k0; omega^(-1/2) is built on the
+columns k_last >= 0 only, once per mirror pair of 3-D planes j, N1 - j,
+which every 3-D axis-0 pass visits back to back;
 the inner products build omega's flat blocks whether or not the cache
 holds the grid; so no float grid, and the omega cache is never filled by
 them.  Each row and block must give the grid's bytes.
@@ -246,8 +249,11 @@ def _delta_lattice(nodes):
     return [3.0 + i for i in range(len(nodes))], nodes
 
 
+# (8, 202, 6) adds a Bluestein N1 whose half is odd: its weights are
+# built for the planes 0..101 and mirrored to 102..201
 LOCALIZED_SHAPES = {**SHAPES, **{str(n): _delta_lattice(n)
-                                  for n in DELTA_SHAPES + GATHER_SHAPES}}
+                                  for n in DELTA_SHAPES + GATHER_SHAPES
+                                  + [(8, 202, 6)]}}
 
 
 @pytest.mark.parametrize("shape", LOCALIZED_SHAPES)
@@ -633,15 +639,48 @@ def test_localized_state_makes_no_fftn_call(monkeypatch):
     assert calls == [("grid_to_modes", lat.nodes), ("fft", lat.nodes)]
 
 
-def test_centering_sign_is_one_cached_int8_grid():
+def test_centering_sign_is_cached_only_as_its_per_axis_int8_factors():
+    """The lattice keeps the centering phase as one int8 +-1 factor per
+    axis, sum(N) bytes in all; the routes build what they need of the
+    sign from these, and leave no other int8 array on the lattice."""
     for L, N in SHAPES.values():
         lat = MomentumLattice(L, N)
-        sign = lat._centering_sign()
-        assert sign.dtype == np.int8 and sign.shape == N
-        assert sign.nbytes == lat.total_nodes
-        assert not sign.flags.writeable
-        assert np.array_equal(sign, _table(lat))
-        assert lat._centering_sign() is sign
+        f = random_field(lat, PARAMS, seed=2, t0=T0)
+        lat.grid_to_modes(f.psi_grid(T))
+        localized_state(1, [0.0] * len(N), lat, PARAMS).field.psi_grid(T)
+        held = [a for v in vars(lat).values()
+                for a in (v.values() if isinstance(v, dict) else
+                          v if isinstance(v, tuple) else [v])
+                if isinstance(a, np.ndarray) and a.dtype == np.int8]
+        assert len(held) == len(N) and all(
+            a is phase for a, phase in zip(held, lat._phase0))
+        assert sum(a.nbytes for a in held) == sum(N)
+        assert np.array_equal(np.prod(np.broadcast_arrays(*held), axis=0),
+                              _table(lat))
+
+
+class _Watched(np.ndarray):
+    """An array that records (dtype, size) of every array derived from
+    it, by a ufunc, a view or a cast, in _Watched.made."""
+    made = []
+
+    def __array_finalize__(self, obj):
+        _Watched.made.append((self.dtype, self.size))
+
+
+def test_a_3d_localized_state_and_its_psi_grid_build_no_sign_grid():
+    """In 3-D the sign is taken from the per-axis factors a plane at a
+    time: no array derived from them, an int8 N0 N1 N2 sign grid
+    included, reaches the grid's size."""
+    lat = MomentumLattice([3.0, 4.0, 5.0], (16, 12, 10))
+    lat._phase0 = tuple(p.view(_Watched) for p in lat._phase0)
+    _Watched.made.clear()
+    f = localized_state(1, [0.375, -1.0, 0.5], lat, PARAMS, t0=T0).field
+    f.psi_grid(T0)
+    f.psi_grid(T)
+    assert _Watched.made, "the routes no longer read the factors"
+    big = [m for m in _Watched.made if m[1] >= lat.total_nodes]
+    assert big == [], f"arrays of the grid's size built from the sign: {big}"
 
 
 # the eight +-0 patterns of a complex entry
@@ -809,10 +848,9 @@ def test_omega_block_keeps_the_omega_bytes_cold_and_warm(shape):
 def test_localized_state_takes_no_frequency_grid():
     # tracemalloc counts the calloc'd zero sector: one complex grid of the two
     lat = MomentumLattice([6.0] * 3, [48] * 3)
-    lat._centering_sign()       # a lattice cache that any transform fills
     held, peak = _traced(lambda: localized_state(1, [0.0] * 3, lat, PARAMS))
     held, peak = (b / (16 * lat.total_nodes) for b in (held, peak))
-    assert peak <= 2.25, f"localized_state peaked {peak:.2f} complex grids"
+    assert peak <= 2.05, f"localized_state peaked {peak:.2f} complex grids"
     assert held <= 2.01, f"localized_state keeps {held:.2f} complex grids"
     assert lat._omega_cache == {}
 
@@ -830,7 +868,6 @@ def test_inner_0_of_a_localized_state_takes_no_frequency_grid():
 def test_grid_to_modes_takes_no_float_table():
     lat = MomentumLattice([6.0] * 3, [48] * 3)
     grid = random_field(lat, PARAMS, seed=7).psi_grid(T)
-    lat._centering_sign()
     _, peak = _traced(lambda: lat.grid_to_modes(grid))
     peak /= 16 * lat.total_nodes
     assert peak <= 1.15, f"grid_to_modes peaked {peak:.2f} complex grids"
@@ -940,7 +977,6 @@ def test_a_lattice_holds_one_phase_grid_after_three_times():
     lat = MomentumLattice([6.0] * 3, [48] * 3)
     f = random_field(lat, PARAMS, seed=7, t0=T0)
     lat.omega(PARAMS.mass)
-    lat._centering_sign()
     grids = 16 * lat.total_nodes
 
     def three_times():
@@ -1292,9 +1328,10 @@ def test_localized_state_builds_omega_for_half_the_planes(monkeypatch,
     y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
     roots = _sqrt_spy(monkeypatch)
     localized_state(1, y, lat, PARAMS)
-    # rows 0 .. N0/2 (k0 >= 0) of each finish's plane, (N0, N_last)
-    rows = (nodes[0] // 2 + 1, nodes[-1] if len(nodes) > 1 else 1)
-    assert roots == [rows] * (nodes[1] if len(nodes) == 3 else 1)
+    # rows 0 .. N0/2 (k0 >= 0) and columns 0 .. N_last/2 of the whole
+    # 1-D or 2-D spectrum, or of one plane of each pair j, N1 - j in 3-D
+    rows = (nodes[0] // 2 + 1, nodes[-1] // 2 + 1 if len(nodes) > 1 else 1)
+    assert roots == [rows] * (nodes[1] // 2 + 1 if len(nodes) == 3 else 1)
     assert spans == []
     assert calls == []
     assert lat._omega_cache == {}
@@ -1346,33 +1383,82 @@ def _axis_0_spy(monkeypatch):
     return calls
 
 
+def _plane_spy(monkeypatch):
+    """(N1, the plane indices in order) of every 3-D axis-0 pass of
+    core._transform."""
+    passes, real = [], core._transform
+
+    def transform(grid, axis, inverse=False, fill=None, finish=None):
+        if axis or grid.ndim != 3:
+            return real(grid, axis, inverse, fill, finish)
+        visits, done = [], finish or (lambda j, plane: None)
+        passes.append((grid.shape[1], visits))
+
+        def watched(j, plane):
+            visits.append(j)
+            return done(j, plane)
+        return real(grid, axis, inverse, fill, watched)
+
+    monkeypatch.setattr(core, "_transform", transform)
+    return passes
+
+
+@pytest.mark.parametrize("nodes", [(8, 4, 6), (10, 6, 8), (6, 202, 4)],
+                         ids=str)
+def test_each_axis_0_pass_visits_every_plane_once_in_mirror_pairs(
+        monkeypatch, nodes):
+    """Every 3-D axis-0 pass visits each plane index exactly once, and
+    plane N1 - j right after plane j, so the delta transform can build
+    the weights of the pair once."""
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    grid = np.random.default_rng(4).standard_normal(nodes) + 0j
+    y = [axis[1] for axis in lat.coordinate_axes()]
+    passes = _plane_spy(monkeypatch)
+    lat.modes_to_grid(grid)
+    lat.modes_to_grid(grid, pad=2)
+    lat.grid_to_modes(grid)
+    localized_state(1, y, lat, PARAMS).field.psi_grid(T)
+    assert [n for n, _ in passes] == [nodes[1], 2 * nodes[1]] + [nodes[1]] * 3
+    for n1, visits in passes:
+        assert sorted(visits) == list(range(n1))
+        pairs = [visits[visits.index(j):visits.index(j) + 2]
+                 for j in range(1, n1 // 2)]
+        assert pairs == [[j, n1 - j] for j in range(1, n1 // 2)]
+
+
 @pytest.mark.parametrize("nodes", GATHER_SHAPES[:2], ids=str)
 def test_a_gathered_pass_transforms_each_axis_0_line_once(monkeypatch,
                                                           nodes):
     """Each axis-0 call sees one C-contiguous (N0, N2) plane, and the
-    planes, stacked along axis 1, are the grid before the axis-0 pass."""
+    planes, put back at their indices along axis 1, are the grid before
+    the axis-0 pass."""
     lat = MomentumLattice(*_delta_lattice(nodes))
     rng = np.random.default_rng(3)
     grid = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
     idx = _delta_nodes(nodes)[-1]
     delta = np.zeros(nodes, dtype=complex)
     delta[idx] = 0.5
-    signed = np.multiply(grid, lat._centering_sign(), dtype=complex)
+    signed = np.multiply(grid, _table(lat), dtype=complex)
     routes = [(lambda: lat.modes_to_grid(grid),
                np.fft.ifftn(signed, axes=(1, 2))),
               (lambda: lat.grid_to_modes(grid),
                np.fft.fftn(grid, axes=(1, 2))),
               (lambda: lat._analyze_delta(idx, 0.5),
                np.fft.fftn(delta, axes=(1, 2)))]
+    passes = _plane_spy(monkeypatch)
     calls = _axis_0_spy(monkeypatch)
     plane = (nodes[0], nodes[2])
     for run, before in routes:
         calls.clear()
+        passes.clear()
         run()
         assert all(contiguous for _, contiguous in calls)
         planes = [a for a, _ in calls if a.ndim == 3 or a.shape == plane]
-        assert len(planes) == nodes[1]
-        assert_same_bytes(np.stack(planes, axis=1), before)
+        assert len(planes) == nodes[1] and len(passes) == 1
+        stacked = np.empty(before.shape, dtype=complex)
+        for j, a in zip(passes[0][1], planes):
+            stacked[:, j] = a
+        assert_same_bytes(stacked, before)
 
 
 def test_the_shipped_64_cubed_scenario_takes_the_plane_route(monkeypatch,
