@@ -47,8 +47,10 @@ def _cmd_verify(args) -> int:
         raise ConfigError(str(exc)) from None
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
+        tol = f"{r.tolerance:.1e}"      # in full where .1e would round it
+        tol = tol if float(tol) == r.tolerance else repr(r.tolerance)
         print(f"{mark} {r.suite}:{r.name} measured={r.measured:.6e} "
-              f"tolerance={r.tolerance:.1e}"
+              f"tolerance={tol}"
               + (f" error={r.error}" if r.error else ""))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")

@@ -264,12 +264,11 @@ class MomentumLattice:
         fft loop, last axis first, through _transform, so fftn's bytes,
         and _analyze's factors as the axis-0 pass's finish: one pass in
         1-D and 2-D, each (N0, N2) plane before write-back in 3-D."""
-        spectrum = np.fft.fft(grid, axis=-1,
-                              out=np.empty(self.nodes, dtype=complex))
-        for a in reversed(range(1, self.dim - 1)):
-            _transform(spectrum, a)
-        return (self._analyze(None, spectrum) if self.dim == 1
-                else _transform(spectrum, 0, finish=self._analyze))
+        spectrum = np.empty(self.nodes, dtype=complex)
+        for a in reversed(range(self.dim)):
+            _transform(spectrum, a, source=grid if a == self.dim - 1 else None,
+                       finish=None if a else self._analyze)
+        return spectrum
 
     def _analyze_delta(self, idx: tuple[int, ...], value: float,
                        mass: float | None = None,
@@ -383,16 +382,17 @@ _BLOCK = 8192       # entries of a 128 KiB complex block
 @functools.cache
 def _keeps_zero(n: int) -> bool:
     """True if numpy's ifft maps a +0 line of length n to +0 bytes."""
-    return not np.fft.ifft(np.zeros(n, dtype=complex)).view(np.uint64).any()
+    return not _transform(np.zeros(n, complex), 0, True).view(np.uint64).any()
 
 
 def _transform(grid: np.ndarray, axis: int, inverse: bool = False,
-               fill=None, finish=None):
-    """np.fft.fft (ifft if inverse) of grid along axis, in place; returns
-    grid.  fill(j, plane), if given, first writes the input, and
-    finish(j, plane), if given, then scales the result: the whole grid
-    (j None; fill(None, grid) before the call), or plane j in the axis-0
-    pass of a 3-D grid.
+               fill=None, finish=None, source=None):
+    """np.fft.fft (ifft if inverse) of grid along axis, in place or from
+    source (of grid's shape) into grid; returns grid.  The package's one
+    call site of numpy's transforms.  fill(j, plane), if given, first
+    writes the input, and finish(j, plane), if given, then scales the
+    result: the whole grid (j None; fill(None, grid) before the call), or
+    plane j in the axis-0 pass of a 3-D grid.
 
     The axis-0 lines of a 3-D grid lie a whole (N1, N2) plane apart, so
     pocketfft's per-line gather would keep missing the cache.  Instead
@@ -406,12 +406,13 @@ def _transform(grid: np.ndarray, axis: int, inverse: bool = False,
     it built for plane j."""
     step = np.fft.ifft if inverse else np.fft.fft
     finish = finish or (lambda j, done: None)
+    source = grid if source is None else source
     if axis or grid.ndim != 3:
         if fill is not None:
             fill(None, grid)
-        finish(None, step(grid, axis=axis, out=grid))
+        finish(None, step(source, axis=axis, out=grid))
         return grid
-    fill = fill or (lambda j, plane: np.copyto(plane, grid[:, j]))
+    fill = fill or (lambda j, plane: np.copyto(plane, source[:, j]))
     plane = np.empty((grid.shape[0], grid.shape[2]), dtype=complex)
     n1 = grid.shape[1]
     for j in sorted(range(n1), key=lambda j: (min(j, n1 - j), j)):

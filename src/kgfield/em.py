@@ -4,7 +4,9 @@ With a static vector potential and no scalar potential the gauged wave
 operator stays Hermitian and time-independent, so the whole free-field
 construction carries over with D replaced by D_q.  Fractional powers of
 a non-diagonal operator need full spectral data, hence dense
-eigendecomposition and the deliberately small lattices.
+eigendecomposition and the deliberately small lattices.  D_q is built
+from one-axis derivative matrices that the lattice's own transforms make,
+so it calls no FFT of its own (tests/oracles.py keeps a batched-FFT one).
 
 Nonstationary backgrounds are covered only algebraically: a manufactured
 solution pushed through the scalar-potential phase map must satisfy the
@@ -84,24 +86,22 @@ class DenseOperator:
         return out.reshape(grid.shape)
 
 
-def _gauged_laplacian_columns(bg: EMBackground,
-                              lattice: MomentumLattice) -> np.ndarray:
-    """Apply -(grad - iqA)^2 to every basis column at once."""
-    n = lattice.total_nodes
-    shape = (n,) + tuple(lattice.nodes)
-    basis = np.eye(n, dtype=complex).reshape(shape)
-    axes = tuple(range(1, lattice.dim + 1))
-    # the centering phases cancel in any multiplier sandwich, so raw
-    # batched FFTs realize the same spectral derivative as the lattice
-    # methods
-    hat = np.fft.fftn(basis, axes=axes)
-    total = np.zeros(shape, dtype=complex)
-    for i in range(lattice.dim):
-        k = lattice.k_grids[i]
-        g = np.fft.ifftn(1j * k * hat, axes=axes) - 1j * bg.q * bg.avec[i] * basis
-        gh = np.fft.fftn(g, axes=axes)
-        total += np.fft.ifftn(1j * k * gh, axes=axes) - 1j * bg.q * bg.avec[i] * g
-    return -total.reshape(n, n).T        # columns are images of basis vectors
+def _gauged_laplacian(bg: EMBackground, lat: MomentumLattice) -> np.ndarray:
+    """-(grad - iqA)^2 on the C-order flattened grid.  D is axis i's
+    derivative matrix (the lattice route on a 1-D lattice of that axis,
+    Nyquist included), np.kron-ed into the identity; with b = qA_i,
+    (D - ib)^2 is entry by entry D^2 - i D * (b_j + b_k) - diag(b^2)."""
+    eyes = [np.eye(m) for m in lat.nodes]
+    h = np.zeros((lat.total_nodes,) * 2, dtype=complex)
+    for i, (box, m) in enumerate(zip(lat.box_lengths, lat.nodes)):
+        line = MomentumLattice([box], [m])
+        d = np.column_stack([line.modes_to_grid(
+            1j * line.k_grids[0] * line.grid_to_modes(e)) for e in eyes[i]])
+        d, d2 = (np.kron(*eyes[:i], x, *eyes[i + 1:]) for x in (d, d @ d))
+        b = bg.q * bg.avec[i].reshape(-1)
+        h += 1j * d * np.add.outer(b, b) - d2
+        h[np.diag_indices_from(h)] += b * b
+    return h
 
 
 def build_Dq(bg: EMBackground, lattice: MomentumLattice,
@@ -115,7 +115,7 @@ def build_Dq(bg: EMBackground, lattice: MomentumLattice,
     eigenvalues at least M^2.
     """
     _check_lattice(bg, lattice)
-    h = _gauged_laplacian_columns(bg, lattice)
+    h = _gauged_laplacian(bg, lattice)
     h[np.diag_indices_from(h)] += params.mass ** 2
     residual = float(np.abs(h - h.conj().T).max() / max(np.abs(h).max(), 1.0))
     if not residual <= 1e-10:
@@ -247,12 +247,12 @@ def _along(profile, events: np.ndarray, axis: int) -> _Jet:
     return _Jet(np.broadcast_to(val, (len(events),)), 0.0, 0.0)
 
 
-def _phase_integral(phi, events: np.ndarray, t0: float) -> np.ndarray:
-    """Int_{t0}^{x0} phi(tau, x1, x2) dtau at every event."""
+def _phase_integral(phi, events: np.ndarray) -> np.ndarray:
+    """Int_0^{x0} phi(tau, x1, x2) dtau at every event."""
     x0, x1, x2 = events.T
     nodes, weights = gauss_legendre_nodes(_PHASE_NODES)
-    half = 0.5 * (x0 - t0)
-    tau = t0 + half * (1.0 + nodes[:, None])
+    half = 0.5 * x0
+    tau = half * (1.0 + nodes[:, None])
     return half * (weights @ np.broadcast_to(phi(tau, x1, x2), tau.shape))
 
 
@@ -263,8 +263,7 @@ def _gauged_square(f: _Jet, a: _Jet, q: float) -> np.ndarray:
 
 
 def em_gauge_residual(phi_profile, psi_solution, sample_events, *,
-                      avec_profile=None, q: float, mass: float,
-                      t0: float = 0.0) -> float:
+                      avec_profile=None, q: float, mass: float) -> float:
     """Residual of the scalar-potential phase map on a manufactured field.
 
     phi_profile and psi_solution are numpy callables f(x0, x1, x2), such
@@ -273,7 +272,7 @@ def em_gauge_residual(phi_profile, psi_solution, sample_events, *,
     avec_profile, when given, is a pair of such profiles.  The
     manufactured field defines the source
     s = psi'' + 2iq phi psi' + (gauged spatial operator) psi, and the
-    phase-mapped field chi = u psi with u = exp[iq Int_{t0}^{x0} phi]
+    phase-mapped field chi = u psi with u = exp[iq Int_0^{x0} phi]
     must satisfy chi'' + u (-(grad - iqA)^2 + M^2) psi = u s as an
     algebraic identity.  Returns the largest residual over the events
     (rows (x0, x1, x2)); raises FloatingPointError naming the first event
@@ -293,7 +292,7 @@ def em_gauge_residual(phi_profile, psi_solution, sample_events, *,
         psi_t = _along(psi, events, 0)
         phi_t = _along(phi, events, 0)
         # Phi = Int phi dtau: its x0-jet is phi's own jet shifted one order
-        big_phi = _Jet(_phase_integral(phi, events, t0),
+        big_phi = _Jet(_phase_integral(phi, events),
                        phi_t.c0, 0.5 * phi_t.c1)
         u = np.exp(1j * q * big_phi)
         chi = u * psi_t

@@ -125,8 +125,8 @@ def _margin(measured: float, tol: float, at_least: bool) -> float:
     """How much of its bound a check uses: measured / bound for an upper
     bound, bound / measured for an at_least check (inf when measured is
     not positive), nan when measured is not finite.  A check passes when
-    its margin is at most 1; a signed measurement on the passing side of
-    zero, such as em:magnetic-floor's, has a negative margin."""
+    its margin is at most 1.  No passing measurement is negative: a floor
+    is a ratio held at_least (em:magnetic-floor's lambda_min / M^2)."""
     if not np.isfinite(measured):
         return float("nan")
     if at_least:
@@ -458,10 +458,10 @@ def _chk_em_free(ctx):
     return float(np.abs(op.eigenvalues - want).max() / want.max()), 1e-12
 
 
-@_check("em", "magnetic-floor")
+@_check("em", "magnetic-floor", at_least=True)
 def _chk_em_floor(ctx):
     _, params, op = _em_operator()
-    return float((params.mass ** 2 - op.eigenvalues[0]) / params.mass ** 2), 1e-9
+    return float(op.eigenvalues[0] / params.mass ** 2), 1.0 - 1e-9
 
 
 @_check("em", "inner-conservation")

@@ -22,7 +22,7 @@ from kgfield.core import (
     minkowski_dot,
 )
 from kgfield.currents import PAD, FourVectorGrid, current_calJa, current_Ja
-from kgfield.em import DenseOperator
+from kgfield.em import DenseOperator, EMBackground
 from kgfield.limits import LimitSweep, fit_slope
 from kgfield.localization import TwoComponent, map_U_inverse, position_apply
 
@@ -390,6 +390,32 @@ def momentum_apply(field: LatticeField, t0: float | None = None) -> list[Lattice
 # ------------------------------------------------------------------- em
 
 
+def gauged_laplacian_fft(bg: EMBackground,
+                         lattice: MomentumLattice) -> np.ndarray:
+    """-(grad - iqA)^2 as a dense matrix, by batched FFTs of the identity.
+
+    The independent route for build_Dq's assembly from one-axis derivative
+    matrices: every basis vector goes through numpy's fftn/ifftn at once,
+    multiplied by i k from the public k_grids.  The centering phases
+    cancel in any multiplier sandwich, so the raw FFTs realize the same
+    spectral derivative as the lattice methods.  Column c is the image of
+    basis vector c.
+    """
+    n = lattice.total_nodes
+    shape = (n,) + tuple(lattice.nodes)
+    basis = np.eye(n, dtype=complex).reshape(shape)
+    axes = tuple(range(1, lattice.dim + 1))
+    hat = np.fft.fftn(basis, axes=axes)
+    total = np.zeros(shape, dtype=complex)
+    for i in range(lattice.dim):
+        k = lattice.k_grids[i]
+        qa = bg.q * bg.avec[i]
+        g = np.fft.ifftn(1j * k * hat, axes=axes) - 1j * qa * basis
+        gh = np.fft.fftn(g, axes=axes)
+        total += np.fft.ifftn(1j * k * gh, axes=axes) - 1j * qa * g
+    return -total.reshape(n, n).T
+
+
 def matrix_power(op: DenseOperator, alpha: float) -> np.ndarray:
     """The dense matrix of op^alpha, rebuilt from the eigensystem."""
     return (op.eigenvectors * op.eigenvalues ** alpha) \
@@ -397,8 +423,8 @@ def matrix_power(op: DenseOperator, alpha: float) -> np.ndarray:
 
 
 def em_gauge_residual_symbolic(phi_profile, psi_solution, sample_events, *,
-                               avec_profile=None, q: float, mass: float,
-                               t0: float = 0.0) -> float:
+                               avec_profile=None, q: float,
+                               mass: float) -> float:
     """Residual of the scalar-potential phase map, derived symbolically.
 
     The sympy witness for ``em.em_gauge_residual``: same contract, but
@@ -427,7 +453,7 @@ def em_gauge_residual_symbolic(phi_profile, psi_solution, sample_events, *,
         return out
 
     u = sympy.exp(sympy.I * q
-                  * sympy.integrate(phi.subs(x0, tau), (tau, t0, x0)))
+                  * sympy.integrate(phi.subs(x0, tau), (tau, 0, x0)))
     source = (sympy.diff(psi, x0, 2) + 2 * sympy.I * q * phi * sympy.diff(psi, x0)
               - gauged_square(psi)
               + (sympy.I * q * sympy.diff(phi, x0) - q ** 2 * phi ** 2

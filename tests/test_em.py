@@ -15,7 +15,7 @@ from kgfield.em import (
 )
 from kgfield.inner import inner_a
 
-from oracles import em_gauge_residual_symbolic, matrix_power
+from oracles import em_gauge_residual_symbolic, gauged_laplacian_fft, matrix_power
 
 
 def lat16():
@@ -59,6 +59,23 @@ def test_constant_potential_shifts_spectrum():
     k1, k2 = lat.k_grids
     want = np.sort(((k1 - q * a0) ** 2 + k2 ** 2 + params.mass ** 2).ravel())
     assert np.abs(op.eigenvalues - want).max() < 1e-10 * want.max()
+
+
+@pytest.mark.parametrize("nodes", [(10, 10), (16, 16), (32, 32), (10, 32),
+                                   (12, 10)], ids=str)
+def test_operator_matches_the_batched_fft_route(nodes):
+    # both components vary along both axes, so every term of
+    # (D - iqA)^2 on each axis reaches the matrix
+    lat = MomentumLattice([6.0, 7.5], nodes)
+    x, y = lat.coordinate_grids()
+    bg = EMBackground(np.stack([0.3 * np.sin(2.0 * np.pi * y / 7.5) + 0.2,
+                                0.2 * np.cos(2.0 * np.pi * x / 6.0) - 0.1
+                                + 0.1 * np.sin(2.0 * np.pi * y / 7.5)]), 0.7)
+    params = ModelParams(mass=1.0)
+    want = gauged_laplacian_fft(bg, lat)
+    want[np.diag_indices_from(want)] += params.mass ** 2
+    got = build_Dq(bg, lat, params).matrix
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_magnetic_operator_positive():

@@ -38,8 +38,10 @@ line to +0 bytes (Bluestein lengths such as 404); it must give the bytes
 of ifftn on the whole signed grid for pads 1, 2 and 3, and a spy on
 np.fft.ifft shows which slabs it transforms.  localized_state,
 positive_packet and energy_split declare their np.zeros sector instead
-of scanning it.  Every lattice transform runs through core._transform
-(a localized state makes no np.fft call outside it), which copies each (N0, N2) plane of a 3-D grid, whatever its size, into
+of scanning it.  core._transform is the package's one caller of numpy's
+fft, ifft, fftn and ifftn (localized states, grid_to_modes, the dense
+magnetic operator and the _keeps_zero probe make no call outside it).
+It copies each (N0, N2) plane of a 3-D grid, whatever its size, into
 one contiguous plane for the axis-0 pass: it must give numpy's bytes, a
 spy shows each axis-0 line transformed once from a C-contiguous plane,
 and the shipped 64^3 localized scenario takes that route.  The grid-wide
@@ -50,6 +52,7 @@ omega^(-1/2) weights per plane; a NaN-poisoned np.empty shows every
 entry written.
 """
 
+import functools
 import itertools
 import re
 import tracemalloc
@@ -79,6 +82,7 @@ from kgfield.currents import (
     rho_a,
     total_probability,
 )
+from kgfield.em import EMBackground, build_Dq
 from kgfield.gauge import gauge_transform
 from kgfield.inner import inner_0, inner_a, inner_a_split
 from kgfield.limits import schrodinger_reference
@@ -1358,14 +1362,55 @@ def _stray_fft_spy(monkeypatch):
     return stray
 
 
-@pytest.mark.parametrize("nodes", DELTA_SHAPES, ids=str)
-def test_localized_state_transforms_only_through_transform(monkeypatch,
-                                                           nodes):
+def _localized(nodes, monkeypatch):
     lat = MomentumLattice(*_delta_lattice(nodes))
     idx = _delta_nodes(nodes)[-1]
     y = [axis[i] for axis, i in zip(lat.coordinate_axes(), idx)]
+    return lambda: localized_state(1, y, lat, PARAMS)
+
+
+def _analysis(nodes, monkeypatch):
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    grid = np.random.default_rng(5).standard_normal(nodes)
+    return lambda: lat.grid_to_modes(grid)
+
+
+def _magnetic(nodes, monkeypatch):
+    lat = MomentumLattice(*_delta_lattice(nodes))
+    x, y = lat.coordinate_grids()
+    bg = EMBackground(np.stack([0.3 * np.sin(y), 0.2 * np.cos(x)]), 0.7)
+    return lambda: build_Dq(bg, lat, PARAMS)
+
+
+def _probe(nodes, monkeypatch):
+    # a fresh cache, so that the call below is a first one
+    monkeypatch.setattr(core, "_keeps_zero",
+                        functools.cache(core._keeps_zero.__wrapped__))
+    return lambda: core._keeps_zero(nodes[0])
+
+
+@pytest.mark.parametrize("nodes", DELTA_SHAPES, ids=str)
+def test_localized_state_transforms_only_through_transform(monkeypatch,
+                                                           nodes):
+    run = _localized(nodes, monkeypatch)
     stray = _stray_fft_spy(monkeypatch)
-    localized_state(1, y, lat, PARAMS)
+    run()
+    assert stray == []
+
+
+# grid_to_modes in 1-D, 2-D and 3-D (202 a Bluestein length), the dense
+# magnetic operator (built from modes_to_grid and grid_to_modes) and a
+# first _keeps_zero probe
+@pytest.mark.parametrize("case, nodes", [
+    *(pytest.param(_analysis, n, id=f"grid_to_modes{n}")
+      for n in [(16,), (202,), (48, 80), (8, 202), (6, 6, 202), (10, 6, 8)]),
+    pytest.param(_magnetic, (10, 10), id="build_Dq(10, 10)"),
+    pytest.param(_probe, (202,), id="_keeps_zero(202)"),
+])
+def test_numpy_fft_is_called_only_inside_transform(monkeypatch, case, nodes):
+    run = case(nodes, monkeypatch)
+    stray = _stray_fft_spy(monkeypatch)
+    run()
     assert stray == []
 
 
@@ -1388,16 +1433,17 @@ def _plane_spy(monkeypatch):
     core._transform."""
     passes, real = [], core._transform
 
-    def transform(grid, axis, inverse=False, fill=None, finish=None):
+    def transform(grid, axis, inverse=False, fill=None, finish=None,
+                  source=None):
         if axis or grid.ndim != 3:
-            return real(grid, axis, inverse, fill, finish)
+            return real(grid, axis, inverse, fill, finish, source)
         visits, done = [], finish or (lambda j, plane: None)
         passes.append((grid.shape[1], visits))
 
         def watched(j, plane):
             visits.append(j)
             return done(j, plane)
-        return real(grid, axis, inverse, fill, watched)
+        return real(grid, axis, inverse, fill, watched, source)
 
     monkeypatch.setattr(core, "_transform", transform)
     return passes

@@ -54,15 +54,20 @@ def test_a_check_passes_exactly_when_its_margin_is_at_most_one(seed0_results):
     assert len(seed0_results) == 31
     at_least = {(s, n) for s, n, flag, _ in verify._REGISTRY if flag}
     assert at_least == {("inner", "positivity"),
-                        ("currents", "probability-noncovariance")}
+                        ("currents", "probability-noncovariance"),
+                        ("em", "magnetic-floor")}
     for r in seed0_results:
         assert r.passed == (r.margin <= 1.0), f"{r.suite}:{r.name}"
         assert r.margin == (r.tolerance / r.measured
                             if (r.suite, r.name) in at_least
                             else r.measured / r.tolerance)
-    # the floor's violation is negative: a margin below zero still passes
+    # the floor is the ratio lambda_min / M^2 held above 1 - 1e-9, so its
+    # margin is the share of the bound used: lambda_min sits 5 % above M^2
     floor = _by_name(seed0_results)["magnetic-floor"]
-    assert floor.margin < 0.0 and floor.passed
+    assert floor.tolerance == 1.0 - 1e-9 and floor.passed
+    assert 0.9 < floor.margin < 1.0
+    # the tripwire's 1e-13, which the at_least rule's baseline / 100 lacks
+    assert floor.measured >= 1.0 - 1e-13
 
 
 def test_a_nan_measurement_fails_with_a_nan_margin(monkeypatch):
