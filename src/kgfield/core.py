@@ -160,10 +160,14 @@ class MomentumLattice:
         """exp(-1j * omega(mass) * dt) as a read-only grid.
 
         Only the last (mass, dt) is kept: every route that re-phases fields
-        of one lattice to one time shares it, and a new key replaces it."""
+        of one lattice to one time shares it, and a new key replaces it.
+        Every time offset from a field's t0 (evolve's step too) enters
+        here, and a non-finite one raises ValueError: it is never kept."""
         key = (mass, dt)
         if self._phase_memo is not None and self._phase_memo[0] == key:
             return self._phase_memo[1]
+        if not np.isfinite(dt):
+            raise ValueError(f"time offset {dt!r} from t0 is not finite")
         ph = -1j * self.omega(mass) * dt
         np.exp(ph, out=ph)
         ph.flags.writeable = False
@@ -376,6 +380,9 @@ class MomentumLattice:
 
 
 _ZERO = np.complex128(0.0)
+# exp(-i w 0) of each sector, (1, +0) and (1, -0): a copy of phi would
+# differ from phi times it at signed zeros
+_UNITS = (np.complex128(1.0), np.conj(np.complex128(1.0)))
 _BLOCK = 8192       # entries of a 128 KiB complex block
 
 
@@ -489,11 +496,9 @@ class LatticeField:
         its grid would be (+0, +0) * (1, -+0) = (+0, +0).  At least one of
         the two is a grid."""
         if t == self.t0:
-            # phi * exp(-i w 0) is phi * (1, +0): a copy would differ at signed zeros
-            unit = np.complex128(1.0)
             zp, zm = self.zero_sectors
-            p = _ZERO if zp else self.phi_plus * unit
-            m = _ZERO if zm else self.phi_minus * np.conj(unit)
+            p = _ZERO if zp else self.phi_plus * _UNITS[0]
+            m = _ZERO if zm else self.phi_minus * _UNITS[1]
             if zp and zm:
                 p = np.zeros(self.phi_plus.shape, dtype=complex)
             return p, m

@@ -44,9 +44,31 @@ class FourVectorGrid:
             raise ValueError("component count must be d + 1")
 
 
-def _ja_and_rate(field: LatticeField, t: float):
-    """current_Ja and d_t of its time slot, from one set of padded grids.
+def _halves(grid: np.ndarray) -> np.ndarray:
+    """The two contiguous float grids that share one complex grid's bytes."""
+    return grid.reshape(-1).view(float).reshape((2,) + grid.shape)
 
+
+def _bracket(u, v, x, y, c, out):
+    """out = c * (conj(u) * v - conj(x) * y) in place; x is overwritten.
+
+    The plain expression's temporaries are all left operands, so each
+    product keeps its operand order and its bytes at every grid size (c
+    is pure imaginary, and c * z then rounds as z * c does)."""
+    np.multiply(np.conj(u, out=out), v, out=out)
+    np.multiply(np.conj(x, out=x), y, out=x)
+    np.subtract(out, x, out=out)
+    return np.multiply(c, out, out=out)
+
+
+def _fill_ja(field: LatticeField, t: float):
+    """J_a and d_t of its time slot in one workspace of 6 + d padded grids.
+
+    Returns (fine, time, space, rate, free), the padded lattice and views
+    of the workspace: J^0, the d spatial components, d_t J^0 and slots 0-1,
+    which are free again.  Slots 0-1 hold psi and psi_tilde; 2-3 their
+    time derivatives, then each axis's derivatives, then the second time
+    derivatives; 4 J^0; then J^1..J^d and the rate.
     d_t J^0 = (i kappa / 2M) [psi* psi_tilde'' - (psi'')* psi_tilde]:
     the first-derivative terms cancel, and psi'' = -omega^2 psi.
     """
@@ -58,30 +80,29 @@ def _ja_and_rate(field: LatticeField, t: float):
     til_modes = tp + tm
     w = field.omega
     fine = lat.refined(PAD)
-    # slots 0-3: psi, til, psidot, tildot; 4-5: each axis's derivatives,
-    # then the second time derivatives
-    ws = np.empty((6,) + fine.nodes, dtype=complex)
-
-    psi = lat.modes_to_grid(psi_modes, PAD, ws[0])
-    til = lat.modes_to_grid(til_modes, PAD, ws[1])
-    psidot = lat.modes_to_grid(-1j * w * (pm_p - pm_m), PAD, ws[2])
-    tildot = lat.modes_to_grid(-1j * w * (tp - tm), PAD, ws[3])
+    ws = np.empty((6 + lat.dim,) + fine.nodes, dtype=complex)
+    psi, til, a, b, time = ws[:5]
+    lat.modes_to_grid(psi_modes, PAD, psi)
+    lat.modes_to_grid(til_modes, PAD, til)
+    lat.modes_to_grid(-1j * w * (pm_p - pm_m), PAD, a)
+    lat.modes_to_grid(-1j * w * (tp - tm), PAD, b)
+    del pm_p, pm_m, tp, tm
 
     pref = -0.5j * params.kappa / params.mass
-    comps = np.empty((lat.dim + 1,) + psi.shape, dtype=complex)
-    # d^0 = -d_0: both derivative hits flip sign
-    comps[0] = pref * (-np.conj(psi) * tildot + np.conj(psidot) * til)
-    for i, k in enumerate(lat.k_grids):
-        dpsi = lat.modes_to_grid(1j * k * psi_modes, PAD, ws[4])
-        dtil = lat.modes_to_grid(1j * k * til_modes, PAD, ws[5])
-        comps[1 + i] = pref * (np.conj(psi) * dtil - np.conj(dpsi) * til)
+    # d^0 = -d_0 flips both derivative hits:
+    # J^0 = pref * (-conj(psi) * tildot + conj(psidot) * til)
+    np.multiply(np.negative(np.conj(psi, out=time), out=time), b, out=time)
+    np.multiply(np.conj(a, out=a), til, out=a)
+    np.multiply(pref, np.add(time, a, out=time), out=time)
+    for k, comp in zip(lat.k_grids, ws[5:-1]):
+        lat.modes_to_grid(1j * k * psi_modes, PAD, a)
+        lat.modes_to_grid(1j * k * til_modes, PAD, b)
+        _bracket(psi, b, a, til, pref, comp)
     w2 = w ** 2
-    psidd = lat.modes_to_grid(-w2 * psi_modes, PAD, ws[4])
-    tildd = lat.modes_to_grid(-w2 * til_modes, PAD, ws[5])
-    dj0dt = (0.5j * params.kappa / params.mass
-             * (np.conj(psi) * tildd - np.conj(psidd) * til))
-    cur = FourVectorGrid(comps, fine)
-    return cur, dj0dt
+    lat.modes_to_grid(-w2 * psi_modes, PAD, a)
+    lat.modes_to_grid(-w2 * til_modes, PAD, b)
+    _bracket(psi, b, a, til, 0.5j * params.kappa / params.mass, ws[-1])
+    return fine, time, ws[5:-1], ws[-1], ws[:2]
 
 
 def current_Ja(field: LatticeField, t: float) -> FourVectorGrid:
@@ -90,51 +111,67 @@ def current_Ja(field: LatticeField, t: float) -> FourVectorGrid:
     J^mu = -(i kappa / 2M) [psi* d^mu psi_tilde - (d^mu psi*) psi_tilde],
     with the tilde field carrying sector weights (1+a), -(1-a).
     """
-    return _ja_and_rate(field, t)[0]
+    return _current_and_rate(field, t, "J_a")[0]
 
 
-def _calja_and_rate(field: LatticeField, t: float):
-    """current_calJa and d_t of its time slot, from one set of padded grids.
+def _fill_calja(field: LatticeField, t: float):
+    """calJ_a and d_t of its time slot in one workspace of 6 + d padded
+    grids, returned as _fill_ja returns J_a.
 
-    The time slot is rho_a's _density on the padded grid (d^0 Q = i Pc and
-    d^0 Qc = i P reduce the Im-bracket to it), so
+    Slots 0-1 hold P and Pc; 2-3 each axis's dQ and dQc, then P' and Pc';
+    4 scratch; then J^1..J^d, real with +0 imaginary parts; the last
+    holds the two float grids calJ^0 and the rate.  The time slot is
+    rho_a's _density on the padded grid (d^0 Q = i Pc and d^0 Qc = i P
+    reduce the Im-bracket to it), so
     d_t calJ^0 = (kappa/M) Re{P* P' + Pc* Pc' + a [P'* Pc + P* Pc']}.
-    Each spatial component is assembled as soon as its two grids exist.
+    Pc * conj(dQ) and Pc * conj(dQc) stay expressions: numpy's temporary
+    elision computes them as conj(dQ) * Pc on grids of 256 KiB and more,
+    and the two orders round differently.
     """
     lat = field.lattice
     params = field.params
     w = field.omega
     p, m = field.mode_pair(t)
-    psi_m = p + m
-    psic_m = p - m
-    psidot_m = -1j * w * (p - m)
-    psicdot_m = -1j * w * (p + m)   # d_t psi_c = i D^{-1/2} psiddot = -i D^{1/2} psi
+    psi_m, psic_m = p + m, p - m
+    del p, m
     up, down = w ** 0.5, w ** -0.5  # D^{+-1/4} as omega^{+-1/2}
     Q_m, Qc_m = down * psi_m, down * psic_m
 
     fine = lat.refined(PAD)
-    # slots 0-1: P, Pc; 2-3: each axis's derivatives, then the time ones
-    ws = np.empty((4,) + fine.nodes, dtype=complex)
-    P = lat.modes_to_grid(up * psi_m, PAD, ws[0])
-    Pc = lat.modes_to_grid(up * psic_m, PAD, ws[1])
+    ws = np.empty((6 + lat.dim,) + fine.nodes, dtype=complex)
+    P, Pc, a, b, s = ws[:5]
+    time, rate = _halves(ws[-1])
+    lat.modes_to_grid(up * psi_m, PAD, P)
+    lat.modes_to_grid(up * psic_m, PAD, Pc)
     pref = 0.5 * params.kappa / params.mass
-    comps = np.empty((lat.dim + 1,) + P.shape, dtype=float)
-    comps[0] = pref * _density(P, Pc, params.a)
-    for i, k in enumerate(lat.k_grids):
-        dQ = lat.modes_to_grid(1j * k * Q_m, PAD, ws[2])
-        dQc = lat.modes_to_grid(1j * k * Qc_m, PAD, ws[3])
-        s = (np.conj(P) * dQc - Pc * np.conj(dQ)
-             + params.a * (np.conj(P) * dQ - Pc * np.conj(dQc)))
-        comps[1 + i] = pref * np.imag(s)
+    np.multiply(pref, _density(P, Pc, params.a, (time, rate), a), out=time)
+    for k, comp in zip(lat.k_grids, ws[5:-1]):
+        dQ = lat.modes_to_grid(1j * k * Q_m, PAD, a)
+        dQc = lat.modes_to_grid(1j * k * Qc_m, PAD, b)
+        # s = conj(P) dQc - Pc conj(dQ) + a [conj(P) dQ - Pc conj(dQc)]
+        np.multiply(np.conj(P, out=s), dQc, out=s)
+        np.subtract(s, Pc * np.conj(dQ), out=s)
+        np.multiply(np.conj(P, out=comp), dQ, out=comp)
+        np.subtract(comp, Pc * np.conj(dQc), out=comp)
+        np.add(s, np.multiply(params.a, comp, out=comp), out=s)
+        np.multiply(pref, s.imag, out=comp.real)
+        comp.imag = 0.0
 
-    P_dot = lat.modes_to_grid(up * psidot_m, PAD, ws[2])
-    Pc_dot = lat.modes_to_grid(up * psicdot_m, PAD, ws[3])
-    s = (np.conj(P_dot) * Pc + np.conj(P) * Pc_dot)
-    dj0dt = pref * (2.0 * np.real(np.conj(P) * P_dot)
-                    + 2.0 * np.real(np.conj(Pc) * Pc_dot)
-                    + 2.0 * params.a * np.real(s))
-    cur = FourVectorGrid(comps, fine)
-    return cur, dj0dt
+    psidot_m = -1j * w * psic_m     # d_t psi = -i w (p - m)
+    psicdot_m = -1j * w * psi_m     # d_t psi_c = i D^{-1/2} psiddot = -i D^{1/2} psi
+    P_dot = lat.modes_to_grid(up * psidot_m, PAD, a)
+    Pc_dot = lat.modes_to_grid(up * psicdot_m, PAD, b)
+    # 2 Re(conj(P) P') + 2 Re(conj(Pc) Pc') + 2a Re(conj(P') Pc + conj(P) Pc')
+    np.multiply(np.conj(P, out=s), P_dot, out=s)
+    np.multiply(2.0, s.real, out=rate)
+    np.multiply(np.conj(Pc, out=s), Pc_dot, out=s)
+    np.add(rate, np.multiply(2.0, s.real, out=s.real), out=rate)
+    np.multiply(np.conj(P_dot, out=P_dot), Pc, out=P_dot)
+    np.multiply(np.conj(P, out=s), Pc_dot, out=s)
+    np.add(P_dot, s, out=P_dot)
+    np.multiply(2.0 * params.a, P_dot.real, out=P_dot.real)
+    np.multiply(pref, np.add(rate, P_dot.real, out=rate), out=rate)
+    return fine, time, ws[5:-1], rate, ws[:2]
 
 
 def current_calJa(field: LatticeField, t: float) -> FourVectorGrid:
@@ -145,12 +182,18 @@ def current_calJa(field: LatticeField, t: float) -> FourVectorGrid:
     with P = D^{1/4} psi, Pc = D^{1/4} psi_c, Q = D^{-1/4} psi,
     Qc = D^{-1/4} psi_c.
     """
-    return _calja_and_rate(field, t)[0]
+    return _current_and_rate(field, t, "calJ_a")[0]
 
 
-def _density(P: np.ndarray, Pc: np.ndarray, a: float) -> np.ndarray:
-    """|P|^2 + |Pc|^2 + 2a Re(P* Pc) of P = D^{1/4}psi, Pc = D^{1/4}psi_c."""
-    return np.abs(P) ** 2 + np.abs(Pc) ** 2 + 2 * a * np.real(np.conj(P) * Pc)
+def _density(P, Pc, a, out, scratch):
+    """|P|^2 + |Pc|^2 + 2a Re(P* Pc) of P = D^{1/4}psi, Pc = D^{1/4}psi_c,
+    into out[0] of the two float grids out; scratch is a complex grid,
+    P itself if P may go."""
+    sq, term = out
+    np.square(np.abs(P, out=sq), out=sq)
+    np.add(sq, np.square(np.abs(Pc, out=term), out=term), out=sq)
+    np.multiply(np.conj(P, out=scratch), Pc, out=scratch)
+    return np.add(sq, np.multiply(2 * a, scratch.real, out=term), out=sq)
 
 
 def rho_a(field: LatticeField, t: float) -> np.ndarray:
@@ -163,8 +206,9 @@ def rho_a(field: LatticeField, t: float) -> np.ndarray:
     """
     lat, params, up = field.lattice, field.params, field.omega ** 0.5
     p, m = field.mode_pair(t)
-    dens = _density(lat.modes_to_grid(up * (p + m)),
-                    lat.modes_to_grid(up * (p - m)), params.a)
+    P = lat.modes_to_grid(up * (p + m))
+    dens = _density(P, lat.modes_to_grid(up * (p - m)), params.a,
+                    np.empty((2,) + P.shape), P)
     dens *= 0.5 * params.kappa / params.mass
     if not np.isfinite(dens).all():
         raise FloatingPointError("density is not finite")
@@ -180,17 +224,35 @@ def total_probability(field: LatticeField, t: float) -> float:
     return float(field.lattice.integrate(rho_a(field, t)))
 
 
-_CURRENT_AND_RATE = {"J_a": _ja_and_rate, "calJ_a": _calja_and_rate}
+_FILL = {"J_a": _fill_ja, "calJ_a": _fill_calja}
 
 
-def _divergence(field: LatticeField, t: float, which: str):
-    """The current and its pointwise d_mu (current)^mu grid."""
-    cur, dj0dt = _CURRENT_AND_RATE[which](field, t)
-    lattice = cur.lattice
-    div = 0.0      # sum_i i k_i FFT(J^i), synthesized once
-    for k, comp in zip(lattice.k_grids, cur.components[1:]):
-        div = div + 1j * k * lattice.grid_to_modes(np.asarray(comp, complex))
-    return cur, dj0dt + lattice.modes_to_grid(div)
+def _current_and_rate(field: LatticeField, t: float, which: str):
+    """The current and d_t of its time slot, copied out of the workspace."""
+    fine, time, space, rate, _ = _FILL[which](field, t)
+    comps = np.concatenate((time[None], space.real if np.isrealobj(time)
+                            else space))
+    return FourVectorGrid(comps, fine), rate.copy()
+
+
+def _continuity(field: LatticeField, t: float, which: str):
+    """(scale, div, spare): the current's max-norm, its pointwise
+    d_mu (current)^mu grid and a free float grid, from one workspace.
+
+    sum_i i k_i FFT(J^i) is summed in mode space, in a free slot, from
+    the spectra that grid_to_modes returns, and synthesized there once.
+    """
+    fine, time, space, rate, (div, spare) = _FILL[which](field, t)
+    spare = _halves(spare)[0]
+    # np.max keeps a nan that max() of the component maxima could drop
+    scale = np.max([np.abs(g, out=spare).max() for g in (time, *space)])
+    for i, (k, comp) in enumerate(zip(fine.k_grids, space)):
+        term = fine.grid_to_modes(comp)
+        # the first sum is 0.0 + term, which turns every -0 into +0
+        np.add(div if i else 0.0, np.multiply(1j * k, term, out=term), out=div)
+        del term    # before the next spectrum is made
+    fine.modes_to_grid(div, out=div)
+    return max(scale, 1e-300), np.add(rate, div, out=div), spare
 
 
 def continuity_residual(field: LatticeField, t: float,
@@ -201,11 +263,10 @@ def continuity_residual(field: LatticeField, t: float,
     spectral on the padded grid where the quadratic product is fully
     resolved.
     """
-    if which not in _CURRENT_AND_RATE:
+    if which not in _FILL:
         raise ValueError("which must be 'J_a' or 'calJ_a'")
-    cur, div = _divergence(field, t, which)
-    scale = max(np.abs(cur.components).max(), 1e-300)
-    return float(np.abs(div).max() / scale)
+    scale, div, spare = _continuity(field, t, which)
+    return float(np.abs(div, out=spare).max() / scale)
 
 
 # ------------------------------------------------------------ plane waves

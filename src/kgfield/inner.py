@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _BLOCK, LatticeField, energy_split
+from .core import _BLOCK, _UNITS, LatticeField, energy_split
 
 
 def _check_pair(f1: LatticeField, f2: LatticeField):
@@ -35,15 +35,20 @@ def _vdots(pairs, weights=None) -> list:
     of _BLOCK entries: threaded BLAS splits longer dot products by thread
     count, which moves their rounding.
 
-    weights(i, j), if given, is a real array that scales every y[i:j] in
-    place before its block is reduced; it is built once per block for all
-    pairs, so each y must be a grid the caller gives up."""
-    pairs = [(x.reshape(-1), y.reshape(-1)) for x, y in pairs]
-    parts = [[] for _ in pairs]
-    for i in range(0, pairs[0][0].size, _BLOCK):
+    A pair (x, y, c) stands for (x, y * c): each block of y * c is formed
+    in one reused scratch block, so y is only read.  weights(i, j), if
+    given, is a real array that scales every y[i:j] (or its y * c block)
+    in place before it is reduced; it is built once per block for all
+    pairs, so each y of a pair (x, y) must be a grid the caller gives up."""
+    pairs = [(x.reshape(-1), y.reshape(-1), *c) for x, y, *c in pairs]
+    parts, n = [[] for _ in pairs], pairs[0][0].size if pairs else 0
+    scratch = np.empty(min(_BLOCK, n), dtype=complex)
+    for i in range(0, n, _BLOCK):
         w = None if weights is None else weights(i, i + _BLOCK)
-        for (x, y), acc in zip(pairs, parts):
+        for (x, y, *c), acc in zip(pairs, parts):
             yb = y[i:i + _BLOCK]
+            if c:
+                yb = np.multiply(yb, c[0], out=scratch[:yb.size])
             if w is not None:
                 np.multiply(w, yb, out=yb)
             acc.append(np.vdot(x[i:i + _BLOCK], yb))
@@ -75,29 +80,26 @@ def _sector_form(f1: LatticeField, f2: LatticeField, a: float) -> complex:
     """(kappa/M) V sum_k w [(1+a) conj(phi1+) phi2+ + (1-a) conj(phi1-) phi2-].
 
     f2 is re-phased to f1's reference time; the common phase of the two
-    fields cancels, so only a difference of their t0 survives.  Both
-    sectors are reduced in one pass over the blocks, against one span of
-    w = omega built per block, which leaves the omega cache as it is.  A
-    sector that is zero in both fields at a shared t0 reduces to exactly
-    +0.
+    fields cancels, so only a difference of their t0 survives.  At a
+    shared t0 the re-phase is the scalar unit of LatticeField._rephased,
+    applied a block at a time, so no grid is copied; a sector that is
+    zero in both fields there reduces to exactly +0.  Both sectors are
+    reduced in one pass over the blocks, against one span of w = omega
+    built per block, which leaves the omega cache as it is.
     """
     _check_pair(f1, f2)
     p, lat = f1.params, f1.lattice
-    sectors = []
-    for phi1, zero1, phi2 in zip((f1.phi_plus, f1.phi_minus), f1.zero_sectors,
-                                 f2._rephased(f1.t0)):
-        if np.ndim(phi2) == 0:
-            # the scalar +0 stands for a zero grid: w * (+0) is +0 for
-            # w > 0, and np.vdot of two +0 grids is +0
-            if zero1:
-                sectors.append(None)
-                continue
-            phi2 = np.zeros(phi1.shape, dtype=complex)
-        sectors.append((phi1, phi2))
-    sums = iter(_vdots([s for s in sectors if s is not None],
+    if f2.t0 == f1.t0:
+        pairs = [None if zero1 and zero2 else (phi1, phi2, unit)
+                 for phi1, zero1, phi2, zero2, unit in zip(
+                     (f1.phi_plus, f1.phi_minus), f1.zero_sectors,
+                     (f2.phi_plus, f2.phi_minus), f2.zero_sectors, _UNITS)]
+    else:
+        pairs = list(zip((f1.phi_plus, f1.phi_minus), f2._rephased(f1.t0)))
+    sums = iter(_vdots([s for s in pairs if s is not None],
                        lambda i, j: lat._omega_span(p.mass, i, j)))
     plus, minus = (np.complex128(0.0) if s is None else next(sums)
-                   for s in sectors)
+                   for s in pairs)
     acc = (1.0 + a) * plus + (1.0 - a) * minus
     return complex(acc) * lat.volume * (p.kappa / p.mass)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .core import LatticeField, ModelParams, MomentumLattice, schrodinger_packet
-from .currents import _CURRENT_AND_RATE, PAD
+from .currents import _FILL, PAD, _current_and_rate
 
 DEFAULT_MASSES = tuple(0.75 * 2.0 ** j for j in range(6))
 
@@ -127,9 +127,9 @@ def schrodinger_deviation(field: LatticeField, which: str,
     Returns (time slot vs rho, spatial part vs j) for one field, with
     the current family named by which.
     """
-    if which not in _CURRENT_AND_RATE:
+    if which not in _FILL:
         raise ValueError(f"unknown current family {which!r}")
-    cur = _CURRENT_AND_RATE[which](field, t)[0]
+    cur = _current_and_rate(field, t, which)[0]
     rho, jvec = schrodinger_reference(field, t)
     return (_l2(cur.components[0] - rho) / _l2(rho),
             _l2(cur.components[1:] - jvec) / max(_l2(jvec), 1e-300))

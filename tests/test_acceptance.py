@@ -24,7 +24,7 @@ from kgfield.core import (
     random_field,
 )
 from kgfield.currents import (
-    _divergence,
+    _continuity,
     continuity_residual,
     current_Ja,
     noncovariance_demo,
@@ -160,7 +160,7 @@ def test_criterion_04_two_mode_oracles():
     modes[0], modes[n2] = c1, c2
     f = LatticeField(lat, params, modes, np.zeros_like(modes))
     t = 0.45
-    divgrid = np.real(_divergence(f, t, "calJ_a")[1])
+    divgrid = np.real(_continuity(f, t, "calJ_a")[1])
     # the divergence grid lives on the dealiased (padded) lattice
     xs = current_Ja(f, t).lattice.coordinate_axes()[0]
     expected = np.array([two_mode_oracle(o, np.array([t, x]))["div_calJ"]

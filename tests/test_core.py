@@ -1,5 +1,7 @@
 """Field representation, exact evolution, operator powers, exact boosts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from kgfield.core import (
     random_field,
 )
 
+from kgfield.currents import continuity_residual, rho_a
+from kgfield.inner import inner_a_split
 from oracles import planewave_values, psic_at
 
 
@@ -138,6 +142,28 @@ def test_lattice_field_rejects_non_finite_start_time():
     for t0 in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="t0"):
             f.copy_with(t0=t0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_evaluation_time_raises_where_it_enters(t):
+    # every route re-phases through MomentumLattice._phase, which names the
+    # offset from t0 (evolve's step is that offset) before any arithmetic
+    f = random_field(make_lattice(d=2, N=8), ModelParams(1.0, a=0.3),
+                     seed=4, t0=0.5)
+    runs = {"continuity_residual J_a": lambda: continuity_residual(f, t),
+            "continuity_residual calJ_a":
+                lambda: continuity_residual(f, t, "calJ_a"),
+            "rho_a": lambda: rho_a(f, t), "psi_grid": lambda: f.psi_grid(t),
+            "inner_a_split": lambda: inner_a_split(f, f, t),
+            "evolve": lambda: evolve(f, t)}
+    for name, run in runs.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no RuntimeWarning first
+            with pytest.raises(ValueError, match=(
+                    rf"^time offset {t!r} from t0 is not finite$")):
+                run()
+    # nothing non-finite was kept: a finite time evaluates as before
+    assert np.isfinite(continuity_residual(f, 1.25))
 
 
 def test_planewave_field_rejects_non_finite_wave_vector():

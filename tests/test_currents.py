@@ -15,7 +15,7 @@ from kgfield.core import (
     random_field,
 )
 from kgfield.currents import (
-    _divergence,
+    _continuity,
     continuity_residual,
     current_calJa,
     current_Ja,
@@ -38,7 +38,7 @@ from oracles import (
 def divergence_grid(field: LatticeField, t: float) -> np.ndarray:
     """Pointwise d_mu calJ_a^mu of the probability current (not normalized),
     the grid whose max-norm continuity_residual(field, t, "calJ_a") scales."""
-    return np.real(_divergence(field, t, "calJ_a")[1])
+    return np.real(_continuity(field, t, "calJ_a")[1])
 
 
 def test_single_mode_currents():
