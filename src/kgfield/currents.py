@@ -118,15 +118,13 @@ def _fill_calja(field: LatticeField, t: float):
     """calJ_a and d_t of its time slot in one workspace of 6 + d padded
     grids, returned as _fill_ja returns J_a.
 
-    Slots 0-1 hold P and Pc; 2-3 each axis's dQ and dQc, then P' and Pc';
-    4 scratch; then J^1..J^d, real with +0 imaginary parts; the last
-    holds the two float grids calJ^0 and the rate.  The time slot is
+    Slots 0-1 hold P and Pc; 2-3 each axis's dQ and dQc (then, in place,
+    conj(dQ) Pc and conj(dQc) Pc), then P' and Pc'; 4 scratch; then
+    J^1..J^d, real with +0 imaginary parts; the last holds the two float
+    grids calJ^0 and the rate.  The time slot is
     rho_a's _density on the padded grid (d^0 Q = i Pc and d^0 Qc = i P
     reduce the Im-bracket to it), so
     d_t calJ^0 = (kappa/M) Re{P* P' + Pc* Pc' + a [P'* Pc + P* Pc']}.
-    Pc * conj(dQ) and Pc * conj(dQc) stay expressions: numpy's temporary
-    elision computes them as conj(dQ) * Pc on grids of 256 KiB and more,
-    and the two orders round differently.
     """
     lat = field.lattice
     params = field.params
@@ -148,11 +146,12 @@ def _fill_calja(field: LatticeField, t: float):
     for k, comp in zip(lat.k_grids, ws[5:-1]):
         dQ = lat.modes_to_grid(1j * k * Q_m, PAD, a)
         dQc = lat.modes_to_grid(1j * k * Qc_m, PAD, b)
-        # s = conj(P) dQc - Pc conj(dQ) + a [conj(P) dQ - Pc conj(dQc)]
+        # s = conj(P) dQc - conj(dQ) Pc + a [conj(P) dQ - conj(dQc) Pc]
         np.multiply(np.conj(P, out=s), dQc, out=s)
-        np.subtract(s, Pc * np.conj(dQ), out=s)
         np.multiply(np.conj(P, out=comp), dQ, out=comp)
-        np.subtract(comp, Pc * np.conj(dQc), out=comp)
+        np.subtract(s, np.multiply(np.conj(dQ, out=dQ), Pc, out=dQ), out=s)
+        np.subtract(comp, np.multiply(np.conj(dQc, out=dQc), Pc, out=dQc),
+                    out=comp)
         np.add(s, np.multiply(params.a, comp, out=comp), out=s)
         np.multiply(pref, s.imag, out=comp.real)
         comp.imag = 0.0

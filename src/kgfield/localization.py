@@ -219,6 +219,42 @@ def expand_in_localized_basis(field: LatticeField, t0: float | None = None):
     return fp * s, fm * s
 
 
+def ray_walk(lattice: MomentumLattice, rays, steps: int) -> list:
+    """(ray, j, j * ray, r) for j = 1..steps cells along each integer ray,
+    a ray ending before the first j with 2 |j ray_i| >= N_i on an axis
+    (within half the box); r = |j ray * spacings|."""
+    nodes = np.array(lattice.nodes)
+    walk = []
+    for ray in rays:
+        ray = np.array(ray, dtype=int)
+        if ray.shape != nodes.shape:
+            raise ValueError("ray dimension does not match the lattice")
+        for j in range(1, steps + 1):
+            offset = j * ray
+            if np.any(2 * np.abs(offset) >= nodes):
+                break
+            walk.append((tuple(ray.tolist()), j, offset,
+                         float(np.linalg.norm(offset * lattice.spacings))))
+    return walk
+
+
+def sample_rays(field: LatticeField, node, rays, steps: int,
+                t0: float) -> list:
+    """(ray, j, r, |psi(t0)| / sqrt(cell volume)) at each node of ray_walk
+    from the node index, wrapping periodically.
+
+    psi(t0) is synthesized once and read at every ray node with one fancy
+    index; np.abs of those entries runs the loops it runs on the whole
+    grid, so the values have its bytes, and no float grid is made.
+    """
+    lat = field.lattice
+    walk = ray_walk(lat, rays, steps)
+    offsets = np.array([w[2] for w in walk], dtype=int).reshape(-1, lat.dim)
+    idx = tuple(((np.asarray(node) + offsets) % np.array(lat.nodes)).T)
+    values = np.abs(field.psi_grid(t0)[idx]) / np.sqrt(lat.cell_volume)
+    return [(ray, j, r, float(v)) for (ray, j, _, r), v in zip(walk, values)]
+
+
 # ------------------------------------------------------------- regions
 
 

@@ -405,33 +405,24 @@ def _task_continuity(f, t0, task, config):
 
 
 def _task_bessel_profile(f, t0, task, config):
-    from .localization import besselK_profile
+    from .localization import besselK_profile, sample_rays
 
-    lat = f.lattice
-    if lat.dim != 3:
+    if f.lattice.dim != 3:
         raise TaskError("bessel-profile: needs a 3-dimensional model")
     if config["field"]["construction"] != "localized-state":
         raise TaskError("bessel-profile: needs a localized-state field")
     if not all(any(ray) for ray in task["rays"]):
         raise TaskError("bessel-profile: zero ray")
-    node = config["field"]["node"]
-    psi = np.abs(f.psi_grid(t0)) / np.sqrt(lat.cell_volume)
     rows = []
     in_window = []
-    for ray in task["rays"]:
-        ray = np.array(ray, dtype=int)
-        for j in range(1, task["steps"] + 1):
-            steps = j * ray
-            if np.any(2 * np.abs(steps) >= np.array(lat.nodes)):
-                break
-            idx = tuple((node[i] + steps[i]) % lat.nodes[i] for i in range(3))
-            r = float(np.linalg.norm(steps * lat.spacings))
-            oracle = besselK_profile(r, f.params)
-            rel = abs(psi[idx] - oracle) / oracle
-            rows.append(("/".join(str(v) for v in ray.tolist()), j, r,
-                         float(psi[idx]), oracle, rel))
-            if 0.5 <= f.params.mass * r <= 3.0:
-                in_window.append(rel)
+    # the psi grid is gone before the quadratures run
+    for ray, j, r, value in sample_rays(f, config["field"]["node"],
+                                        task["rays"], task["steps"], t0):
+        oracle = besselK_profile(r, f.params)
+        rel = abs(value - oracle) / oracle
+        rows.append(("/".join(map(str, ray)), j, r, value, oracle, rel))
+        if 0.5 <= f.params.mass * r <= 3.0:
+            in_window.append(rel)
     summary = {"max_rel_err_in_window": float(np.max(in_window, initial=0.0)),
                "samples": len(rows)}
     return [("bessel_profile.csv",

@@ -40,6 +40,8 @@ from kgfield.localization import (
     position_apply,
     position_density,
     probability_region,
+    ray_walk,
+    sample_rays,
     wavefunction_f,
 )
 
@@ -480,6 +482,48 @@ def test_gamma_quarter_constant():
     assert abs(GAMMA_QUARTER - gamma(0.25)) < 1e-14
 
 
+# ------------------------------------------------------------ ray sampler
+
+# (box lengths, nodes): the shipped 64^3, an uneven grid and one with a
+# Bluestein axis between two short ones
+SAMPLER_SHAPES = {"64^3": ((20.0,) * 3, (64,) * 3),
+                  "32x48x40": ((6.0, 9.0, 7.5), (32, 48, 40)),
+                  "8x202x6": ((4.0, 30.0, 3.0), (8, 202, 6))}
+SAMPLER_RAYS = ((1, 1, 1), (1, -2, 3), (-2, 3, -5), (0, 0, -1), (-1, -1, -1))
+
+
+@pytest.mark.parametrize("shape", SAMPLER_SHAPES)
+def test_ray_samples_are_the_psi_grid_bytes_at_the_ray_nodes(shape):
+    L, N = SAMPLER_SHAPES[shape]
+    lat = MomentumLattice(L, N)
+    params = ModelParams(mass=1.3, kappa=0.8, a=0.35)
+    f = random_field(lat, params, seed=4, t0=0.25)
+    steps = 40
+    for t in (0.25, 0.9):
+        grid = np.abs(f.psi_grid(t)) / np.sqrt(lat.cell_volume)
+        # index 0, the centre and next to the wrap on every axis
+        for node in ([0] * 3, [n // 2 for n in N], [n - 1 for n in N]):
+            rows = sample_rays(f, node, SAMPLER_RAYS, steps, t)
+            want = []
+            for ray in SAMPLER_RAYS:
+                # 2 |j ray_i| < N_i on every axis, independently of the walk
+                last = min([steps] + [-(-n // (2 * abs(c))) - 1
+                                      for c, n in zip(ray, N) if c])
+                want += [(ray, j) for j in range(1, last + 1)]
+            assert [row[:2] for row in rows] == want
+            for ray, j, r, value in rows:
+                offset = j * np.array(ray)
+                idx = tuple((np.array(node) + offset) % np.array(N))
+                assert value.hex() == float(grid[idx]).hex(), (node, ray, j)
+                want_r = float(np.linalg.norm(offset * np.array(lat.spacings)))
+                assert r.hex() == want_r.hex()
+
+
+def test_ray_walk_rejects_a_ray_of_another_dimension():
+    with pytest.raises(ValueError, match="ray dimension"):
+        ray_walk(MomentumLattice([6.0] * 3, [16] * 3), [(1, 1)], 4)
+
+
 # ------------------------------------------- QUADPACK port against scipy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -510,17 +554,9 @@ def _bits(out):
 
 
 def _ray_radii(L, N, rays, steps):
-    # the sampler of runs._task_bessel_profile: j cells along each ray,
-    # while the ray stays within half the box
-    spacings = MomentumLattice([L] * 3, [N] * 3).spacings
-    radii = []
-    for ray in rays:
-        ray = np.array(ray, dtype=int)
-        for j in range(1, steps + 1):
-            if np.any(2 * np.abs(j * ray) >= N):
-                break
-            radii.append(float(np.linalg.norm(j * ray * spacings)))
-    return radii
+    # the node walk of the bessel-profile task's sampler
+    return [r for *_, r in ray_walk(MomentumLattice([L] * 3, [N] * 3),
+                                    rays, steps)]
 
 
 def _production_radii():

@@ -30,7 +30,9 @@ grid per (mass, dt): the routes must give the plain expressions' bytes
 whether the grid was built for them or found, and no output may share
 its memory.  The currents and the Schrodinger reference synthesize into
 the slots of one workspace per call; they must give the bytes of one new
-grid per synthesis, and return no view of the workspace.
+grid per synthesis, and return no view of the workspace.  The
+bessel-profile task reads psi(t0) at its ray nodes only, so it peaks at
+the one-sector psi_grid(t0) budget.
 modes_to_grid writes modes times the centering sign into the corner
 blocks of a +0 grid and runs ifftn's per-axis ifft loop by hand, on only
 the slabs that hold modes until an axis whose length does not map a +0
@@ -54,6 +56,7 @@ entry written.
 
 import functools
 import itertools
+import json
 import re
 import tracemalloc
 from pathlib import Path
@@ -61,7 +64,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgfield import core
+from kgfield import core, runs
 from kgfield.cli import main
 from kgfield.core import (
     _BLOCK,
@@ -758,6 +761,21 @@ def test_one_sector_psi_grid_at_t0_stays_within_its_memory_budget():
             f"psi_grid(t0) peaked {grids:.2f} complex grids above held"
 
 
+def test_the_bessel_profile_task_holds_no_grid_beside_psi():
+    # psi(t0) is read at the ray nodes and dropped before the quadratures
+    # run: the one-sector psi_grid(t0) budget, where a |psi| float grid
+    # beside it read 1.50
+    config = json.loads((CONFIGS / "scenario_localized.json").read_text())
+    f, t0 = runs._field_from_block(config["field"], config["model"])
+    task = config["tasks"][0]
+    run = functools.partial(runs._task_bessel_profile, f, t0, task, config)
+    run()               # the quadrature module loads, the lattice caches
+    _, peak = _traced(run)
+    grids = peak / (16 * f.lattice.total_nodes)
+    assert grids <= ONE_SECTOR_PSI_T0_BUDGET, \
+        f"the bessel-profile task peaked {grids:.2f} complex grids above held"
+
+
 # ------------------------------------------- frequency grids built on demand
 
 # SHAPES, the Bluestein length 202 and 1-D
@@ -1040,8 +1058,8 @@ def old_calja_and_rate(field, t):
     for i, k in enumerate(lat.k_grids):
         dQ = lat.modes_to_grid(1j * k * Q_m, PAD)
         dQc = lat.modes_to_grid(1j * k * Qc_m, PAD)
-        s = (np.conj(P) * dQc - Pc * np.conj(dQ)
-             + params.a * (np.conj(P) * dQ - Pc * np.conj(dQc)))
+        s = (np.conj(P) * dQc - np.conj(dQ) * Pc
+             + params.a * (np.conj(P) * dQ - np.conj(dQc) * Pc))
         comps[1 + i] = pref * np.imag(s)
     P_dot = lat.modes_to_grid(up * psidot_m, PAD)
     Pc_dot = lat.modes_to_grid(up * psicdot_m, PAD)
@@ -1245,8 +1263,9 @@ def test_the_synthesis_plan_is_cached_slices():
 
 # padded complex grids above held memory at 16^3 (padded 32^3): one grid
 # per synthesis peaked at 14.8 (J_a) and 12.1 (calJ_a), a current and rate
-# per check at 12.8 and 11.1, one workspace of 9 grids at 10.3 and 10.6
-CONTINUITY_BUDGETS = {"J_a": 10.5, "calJ_a": 11.0}
+# per check at 12.8 and 11.1, one workspace of 9 grids at 10.3 and 10.6,
+# and 10.3 for both once calJ_a forms conj(dQ) Pc in its derivative slots
+CONTINUITY_BUDGETS = {"J_a": 10.5, "calJ_a": 10.5}
 
 
 def _continuity_peak(lat, which):
